@@ -13,9 +13,9 @@ from .enumerator import (SubgroupClass, TransitiveRep, canonical_form,
                          enumerate_candidates, enumerate_classes)
 from .oracle import (BruteForceCounts, TCResult, brute_force_classes,
                      default_coset_budget, todd_coxeter, verify_class)
-from .perms import (MAX_DEGREE, Assignment, Perm, all_perms, compose,
-                    conjugate_assignment, evaluate_word, inverse,
-                    is_transitive, order, parse_cycles)
+from .perms import (MAX_DEGREE, Assignment, Perm, all_perms,
+                    conjugate_assignment, evaluate_word, is_transitive,
+                    parse_cycles)
 from .presentations import (CATALOG, CatalogEntry, CoxeterSymbol,
                             Presentation, catalog, catalog_by_id,
                             full_presentation, kleinian_presentation,
@@ -34,11 +34,11 @@ __all__ = [
     "StabilizerGens", "SubgroupClass", "TCResult", "TransitiveRep", "Word",
     "all_perms", "brute_force_classes", "build_coset_table", "canonical_form",
     "catalog", "catalog_by_id", "classify_image", "coloring_of",
-    "colorings_fixing_c1_count", "compose", "conjugate_assignment",
+    "colorings_fixing_c1_count", "conjugate_assignment",
     "count_distinct_subgroups", "default_coset_budget",
     "enumerate_candidates", "enumerate_classes", "evaluate_word",
-    "full_presentation", "inverse", "is_transitive",
-    "kleinian_presentation", "order", "parse_cycles", "parse_symbol",
+    "full_presentation", "is_transitive", "kleinian_presentation",
+    "parse_cycles", "parse_symbol",
     "parse_word", "presentation_for", "raw_schreier_words", "same_subgroup",
     "schreier_generators", "simplify_word", "stabilizer_words_check",
     "todd_coxeter", "verify_class",

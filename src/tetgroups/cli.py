@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -107,10 +108,18 @@ def _counts_row(id_: str) -> tuple[str, tuple[int, ...]]:
     return id_, tuple(cells)
 
 
+def _worker_count(jobs: int) -> int:
+    """The --jobs value as a pool size: refused below 1, capped at the CPU count."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def cmd_counts(args: argparse.Namespace) -> int:
     ids = [row.id for row in REFERENCE_COUNTS]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = _worker_count(args.jobs)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             computed = dict(pool.map(_counts_row, ids))
     else:
         computed = dict(_counts_row(i) for i in ids)
@@ -236,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         "counts", help="class counts for all hyperbolic tetrahedra")
     p_counts.add_argument("--diff", action="store_true",
                           help="compare against the embedded reference counts")
-    p_counts.add_argument("--jobs", type=int, default=1)
+    p_counts.add_argument("--jobs", type=int, default=1,
+                          help="worker processes, at most the CPU count (default 1)")
     p_counts.add_argument("--format", choices=["table", "json"], default="table")
     p_counts.set_defaults(func=cmd_counts)
 

@@ -9,13 +9,16 @@ each class is the conjugacy class of the stabilizer of point 1.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
+from math import factorial
+from typing import Iterator, Sequence
 
 from .perms import (MAX_DEGREE, Assignment, Perm, all_perms,
-                    conjugate_assignment, evaluate_word, is_transitive)
+                    conjugate_assignment, evaluate_word, images_transitive,
+                    is_transitive, perm_tables)
 from .presentations import Presentation
-from .words import Word
 
 
 @dataclass(frozen=True)
@@ -58,16 +61,74 @@ class SubgroupClass:
 
 def _check_degree(n: int) -> None:
     if not 1 <= n <= MAX_DEGREE:
-        raise ValueError(f"index must be between 1 and {MAX_DEGREE}, got {n}")
+        raise ValueError(f"index must be between 1 and {MAX_DEGREE} "
+                         f"(the enumerator's limit), got {n}")
 
 
-def _relator_ok(base: Word, k: int, images: list[Perm]) -> bool:
-    n = images[0].degree
-    res = Perm.identity(n)
-    for gen, sign in base:
-        img = images[gen]
-        res = res * (img.inverse() if sign < 0 else img)
-    return k % res.order() == 0
+def _search(presentation: Presentation, n: int,
+            transitive: bool) -> Iterator[tuple[int, ...]]:
+    """Relator-satisfying assignments as index tuples into all_perms(n).
+
+    They come out in lexicographic order.  A relator is tested once the
+    deepest generator x it uses is placed.  When x occurs once in its base,
+    the base is rewritten as w * x with the same order (order(u x v) =
+    order(v u x) and order(g) = order(g^-1)), so one composition-table row
+    comp[w] tests every choice of x; with w the identity (a relator on x
+    alone, such as P^2) x's range is filtered up front.  Other bases are
+    folded in full for each x.
+    """
+    perms = all_perms(n)
+    comp, inv, order, _ = perm_tables(n)
+    k = len(presentation.generator_names)
+    ranges: list[Sequence[int]] = [range(len(perms))] * k
+    checks: list[list] = [[] for _ in range(k)]
+    for base, exp in presentation.relator_powers:
+        letters = [(gen, sign < 0) for gen, sign in base]
+        allowed = [exp % o == 0 for o in order]
+        x = max(gen for gen, _ in letters)
+        at = [j for j, (gen, _) in enumerate(letters) if gen == x]
+        if len(at) > 1:
+            checks[x].append((None, letters, allowed))
+            continue
+        j = at[0]
+        prefix = letters[j + 1:] + letters[:j]
+        if letters[j][1]:
+            prefix = [(gen, not inverted) for gen, inverted in reversed(prefix)]
+        if prefix:
+            checks[x].append((prefix, letters, allowed))
+        else:
+            ranges[x] = [i for i in ranges[x] if allowed[i]]
+
+    chosen = [0] * k
+
+    def extend(depth: int) -> Iterator[tuple[int, ...]]:
+        choices = ranges[depth]
+        for prefix, letters, allowed in checks[depth]:
+            if prefix is None:
+                choices = [i for i in choices if allowed[
+                    _fold(letters, chosen[:depth] + [i], comp, inv)]]
+            else:
+                row = comp[_fold(prefix, chosen, comp, inv)]
+                choices = [i for i in choices if allowed[row[i]]]
+        for i in choices:
+            chosen[depth] = i
+            if depth + 1 < k:
+                yield from extend(depth + 1)
+            elif not transitive or images_transitive(
+                    [perms[j].images for j in chosen], n):
+                yield tuple(chosen)
+
+    return extend(0)
+
+
+def _fold(letters: list[tuple[int, bool]], chosen: list[int],
+          comp: tuple[tuple[int, ...], ...], inv: tuple[int, ...]) -> int:
+    """Index of a word's image, the rightmost letter acting first."""
+    res = 0
+    for gen, inverted in letters:
+        img = chosen[gen]
+        res = comp[res][inv[img] if inverted else img]
+    return res
 
 
 def enumerate_candidates(presentation: Presentation, n: int,
@@ -84,46 +145,15 @@ def enumerate_candidates(presentation: Presentation, n: int,
     if stage not in ("all", "relator_filtered", "transitive"):
         raise ValueError(f"unknown stage {stage!r}")
     names = presentation.generator_names
-    k = len(names)
     perms = all_perms(n)
 
     if stage == "all":
-        import itertools
-
-        out = []
-        for combo in itertools.product(perms, repeat=k):
-            if nontrivial and all(p.is_identity() for p in combo):
-                continue
-            out.append(Assignment(names, combo))
-        return out
-
-    # A relator can be tested once the deepest generator it uses is placed.
-    schedule: list[list[tuple[Word, int]]] = [[] for _ in range(k)]
-    for base, exp in presentation.relator_powers:
-        deepest = max(gen for gen, _ in base)
-        schedule[deepest].append((base, exp))
-
-    out = []
-    images: list[Perm] = []
-
-    def extend(depth: int) -> None:
-        if depth == k:
-            combo = tuple(images)
-            if nontrivial and all(p.is_identity() for p in combo):
-                return
-            assignment = Assignment(names, combo)
-            if stage == "transitive" and not is_transitive(assignment):
-                return
-            out.append(assignment)
-            return
-        for p in perms:
-            images.append(p)
-            if all(_relator_ok(base, exp, images) for base, exp in schedule[depth]):
-                extend(depth + 1)
-            images.pop()
-
-    extend(0)
-    return out
+        combos = itertools.product(range(len(perms)), repeat=len(names))
+    else:
+        combos = _search(presentation, n, transitive=stage == "transitive")
+    # Index 0 is the identity, so the trivial assignment is all zeros.
+    return [Assignment(names, tuple(perms[i] for i in combo))
+            for combo in combos if not nontrivial or any(combo)]
 
 
 def canonical_form(assignment: Assignment) -> Assignment:
@@ -170,39 +200,49 @@ def classify_image(assignment: Assignment) -> str:
 
 
 def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]:
-    """Conjugacy classes of index-n subgroups, sorted by canonical rep."""
+    """Conjugacy classes of index-n subgroups, sorted by canonical rep.
+
+    The search yields candidates in lexicographic order, and relabeling
+    preserves both the relators and transitivity, so the first candidate
+    met from each S_n-orbit is its least member: the canonical rep.  Its
+    whole orbit is marked then, and later members are skipped as they come.
+    """
     _check_degree(n)
     if n > 4:
         warnings.warn("oracle cross-checks only run for index <= 4; "
                       f"counts at index {n} are enumerator-only", stacklevel=2)
-    candidates = enumerate_candidates(presentation, n, stage="transitive")
-    orbits: dict[tuple, int] = {}
-    for assignment in candidates:
-        key = canonical_form(assignment).key()
-        orbits[key] = orbits.get(key, 0) + 1
+    perms = all_perms(n)
+    conj = perm_tables(n).conj
+    names = presentation.generator_names
+    pending: set[tuple[int, ...]] = set()  # marked orbit members not yet met
     classes = []
-    for key in sorted(orbits):
-        canon = Assignment(presentation.generator_names,
-                           tuple(Perm(images) for images in key))
+    for combo in _search(presentation, n, transitive=True):
+        if combo in pending:
+            pending.remove(combo)
+            continue
+        orbit = {tuple(map(c.__getitem__, combo)) for c in conj}
+        pending |= orbit
+        pending.remove(combo)
+        canon = Assignment(names, tuple(perms[i] for i in combo))
         classes.append(SubgroupClass(rep=TransitiveRep(presentation, canon),
                                      index=n,
                                      image_type=classify_image(canon),
-                                     labeled_orbit_size=orbits[key]))
+                                     labeled_orbit_size=len(orbit)))
     return classes
 
 
 def count_distinct_subgroups(presentation: Presentation, n: int) -> int:
     """Index-n subgroups counted plainly, not up to conjugacy.
 
-    Subgroups are stabilizers of point 1, so two assignments give the same
-    subgroup exactly when conjugate by a relabeling fixing 1; for each
-    conjugacy class that splits its orbit into (n-1)!-fold copies of the
-    same subgroup.
+    Subgroups are stabilizers of point 1.  The (n-1)! relabelings fixing 1
+    permute the transitive assignments with a given stabilizer transitively,
+    and freely, since only the identity fixes a point and commutes with a
+    transitive group; so the labeled count is (n-1)! times the subgroup count.
     """
     _check_degree(n)
-    candidates = enumerate_candidates(presentation, n, stage="transitive")
-    fix1 = [s for s in all_perms(n) if s.apply(1) == 1]
-    keys = set()
-    for assignment in candidates:
-        keys.add(min(conjugate_assignment(assignment, s).key() for s in fix1))
-    return len(keys)
+    labeled = sum(1 for _ in _search(presentation, n, transitive=True))
+    subgroups, rest = divmod(labeled, factorial(n - 1))
+    if rest:
+        raise RuntimeError(f"{labeled} labeled assignments at index {n} "
+                           f"are not a multiple of {n - 1}!")
+    return subgroups

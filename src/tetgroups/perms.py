@@ -12,12 +12,14 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple, Sequence
 
 from .words import Word
 
-# Enumeration beyond this degree is refused outright: the search space and
-# the n! canonicalization sweeps stop being a laptop-scale job.
-MAX_DEGREE = 12
+# Enumeration beyond this degree is refused before anything is allocated.
+# The per-degree tables hold n!^2 entries each: 518k at 6 (built in under a
+# second), 25M at 7, which no longer fits a laptop-scale job.
+MAX_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -156,6 +158,34 @@ def all_perms(n: int) -> tuple[Perm, ...]:
     return tuple(Perm(p) for p in itertools.permutations(range(1, n + 1)))
 
 
+class PermTables(NamedTuple):
+    """Lookup tables of S_n over the indices of all_perms(n).
+
+    Index 0 is the identity.  comp[a][b] is the index of a * b, inv[a] of
+    a's inverse, order[a] is a's order, and conj[s][p] is the index of
+    s * p * s^-1.
+    """
+
+    comp: tuple[tuple[int, ...], ...]
+    inv: tuple[int, ...]
+    order: tuple[int, ...]
+    conj: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def perm_tables(n: int) -> PermTables:
+    """The tables for degree n, built on first use (n!^2 entries each)."""
+    perms = all_perms(n)
+    index = {p.images: i for i, p in enumerate(perms)}
+    zero_based = [tuple(j - 1 for j in p.images) for p in perms]
+    comp = tuple(tuple(index[tuple(map(a.images.__getitem__, b))] for b in zero_based)
+                 for a in perms)
+    inv = tuple(row.index(0) for row in comp)
+    order = tuple(p.order() for p in perms)
+    conj = tuple(tuple(comp[x][inv[s]] for x in comp[s]) for s in range(len(perms)))
+    return PermTables(comp, inv, order, conj)
+
+
 @dataclass(frozen=True)
 class Assignment:
     """Images of the generators, one permutation per generator name."""
@@ -188,19 +218,6 @@ class Assignment:
         return {name: p.cycle_string() for name, p in zip(self.names, self.perms)}
 
 
-def compose(f: Perm, g: Perm) -> Perm:
-    """(f*g)(x) = f(g(x)); g acts first."""
-    return f * g
-
-
-def inverse(f: Perm) -> Perm:
-    return f.inverse()
-
-
-def order(f: Perm) -> int:
-    return f.order()
-
-
 def evaluate_word(word: Word, assignment: Assignment) -> Perm:
     """Image of a word: product of generator images in word order.
 
@@ -220,21 +237,26 @@ def evaluate_word(word: Word, assignment: Assignment) -> Perm:
 
 
 def is_transitive(assignment: Assignment) -> bool:
-    """True when the generated group has a single orbit on {1..n}.
+    """True when the generated group has a single orbit on {1..n}."""
+    return images_transitive([p.images for p in assignment.perms],
+                             assignment.degree)
+
+
+def images_transitive(images: Sequence[tuple[int, ...]], n: int) -> bool:
+    """is_transitive on one-line tuples of degree n.
 
     Forward closure suffices: the reachable set from 1 is closed under each
     image, and an injective self-map of a finite set closed on it is a
     bijection of it, so it is closed under inverses too.
     """
-    n = assignment.degree
     seen = [False] * (n + 1)
     seen[1] = True
     stack = [1]
     count = 1
     while stack:
         x = stack.pop()
-        for p in assignment.perms:
-            y = p.apply(x)
+        for img in images:
+            y = img[x - 1]
             if not seen[y]:
                 seen[y] = True
                 count += 1

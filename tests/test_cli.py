@@ -1,8 +1,11 @@
 import json
+import os
 
 import pytest
 
-from tetgroups.cli import main
+from tetgroups import MAX_DEGREE
+from tetgroups.cli import _worker_count, main
+from tetgroups.perms import perm_tables
 
 
 def run(capsys, *argv):
@@ -122,6 +125,29 @@ def test_usage_errors_exit_with_two(capsys):
     with pytest.raises(SystemExit):
         main(["enumerate", "--id", "t10", "--index", "2"])
     capsys.readouterr()
+
+
+def test_index_past_the_limit_is_refused_before_any_table_is_built(capsys):
+    built = perm_tables.cache_info().currsize
+    code, out, err = run(capsys, "enumerate", "--id", "t10", "--group", "full",
+                         "--index", str(MAX_DEGREE + 1))
+    assert code == 2 and out == ""
+    assert f"between 1 and {MAX_DEGREE}" in err
+    assert perm_tables.cache_info().currsize == built
+
+
+def test_counts_rejects_jobs_below_one(capsys):
+    for bad in ("0", "-3"):
+        code, out, err = run(capsys, "counts", "--jobs", bad)
+        assert code == 2 and out == ""
+        assert "--jobs must be at least 1" in err
+
+
+def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert [_worker_count(j) for j in (1, 2, 3, 10 ** 6)] == [1, 2, 2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
+    assert _worker_count(8) == 1
 
 
 def test_counts_json_rows_match_direct_enumeration(capsys):

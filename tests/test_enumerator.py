@@ -1,14 +1,18 @@
+import warnings
+from collections import Counter
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep,
-                       all_perms, canonical_form, classify_image,
+from tetgroups import (Assignment, CoxeterSymbol, Perm, Presentation,
+                       TransitiveRep, Word, all_perms, brute_force_classes,
+                       canonical_form, catalog_by_id, classify_image,
                        conjugate_assignment, count_distinct_subgroups,
-                       enumerate_candidates, enumerate_classes,
-                       kleinian_presentation, presentation_for)
+                       enumerate_candidates, enumerate_classes, evaluate_word,
+                       is_transitive, kleinian_presentation,
+                       presentation_for)
 
 
 def asg(names, *cycle_maps):
@@ -70,12 +74,51 @@ def test_enumerate_classes_golden_counts():
     assert [len(enumerate_classes(klein, n)) for n in (2, 3, 4)] == [1, 1, 1]
 
 
+def test_search_matches_the_product_space_on_a_general_presentation():
+    # The Coxeter presentations use each generator once per base and never
+    # inverted; these relators put the deepest generator inverted (abc^-1),
+    # inside the base (acb), twice (cacb^-1) and alone (b^-3).
+    a, b, c = (Word.gen(i) for i in range(3))
+    pres = Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b", "c"),
+                        (a ** 4, b ** -3, (a * b * ~c) ** 2, (a * c * b) ** 4,
+                         (c * a * c * ~b) ** 2))
+    for n in (3, 4):
+        raw = enumerate_candidates(pres, n, stage="all")
+        expected = [x for x in raw
+                    if all(evaluate_word(r, x).is_identity() for r in pres.relators)]
+        assert 0 < len(expected) < len(raw)
+        filtered = enumerate_candidates(pres, n, stage="relator_filtered")
+        assert [x.key() for x in filtered] == [x.key() for x in expected]
+        assert ([x.key() for x in enumerate_candidates(pres, n)]
+                == [x.key() for x in expected if is_transitive(x)])
+
+
 def test_class_reps_are_canonical_and_sorted(t10_kleinian):
     classes = enumerate_classes(t10_kleinian, 4)
     keys = [c.rep.assignment.key() for c in classes]
     assert keys == sorted(keys)
     for c in classes:
         assert canonical_form(c.rep.assignment).key() == c.rep.assignment.key()
+
+
+@pytest.mark.parametrize("id_, group, n", [("t10", "kleinian", 5),
+                                           ("t32", "kleinian", 5),
+                                           ("t32", "full", 4)])
+def test_orbit_marking_matches_canonical_form_grouping(id_, group, n):
+    # The grouping the enumerator replaced, kept as a second method: each
+    # candidate's canonical form names its orbit.
+    pres = presentation_for(catalog_by_id(id_).symbol, group)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the index > 4 "enumerator-only" note
+        classes = enumerate_classes(pres, n)
+    orbits = Counter(canonical_form(a).key() for a in enumerate_candidates(pres, n))
+    expected = []
+    for key in sorted(orbits):
+        canon = Assignment(pres.generator_names, tuple(Perm(im) for im in key))
+        expected.append((key, orbits[key], classify_image(canon)))
+    assert expected
+    assert [(c.rep.assignment.key(), c.labeled_orbit_size, c.image_type)
+            for c in classes] == expected
 
 
 def test_labeled_orbits_partition_the_candidates(t10_kleinian):
@@ -92,6 +135,16 @@ def test_labeled_count_is_factorial_times_subgroups(sym_entries, group, n):
     pres = presentation_for(CoxeterSymbol(*sym_entries), group)
     labeled = len(enumerate_candidates(pres, n))
     assert labeled == factorial(n - 1) * count_distinct_subgroups(pres, n)
+
+
+@given(st.tuples(*[st.integers(min_value=2, max_value=6)] * 6),
+       st.sampled_from(["full", "kleinian"]), st.integers(min_value=1, max_value=4))
+@settings(max_examples=30, deadline=None)
+def test_counts_match_the_oracle_on_random_symbols(entries, group, n):
+    pres = presentation_for(CoxeterSymbol(*entries), group)
+    counts = (len(enumerate_candidates(pres, n)), len(enumerate_classes(pres, n)),
+              count_distinct_subgroups(pres, n))
+    assert counts == tuple(brute_force_classes(pres, n))
 
 
 def test_index_one_is_the_trivial_class(t10_full):

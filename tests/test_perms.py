@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tetgroups import (MAX_DEGREE, Assignment, Perm, Word, all_perms, compose,
-                       conjugate_assignment, evaluate_word, inverse,
-                       is_transitive, order, parse_cycles)
+from tetgroups import (MAX_DEGREE, Assignment, Perm, Word, all_perms,
+                       conjugate_assignment, evaluate_word, is_transitive,
+                       parse_cycles)
+from tetgroups.perms import perm_tables
 
 perms4 = st.sampled_from(all_perms(4))
 words4 = st.lists(
@@ -66,7 +67,7 @@ def test_cycle_string_spaces_points_past_nine():
 def test_order_is_lcm_of_cycle_lengths():
     assert Perm.identity(5).order() == 1
     assert Perm((2, 3, 1, 4, 6, 5)).order() == 6
-    assert order(Perm((2, 1, 3))) == 2
+    assert Perm((2, 1, 3)).order() == 2
 
 
 def test_parse_cycles_forms():
@@ -93,6 +94,20 @@ def test_all_perms_ordering_and_bounds():
         all_perms(0)
     with pytest.raises(ValueError):
         all_perms(MAX_DEGREE + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_perm_tables_agree_with_perm_arithmetic(n):
+    ps = all_perms(n)
+    at = {p: i for i, p in enumerate(ps)}
+    comp, inv, order, conj = perm_tables(n)
+    assert ps[0].is_identity()
+    for a, p in enumerate(ps):
+        assert inv[a] == at[p.inverse()]
+        assert order[a] == p.order()
+        for b, q in enumerate(ps):
+            assert comp[a][b] == at[p * q]
+            assert conj[a][b] == at[p * q * p.inverse()]
 
 
 def test_assignment_validation():
@@ -138,13 +153,13 @@ def test_composition_is_associative(a, b, c):
 def test_inverse_laws(p):
     assert (p * ~p).is_identity()
     assert (~p * p).is_identity()
-    assert inverse(p) == ~p
+    assert p.inverse() == ~p
     assert ~~p == p
 
 
 @given(perms4, perms4)
 def test_compose_matches_pointwise_definition(f, g):
-    h = compose(f, g)
+    h = f * g
     assert all(h(x) == f(g(x)) for x in range(1, 5))
 
 
