@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .coloring import coloring_of
 from .enumerator import SubgroupClass, enumerate_classes
@@ -98,32 +96,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _counts_row(id_: str) -> tuple[str, tuple[int, ...]]:
-    entry = catalog_by_id(id_)
-    cells = []
-    for group in ("full", "kleinian"):
-        pres = presentation_for(entry.symbol, group)
-        for n in (2, 3, 4):
-            cells.append(len(enumerate_classes(pres, n)))
-    return id_, tuple(cells)
-
-
-def _worker_count(jobs: int) -> int:
-    """The --jobs value as a pool size: refused below 1, capped at the CPU count."""
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+def _row_counts(symbol: CoxeterSymbol) -> tuple[int, ...]:
+    """Class counts at indices 2-4, the full group's then the kleinian's."""
+    return tuple(len(enumerate_classes(presentation_for(symbol, group), n))
+                 for group in ("full", "kleinian") for n in (2, 3, 4))
 
 
 def cmd_counts(args: argparse.Namespace) -> int:
-    ids = [row.id for row in REFERENCE_COUNTS]
-    jobs = _worker_count(args.jobs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            computed = dict(pool.map(_counts_row, ids))
-    else:
-        computed = dict(_counts_row(i) for i in ids)
-
     mismatch_cells = []
     inconsistent_cells = []
     cell_names = ("H2", "H3", "H4", "K2", "K3", "K4")
@@ -131,7 +110,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
     for row in REFERENCE_COUNTS:
         entry = catalog_by_id(row.id)
         expected = row.full + row.kleinian
-        got = computed[row.id]
+        got = _row_counts(entry.symbol)
         rec = {"id": row.id, "symbol": entry.symbol.as_text(),
                "computed": list(got)}
         if args.diff:
@@ -181,6 +160,8 @@ def cmd_counts(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_cosets is not None and args.max_cosets < 1:
+        raise ValueError(f"--max-cosets must be at least 1, got {args.max_cosets}")
     _, sym = _resolve_symbol(args)
     pres = presentation_for(sym, args.group)
     classes = enumerate_classes(pres, args.index)
@@ -245,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         "counts", help="class counts for all hyperbolic tetrahedra")
     p_counts.add_argument("--diff", action="store_true",
                           help="compare against the embedded reference counts")
-    p_counts.add_argument("--jobs", type=int, default=1,
-                          help="worker processes, at most the CPU count (default 1)")
     p_counts.add_argument("--format", choices=["table", "json"], default="table")
     p_counts.set_defaults(func=cmd_counts)
 

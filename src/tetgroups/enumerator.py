@@ -9,7 +9,6 @@ each class is the conjugacy class of the stabilizer of point 1.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from math import factorial
@@ -65,9 +64,8 @@ def _check_degree(n: int) -> None:
                          f"(the enumerator's limit), got {n}")
 
 
-def _search(presentation: Presentation, n: int,
-            transitive: bool) -> Iterator[tuple[int, ...]]:
-    """Relator-satisfying assignments as index tuples into all_perms(n).
+def _search(presentation: Presentation, n: int) -> Iterator[tuple[int, ...]]:
+    """Transitive relator-satisfying assignments, as indices into all_perms(n).
 
     They come out in lexicographic order.  A relator is tested once the
     deepest generator x it uses is placed.  When x occurs once in its base,
@@ -114,8 +112,7 @@ def _search(presentation: Presentation, n: int,
             chosen[depth] = i
             if depth + 1 < k:
                 yield from extend(depth + 1)
-            elif not transitive or images_transitive(
-                    [perms[j].images for j in chosen], n):
+            elif images_transitive([perms[j].images for j in chosen], n):
                 yield tuple(chosen)
 
     return extend(0)
@@ -131,29 +128,13 @@ def _fold(letters: list[tuple[int, bool]], chosen: list[int],
     return res
 
 
-def enumerate_candidates(presentation: Presentation, n: int,
-                         stage: str = "transitive",
-                         nontrivial: bool = False) -> list[Assignment]:
-    """Assignments in lexicographic order, filtered up to the given stage.
-
-    stage 'all' is the raw product space (use only for small n), stage
-    'relator_filtered' keeps assignments satisfying every relator, stage
-    'transitive' additionally requires a single orbit.  With nontrivial the
-    assignment sending every generator to the identity is dropped.
-    """
+def enumerate_candidates(presentation: Presentation, n: int) -> list[Assignment]:
+    """Transitive, relator-satisfying assignments in lexicographic order."""
     _check_degree(n)
-    if stage not in ("all", "relator_filtered", "transitive"):
-        raise ValueError(f"unknown stage {stage!r}")
     names = presentation.generator_names
     perms = all_perms(n)
-
-    if stage == "all":
-        combos = itertools.product(range(len(perms)), repeat=len(names))
-    else:
-        combos = _search(presentation, n, transitive=stage == "transitive")
-    # Index 0 is the identity, so the trivial assignment is all zeros.
     return [Assignment(names, tuple(perms[i] for i in combo))
-            for combo in combos if not nontrivial or any(combo)]
+            for combo in _search(presentation, n)]
 
 
 def canonical_form(assignment: Assignment) -> Assignment:
@@ -216,7 +197,7 @@ def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]
     names = presentation.generator_names
     pending: set[tuple[int, ...]] = set()  # marked orbit members not yet met
     classes = []
-    for combo in _search(presentation, n, transitive=True):
+    for combo in _search(presentation, n):
         if combo in pending:
             pending.remove(combo)
             continue
@@ -240,7 +221,7 @@ def count_distinct_subgroups(presentation: Presentation, n: int) -> int:
     transitive group; so the labeled count is (n-1)! times the subgroup count.
     """
     _check_degree(n)
-    labeled = sum(1 for _ in _search(presentation, n, transitive=True))
+    labeled = sum(1 for _ in _search(presentation, n))
     subgroups, rest = divmod(labeled, factorial(n - 1))
     if rest:
         raise RuntimeError(f"{labeled} labeled assignments at index {n} "

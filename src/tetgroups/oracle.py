@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .enumerator import SubgroupClass, TransitiveRep
+from .enumerator import TransitiveRep
 from .perms import Assignment, Perm
 from .presentations import Presentation
 from .words import Word
@@ -252,18 +252,15 @@ def default_coset_budget(index: int, presentation: Presentation) -> int:
     return 10 * index * len(presentation.generator_names)
 
 
-def verify_class(rep: TransitiveRep | SubgroupClass, max_cosets: int | None = None) -> bool | None:
+def verify_class(rep: TransitiveRep, max_cosets: int | None = None) -> bool | None:
     """Confirm a class's stabilizer has the class's index, by coset count.
 
-    Accepts either a representative or the SubgroupClass wrapping one.
     Returns True when the enumeration closes at the rep's degree, False
     when it closes elsewhere, None when the coset budget overflowed (which
     is inconclusive, not a failure).
     """
     from .stabilizer import build_coset_table, schreier_generators
 
-    if isinstance(rep, SubgroupClass):
-        rep = rep.rep
     pres = rep.presentation
     gens = schreier_generators(build_coset_table(rep)).simplified
     budget = max_cosets if max_cosets is not None else default_coset_budget(rep.degree, pres)

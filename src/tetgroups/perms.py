@@ -48,9 +48,6 @@ class Perm:
     def apply(self, point: int) -> int:
         return self.images[point - 1]
 
-    def __call__(self, point: int) -> int:
-        return self.images[point - 1]
-
     def __mul__(self, other: "Perm") -> "Perm":
         if other.degree != self.degree:
             raise ValueError("degree mismatch")

@@ -101,11 +101,6 @@ class Presentation:
         return tuple(out)
 
     @cached_property
-    def element_orders(self) -> dict[Word, int]:
-        """Map from primitive relator base to the order it is forced to divide."""
-        return {base: k for base, k in self.relator_powers}
-
-    @cached_property
     def pair_bases(self) -> tuple[Word, ...]:
         """Bases of relators of length >= 2 words, in relator order.
 

@@ -1,8 +1,28 @@
+import time
+from typing import NamedTuple
+
 import pytest
 
-from tetgroups import CoxeterSymbol, full_presentation, kleinian_presentation
+from tetgroups import (Assignment, CoxeterSymbol, Presentation, SubgroupClass,
+                       catalog, enumerate_candidates, enumerate_classes,
+                       full_presentation, kleinian_presentation,
+                       presentation_for)
 
 T10 = CoxeterSymbol(3, 3, 6, 2, 2, 2)
+
+
+class Cell(NamedTuple):
+    id: str
+    group: str
+    n: int
+    presentation: Presentation
+    classes: list[SubgroupClass]
+    candidates: list[Assignment]
+
+
+class CatalogTable(NamedTuple):
+    cells: list[Cell]
+    build_s: float  # wall time spent computing the cells
 
 
 @pytest.fixture
@@ -13,3 +33,19 @@ def t10_full():
 @pytest.fixture
 def t10_kleinian():
     return kleinian_presentation(T10)
+
+
+@pytest.fixture(scope="session")
+def catalog_table():
+    """Classes and candidates of all 320 cells (40 symbols x 2 groups x
+    index 1-4), computed once for the whole session."""
+    t0 = time.perf_counter()
+    cells = []
+    for entry in catalog():
+        for group in ("full", "kleinian"):
+            pres = presentation_for(entry.symbol, group)
+            for n in (1, 2, 3, 4):
+                cells.append(Cell(entry.id, group, n, pres,
+                                  enumerate_classes(pres, n),
+                                  enumerate_candidates(pres, n)))
+    return CatalogTable(cells, time.perf_counter() - t0)

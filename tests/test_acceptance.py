@@ -7,6 +7,7 @@ between the enumerator and the independent recount everywhere, the count
 table diff, and the core algebraic invariants.
 """
 
+import itertools
 import json
 import random
 import time
@@ -18,7 +19,7 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
                        all_perms, brute_force_classes, build_coset_table,
                        canonical_form, catalog, colorings_fixing_c1_count,
                        conjugate_assignment, count_distinct_subgroups,
-                       enumerate_candidates, enumerate_classes, evaluate_word,
+                       enumerate_classes, evaluate_word,
                        full_presentation, is_transitive, parse_cycles,
                        presentation_for, raw_schreier_words, same_subgroup,
                        schreier_generators, simplify_word, todd_coxeter,
@@ -90,7 +91,9 @@ def test_criterion_2_published_degree2_table(capsys):
     full = presentation_for(T10, "full")
     all2 = full_presentation(CoxeterSymbol(2, 2, 2, 2, 2, 2))
 
-    candidates = enumerate_candidates(full, 2, stage="all", nontrivial=True)
+    candidates = [Assignment(NAMES, perms)
+                  for perms in itertools.product(all_perms(2), repeat=4)
+                  if not all(p.is_identity() for p in perms)]
     check(failures, len(candidates) == 15,
           f"{len(candidates)} nontrivial assignments, expected 15")
     by_moved = {}
@@ -185,25 +188,23 @@ def test_criterion_3_worked_kleinian_rows(capsys):
            failures)
 
 
-def test_criterion_4_oracle_agreement_everywhere(capsys):
+def test_criterion_4_oracle_agreement_everywhere(capsys, catalog_table):
     t0 = time.perf_counter()
     failures = []
     classes_seen = 0
-    for entry in catalog():
-        for group in ("full", "kleinian"):
-            pres = presentation_for(entry.symbol, group)
-            for n in (1, 2, 3, 4):
-                classes = enumerate_classes(pres, n)
-                mine = (len(enumerate_candidates(pres, n)), len(classes),
-                        count_distinct_subgroups(pres, n))
-                oracle = tuple(brute_force_classes(pres, n))
-                check(failures, mine == oracle,
-                      f"{entry.id} {group} n={n}: {mine} != oracle {oracle}")
-                classes_seen += len(classes)
-                for i, cls in enumerate(classes, start=1):
-                    check(failures, verify_class(cls.rep) is True,
-                          f"{entry.id} {group} n={n} class {i}: coset check")
-    elapsed = time.perf_counter() - t0
+    for cell in catalog_table.cells:
+        pres, n, classes = cell.presentation, cell.n, cell.classes
+        where = f"{cell.id} {cell.group} n={n}"
+        mine = (len(cell.candidates), len(classes),
+                count_distinct_subgroups(pres, n))
+        oracle = tuple(brute_force_classes(pres, n))
+        check(failures, mine == oracle, f"{where}: {mine} != oracle {oracle}")
+        classes_seen += len(classes)
+        for i, cls in enumerate(classes, start=1):
+            check(failures, verify_class(cls.rep) is True,
+                  f"{where} class {i}: coset check")
+    # the shared table is part of this check's work, so its build time counts
+    elapsed = catalog_table.build_s + time.perf_counter() - t0
     check(failures, classes_seen == 1011, f"{classes_seen} classes, expected 1011")
     check(failures, elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s")
     report(capsys, "criterion 4: enumerator equals independent recount "
@@ -266,7 +267,7 @@ def test_criterion_5_count_table_diff(capsys):
                    f"({', '.join(deviating)})", failures, elapsed)
 
 
-def test_criterion_6_algebraic_invariants(capsys):
+def test_criterion_6_algebraic_invariants(capsys, catalog_table):
     t0 = time.perf_counter()
     failures = []
     rng = random.Random(0)
@@ -302,8 +303,9 @@ def test_criterion_6_algebraic_invariants(capsys):
     # every low-index class action of that symbol's reflection group
     for entry in catalog():
         pres = presentation_for(entry.symbol, "full")
-        actions = [cls.rep.assignment
-                   for n in (2, 3) for cls in enumerate_classes(pres, n)]
+        actions = [cls.rep.assignment for cell in catalog_table.cells
+                   if (cell.id, cell.group) == (entry.id, "full") and cell.n in (2, 3)
+                   for cls in cell.classes]
         for _ in range(100):
             w = Word.from_letters([(rng.randrange(4), rng.choice((1, -1)))
                                    for _ in range(rng.randrange(12))])
@@ -318,35 +320,32 @@ def test_criterion_6_algebraic_invariants(capsys):
     # every emitted class: relators hold, the action is transitive, every
     # stabilizer word fixes point 1, and the orbit sizes add up
     classes_checked = 0
-    for entry in catalog():
-        for group in ("full", "kleinian"):
-            pres = presentation_for(entry.symbol, group)
-            k = len(pres.generator_names)
-            for n in (1, 2, 3, 4):
-                classes = enumerate_classes(pres, n)
-                check(failures,
-                      sum(c.labeled_orbit_size for c in classes)
-                      == len(enumerate_candidates(pres, n)),
-                      f"{entry.id} {group} n={n}: orbits do not partition")
-                for cls in classes:
-                    a = cls.rep.assignment
-                    check(failures, is_transitive(a),
-                          f"{entry.id} {group} n={n}: intransitive class")
-                    check(failures,
-                          all(exp % evaluate_word(base, a).order() == 0
-                              for base, exp in pres.relator_powers),
-                          f"{entry.id} {group} n={n}: relator violated")
-                    table = build_coset_table(cls.rep)
-                    raw = raw_schreier_words(table)
-                    check(failures, len(raw) == n * k and
-                          sum(w.is_empty() for w in raw) == n - 1,
-                          f"{entry.id} {group} n={n}: Schreier word counts")
-                    gens = schreier_generators(table)
-                    check(failures,
-                          all(evaluate_word(w, a).apply(1) == 1
-                              for w in gens.words + gens.simplified),
-                          f"{entry.id} {group} n={n}: word moves point 1")
-                    classes_checked += 1
+    for cell in catalog_table.cells:
+        pres, n = cell.presentation, cell.n
+        k = len(pres.generator_names)
+        where = f"{cell.id} {cell.group} n={n}"
+        check(failures,
+              sum(c.labeled_orbit_size for c in cell.classes)
+              == len(cell.candidates),
+              f"{where}: orbits do not partition")
+        for cls in cell.classes:
+            a = cls.rep.assignment
+            check(failures, is_transitive(a), f"{where}: intransitive class")
+            check(failures,
+                  all(exp % evaluate_word(base, a).order() == 0
+                      for base, exp in pres.relator_powers),
+                  f"{where}: relator violated")
+            table = build_coset_table(cls.rep)
+            raw = raw_schreier_words(table)
+            check(failures, len(raw) == n * k and
+                  sum(w.is_empty() for w in raw) == n - 1,
+                  f"{where}: Schreier word counts")
+            gens = schreier_generators(table)
+            check(failures,
+                  all(evaluate_word(w, a).apply(1) == 1
+                      for w in gens.words + gens.simplified),
+                  f"{where}: word moves point 1")
+            classes_checked += 1
     check(failures, classes_checked == 1011,
           f"checked {classes_checked} classes, expected 1011")
 

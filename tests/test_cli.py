@@ -1,10 +1,9 @@
 import json
-import os
 
 import pytest
 
 from tetgroups import MAX_DEGREE
-from tetgroups.cli import _worker_count, main
+from tetgroups.cli import main
 from tetgroups.perms import perm_tables
 
 
@@ -92,6 +91,14 @@ def test_verify_with_tiny_budget_is_inconclusive(capsys):
     assert out.count("inconclusive") == 3
 
 
+def test_verify_rejects_a_coset_budget_below_one(capsys):
+    for bad in ("0", "-5"):
+        code, out, err = run(capsys, "verify", "--id", "t10", "--group", "full",
+                             "--index", "2", "--max-cosets", bad)
+        assert code == 2 and out == ""
+        assert f"--max-cosets must be at least 1, got {bad}" in err
+
+
 def test_coloring_json_and_csv(capsys):
     code, out, _ = run(capsys, "coloring", "--id", "t10", "--group", "full",
                        "--index", "2", "--class", "1")
@@ -134,20 +141,6 @@ def test_index_past_the_limit_is_refused_before_any_table_is_built(capsys):
     assert code == 2 and out == ""
     assert f"between 1 and {MAX_DEGREE}" in err
     assert perm_tables.cache_info().currsize == built
-
-
-def test_counts_rejects_jobs_below_one(capsys):
-    for bad in ("0", "-3"):
-        code, out, err = run(capsys, "counts", "--jobs", bad)
-        assert code == 2 and out == ""
-        assert "--jobs must be at least 1" in err
-
-
-def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert [_worker_count(j) for j in (1, 2, 3, 10 ** 6)] == [1, 2, 2, 2]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
-    assert _worker_count(8) == 1
 
 
 def test_counts_json_rows_match_direct_enumeration(capsys):

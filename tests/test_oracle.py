@@ -100,7 +100,6 @@ def test_index_two_words_close_at_two_not_four(t10_full):
 def test_verify_class_outcomes(t10_kleinian):
     cls = enumerate_classes(t10_kleinian, 4)[0]
     assert verify_class(cls.rep) is True
-    assert verify_class(cls) is True
     assert verify_class(cls.rep, max_cosets=1) is None
 
 

@@ -22,9 +22,9 @@ def test_identity_and_apply():
     e = Perm.identity(3)
     assert e.degree == 3
     assert e.is_identity()
-    assert [e(i) for i in (1, 2, 3)] == [1, 2, 3]
+    assert [e.apply(i) for i in (1, 2, 3)] == [1, 2, 3]
     p = Perm((2, 1, 3))
-    assert p.apply(1) == 2 and p(2) == 1
+    assert p.apply(1) == 2 and p.apply(2) == 1
 
 
 def test_invalid_images_rejected():
@@ -160,7 +160,7 @@ def test_inverse_laws(p):
 @given(perms4, perms4)
 def test_compose_matches_pointwise_definition(f, g):
     h = f * g
-    assert all(h(x) == f(g(x)) for x in range(1, 5))
+    assert all(h.apply(x) == f.apply(g.apply(x)) for x in range(1, 5))
 
 
 @given(st.tuples(perms4, perms4, perms4, perms4), words4, words4)
@@ -176,7 +176,8 @@ def test_conjugation_relabels_points(seed, sigma):
     conj = conjugate_assignment(a, sigma)
     # the conjugate permutation moves relabeled points the relabeled way
     for p, q in zip(a.perms, conj.perms):
-        assert all(q(sigma(x)) == sigma(p(x)) for x in range(1, 5))
+        assert all(q.apply(sigma.apply(x)) == sigma.apply(p.apply(x))
+                   for x in range(1, 5))
     assert is_transitive(conj) == is_transitive(a)
     assert [p.order() for p in conj.perms] == [p.order() for p in a.perms]
 

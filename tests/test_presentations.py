@@ -74,9 +74,9 @@ def test_parse_render_round_trip(t10_full):
         assert t10_full.render(t10_full.parse(text)) == text
 
 
-def test_element_orders(t10_full):
+def test_relator_powers_give_the_forced_orders(t10_full):
     orders = {t10_full.render(base): k
-              for base, k in t10_full.element_orders.items()}
+              for base, k in t10_full.relator_powers}
     assert orders["RS"] == 6 and orders["P"] == 2
 
 
