@@ -35,9 +35,11 @@ def main() -> int:
                     bad.append((entry.id, group, n, mine, tuple(oracle)))
                 total_classes += len(classes)
                 for cls in classes:
-                    if verify_class(cls.rep) is not True:
+                    verdict = verify_class(cls.rep)
+                    if verdict is not True:
                         unverified += 1
-                        bad.append((entry.id, group, n, "verify", "failed"))
+                        bad.append((entry.id, group, n, "verify",
+                                    "failed" if verdict is False else "inconclusive"))
     dt = time.perf_counter() - t0
     for row in bad:
         print("DISAGREE", *row)

@@ -4,7 +4,9 @@ Subcommands: list (catalog), enumerate (classes for one symbol), counts
 (the full 32-row count table, optionally diffed against the embedded
 reference), verify (coset-enumeration check per class), coloring (export
 one class as a coloring).  Exit codes: 0 success/consistent, 1 failed
-verification or internal inconsistency, 2 usage errors.
+verification or internal inconsistency, 2 usage errors, 3 when verify
+confirms no class wrong but leaves some inconclusive (the coset budget ran
+out); a failed class makes verify exit 1 whatever else it found.
 """
 
 from __future__ import annotations
@@ -23,17 +25,11 @@ from .reference import REFERENCE_COUNTS
 from .stabilizer import build_coset_table, schreier_generators
 
 
-def _resolve_symbol(args: argparse.Namespace) -> tuple[str, CoxeterSymbol]:
-    if getattr(args, "id", None):
-        entry = catalog_by_id(args.id)
-        return entry.id, entry.symbol
-    if getattr(args, "symbol", None):
-        sym = parse_symbol(args.symbol)
-        for entry in catalog():
-            if entry.symbol == sym:
-                return entry.id, sym
-        return "", sym
-    raise ValueError("one of --id or --symbol is required")
+def _symbol(args: argparse.Namespace) -> CoxeterSymbol:
+    """The symbol named by --id or --symbol; argparse requires exactly one."""
+    if args.id:
+        return catalog_by_id(args.id).symbol
+    return parse_symbol(args.symbol)
 
 
 def _class_record(cls: SubgroupClass) -> dict:
@@ -63,7 +59,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    _, sym = _resolve_symbol(args)
+    sym = _symbol(args)
     pres = presentation_for(sym, args.group)
     classes = enumerate_classes(pres, args.index)
     if args.format == "json":
@@ -162,26 +158,32 @@ def cmd_counts(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_cosets is not None and args.max_cosets < 1:
         raise ValueError(f"--max-cosets must be at least 1, got {args.max_cosets}")
-    _, sym = _resolve_symbol(args)
+    sym = _symbol(args)
     pres = presentation_for(sym, args.group)
     classes = enumerate_classes(pres, args.index)
     print(f"symbol [{sym.as_text()}], {args.group} group, index {args.index}: "
           f"{len(classes)} classes")
-    failed = 0
+    closed = inconclusive = failed = 0
     for i, cls in enumerate(classes, start=1):
         res = verify_class(cls.rep, args.max_cosets)
         if res is True:
             print(f"class {i}: closed({cls.index})")
+            closed += 1
         elif res is None:
             print(f"class {i}: inconclusive (coset budget exhausted)")
+            inconclusive += 1
         else:
             print(f"class {i}: FAILED (coset enumeration closed at a different index)")
             failed += 1
-    return 1 if failed else 0
+    print(f"{len(classes)} classes: {closed} closed, {inconclusive} inconclusive, "
+          f"{failed} failed")
+    if failed:
+        return 1
+    return 3 if inconclusive else 0
 
 
 def cmd_coloring(args: argparse.Namespace) -> int:
-    _, sym = _resolve_symbol(args)
+    sym = _symbol(args)
     pres = presentation_for(sym, args.group)
     classes = enumerate_classes(pres, args.index)
     if not 1 <= args.class_ordinal <= len(classes):

@@ -21,6 +21,7 @@ import numpy as np
 from .enumerator import TransitiveRep
 from .perms import Assignment, Perm
 from .presentations import Presentation
+from .stabilizer import build_coset_table, schreier_generators
 from .words import Word
 
 
@@ -259,8 +260,6 @@ def verify_class(rep: TransitiveRep, max_cosets: int | None = None) -> bool | No
     when it closes elsewhere, None when the coset budget overflowed (which
     is inconclusive, not a failure).
     """
-    from .stabilizer import build_coset_table, schreier_generators
-
     pres = rep.presentation
     gens = schreier_generators(build_coset_table(rep)).simplified
     budget = max_cosets if max_cosets is not None else default_coset_budget(rep.degree, pres)

@@ -59,9 +59,6 @@ class Perm:
             inv[j - 1] = i
         return Perm(tuple(inv))
 
-    def __invert__(self) -> "Perm":
-        return self.inverse()
-
     def is_identity(self) -> bool:
         return all(j == i + 1 for i, j in enumerate(self.images))
 

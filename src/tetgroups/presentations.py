@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import Word
+from .words import Word, parse_word
 
 
 @dataclass(frozen=True)
@@ -64,41 +64,28 @@ def parse_symbol(text: str) -> CoxeterSymbol:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generator names plus relators, with a few derived conveniences."""
+    """Generator names plus relators, with a few derived conveniences.
+
+    Each relator is stored as (base word, exponent): (PQ)^3 is (PQ, 3).
+    Satisfying it is exactly requiring the order of the base's image to
+    divide the exponent.
+    """
 
     kind: str  # "full" or "kleinian"
     symbol: CoxeterSymbol
     generator_names: tuple[str, ...]
-    relators: tuple[Word, ...]
+    relator_powers: tuple[tuple[Word, int], ...]
+
+    @cached_property
+    def relators(self) -> tuple[Word, ...]:
+        """Each relator written out in full, base^exponent."""
+        return tuple(Word(base.letters * k) for base, k in self.relator_powers)
 
     @cached_property
     def involutions(self) -> frozenset[int]:
         """Generators g with a relator g^2."""
-        out = set()
-        for rel in self.relators:
-            if len(rel) == 2 and rel.letters[0] == rel.letters[1]:
-                out.add(rel.letters[0][0])
-        return frozenset(out)
-
-    @cached_property
-    def relator_powers(self) -> tuple[tuple[Word, int], ...]:
-        """Each relator as (primitive base word, exponent).
-
-        A relator (PQ)^3 is stored expanded; here it factors back into the
-        base PQ and the exponent 3.  Satisfying the relator is exactly
-        requiring the order of the base's image to divide the exponent.
-        """
-        out = []
-        for rel in self.relators:
-            letters = rel.letters
-            m = len(letters)
-            base, k = letters, 1
-            for d in range(1, m):
-                if m % d == 0 and letters == letters[:d] * (m // d):
-                    base, k = letters[:d], m // d
-                    break
-            out.append((Word(base), k))
-        return tuple(out)
+        return frozenset(base.letters[0][0] for base, k in self.relator_powers
+                         if len(base) == 1 and k == 2)
 
     @cached_property
     def pair_bases(self) -> tuple[Word, ...]:
@@ -116,36 +103,30 @@ class Presentation:
         return word.render(self.generator_names)
 
     def parse(self, text: str) -> Word:
-        from .words import parse_word
-
         return parse_word(text, self.generator_names)
-
-
-def _power(base: Word, k: int) -> Word:
-    return Word(base.letters * k)
 
 
 def full_presentation(symbol: CoxeterSymbol) -> Presentation:
     """Reflection group on P, Q, R, S."""
     P, Q, R, S = (Word.gen(i) for i in range(4))
     p, q, r, s, t, u = symbol.as_tuple()
-    relators = (
-        _power(P, 2), _power(Q, 2), _power(R, 2), _power(S, 2),
-        _power(P * Q, p), _power(Q * R, q), _power(R * S, r),
-        _power(P * R, s), _power(P * S, t), _power(Q * S, u),
+    relator_powers = (
+        (P, 2), (Q, 2), (R, 2), (S, 2),
+        (P * Q, p), (Q * R, q), (R * S, r),
+        (P * R, s), (P * S, t), (Q * S, u),
     )
-    return Presentation("full", symbol, ("P", "Q", "R", "S"), relators)
+    return Presentation("full", symbol, ("P", "Q", "R", "S"), relator_powers)
 
 
 def kleinian_presentation(symbol: CoxeterSymbol) -> Presentation:
     """Rotation subgroup on a = PQ, b = QR, c = RS."""
     a, b, c = (Word.gen(i) for i in range(3))
     p, q, r, s, t, u = symbol.as_tuple()
-    relators = (
-        _power(a, p), _power(b, q), _power(c, r),
-        _power(a * b, s), _power(a * b * c, t), _power(b * c, u),
+    relator_powers = (
+        (a, p), (b, q), (c, r),
+        (a * b, s), (a * b * c, t), (b * c, u),
     )
-    return Presentation("kleinian", symbol, ("a", "b", "c"), relators)
+    return Presentation("kleinian", symbol, ("a", "b", "c"), relator_powers)
 
 
 def presentation_for(symbol: CoxeterSymbol, group: str) -> Presentation:

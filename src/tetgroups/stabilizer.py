@@ -120,32 +120,26 @@ def simplify_word(word: Word, presentation: Presentation) -> Word:
     rewrites xyx -> y and yxy -> x.  Never lengthens, and a second pass is
     a no-op.
     """
-    rules: list[tuple[tuple[int, int, int], int]] = []
+    rules: dict[tuple[int, int, int], int] = {}
     for base, k in presentation.relator_powers:
         if k == 2 and len(base) == 2:
             x, y = base.letters[0][0], base.letters[1][0]
             if x != y and x in presentation.involutions and y in presentation.involutions:
-                rules.append(((x, y, x), y))
-                rules.append(((y, x, y), x))
+                rules[(x, y, x)] = y
+                rules[(y, x, y)] = x
 
+    # reduce gives every involution letter the sign +1, so a window of
+    # rule letters never needs its signs checked.
     current = presentation.reduce(word)
     while True:
         letters = current.letters
-        hit = None
         for pos in range(len(letters) - 2):
-            window = tuple(g for g, _ in letters[pos:pos + 3])
-            signs_ok = all(s == 1 for _, s in letters[pos:pos + 3])
-            if not signs_ok:
-                continue
-            for pattern, replacement in rules:
-                if window == pattern:
-                    hit = (pos, replacement)
-                    break
-            if hit:
+            replacement = rules.get((letters[pos][0], letters[pos + 1][0],
+                                     letters[pos + 2][0]))
+            if replacement is not None:
                 break
-        if hit is None:
+        else:
             return current
-        pos, replacement = hit
         current = presentation.reduce(
             Word(letters[:pos] + ((replacement, 1),) + letters[pos + 3:]))
 

@@ -56,42 +56,26 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         return Word(_free_reduce(self.letters + other.letters))
 
-    def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return (~self) ** (-k)
-        out = Word.empty()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __invert__(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
-
-    def inverse(self) -> "Word":
-        return ~self
 
     def reduce_involutions(self, involutions: frozenset[int]) -> "Word":
         """Normalize signs of involution generators to +1, then cancel.
 
         For a generator g with g^2 = e the letters g and g^-1 denote the
         same element, so signs are flattened and adjacent equal letters
-        cancel.  Runs to a fixed point.
+        cancel.  One stack pass suffices: each letter meets a prefix that
+        is already reduced.
         """
-        letters = list(self.letters)
-        while True:
-            out: list[Letter] = []
-            for gen, sign in letters:
-                if gen in involutions:
-                    sign = 1
-                if out and out[-1][0] == gen and (
-                    out[-1][1] == -sign or (gen in involutions and out[-1][1] == sign)
-                ):
-                    out.pop()
-                else:
-                    out.append((gen, sign))
-            if out == letters:
-                return Word(tuple(out))
-            letters = out
+        out: list[Letter] = []
+        for gen, sign in self.letters:
+            if gen in involutions:
+                sign = 1
+            if out and out[-1][0] == gen and (gen in involutions or out[-1][1] == -sign):
+                out.pop()
+            else:
+                out.append((gen, sign))
+        return Word(tuple(out))
 
     def render(self, names: tuple[str, ...] | list[str]) -> str:
         """Print with exponent folding: ``SRS``, ``a^-1b^2``.  Empty word is ''."""

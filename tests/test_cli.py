@@ -87,8 +87,9 @@ def test_verify_reports_each_class(capsys):
 def test_verify_with_tiny_budget_is_inconclusive(capsys):
     code, out, _ = run(capsys, "verify", "--id", "t10", "--group", "full",
                        "--index", "2", "--max-cosets", "1")
-    assert code == 0
-    assert out.count("inconclusive") == 3
+    assert code == 3
+    assert out.count("inconclusive") == 4
+    assert out.endswith("3 classes: 0 closed, 3 inconclusive, 0 failed\n")
 
 
 def test_verify_rejects_a_coset_budget_below_one(capsys):

@@ -90,8 +90,8 @@ def test_search_matches_the_product_space_on_a_general_presentation():
     # inside the base (acb), twice (cacb^-1) and alone (b^-3).
     a, b, c = (Word.gen(i) for i in range(3))
     pres = Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b", "c"),
-                        (a ** 4, b ** -3, (a * b * ~c) ** 2, (a * c * b) ** 4,
-                         (c * a * c * ~b) ** 2))
+                        ((a, 4), (~b, 3), (a * b * ~c, 2), (a * c * b, 4),
+                         (c * a * c * ~b, 2)))
     for n in (3, 4):
         raw = product_space(pres, n)
         expected = [x for x in raw if satisfies_relators(pres, x)]

@@ -151,10 +151,10 @@ def test_composition_is_associative(a, b, c):
 
 @given(perms4)
 def test_inverse_laws(p):
-    assert (p * ~p).is_identity()
-    assert (~p * p).is_identity()
-    assert p.inverse() == ~p
-    assert ~~p == p
+    assert (p * p.inverse()).is_identity()
+    assert (p.inverse() * p).is_identity()
+    assert all(p.inverse().apply(p.apply(x)) == x for x in range(1, 5))
+    assert p.inverse().inverse() == p
 
 
 @given(perms4, perms4)
@@ -167,7 +167,7 @@ def test_compose_matches_pointwise_definition(f, g):
 def test_evaluate_word_is_a_homomorphism(seed, u, v):
     a = assignment4(seed)
     assert evaluate_word(u * v, a) == evaluate_word(u, a) * evaluate_word(v, a)
-    assert evaluate_word(~u, a) == ~evaluate_word(u, a)
+    assert evaluate_word(~u, a) == evaluate_word(u, a).inverse()
 
 
 @given(st.tuples(perms4, perms4, perms4, perms4), perms4)

@@ -1,0 +1,43 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("result, exit_code, verdict", [
+    (True, 0, "coset enumeration confirms the index"),
+    (None, 1, "coset enumeration is inconclusive on the index"),
+    (False, 1, "coset enumeration DISPUTES the index"),
+])
+def test_worked_example_exits_1_unless_every_class_is_confirmed(
+        monkeypatch, capsys, result, exit_code, verdict):
+    script = load_script("worked_example")
+    monkeypatch.setattr(script, "verify_class", lambda rep: result)
+    assert script.main() == exit_code
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if "coset enumeration" in line]
+    assert len(lines) == 3  # one kleinian class at each of indices 2, 3, 4
+    assert all(line.endswith(verdict) for line in lines)
+
+
+def test_full_sweep_names_an_inconclusive_class_apart_from_a_failed_one(
+        monkeypatch, capsys):
+    script = load_script("run_full_sweep")
+    entry = script.catalog()[0]
+    monkeypatch.setattr(script, "catalog", lambda: (entry,))
+    verdicts = iter([None, False])
+    monkeypatch.setattr(script, "verify_class", lambda rep: next(verdicts, True))
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert f"DISAGREE {entry.id} full 1 verify inconclusive" in out
+    assert f"DISAGREE {entry.id} full 2 verify failed" in out
+    assert "2 unverified" in out

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
                        build_coset_table, enumerate_classes, evaluate_word,
-                       full_presentation, parse_cycles, raw_schreier_words,
+                       full_presentation, kleinian_presentation,
+                       parse_cycles, raw_schreier_words,
                        same_subgroup, schreier_generators, simplify_word,
                        stabilizer_words_check)
 from tetgroups.reference import DEGREE2_ROWS
@@ -105,6 +106,14 @@ def test_simplify_word_golden_rewrites(t10_full):
              "RPR": "P", "PSP": "S", "QSQ": "S"}
     for text, expected in cases.items():
         got = t10_full.render(simplify_word(t10_full.parse(text), t10_full))
+        assert got == expected, text
+    # b and c are involutions with (bc)^2 here; written with negative signs
+    # they must still rewrite, since reduce flattens involution signs first
+    klein = kleinian_presentation(CoxeterSymbol(3, 2, 2, 2, 2, 2))
+    cases = {"b^-1c^-1b^-1": "c", "a^-1b^-1c^-1b^-1a": "a^-1ca",
+             "c^-1bc^-1": "b", "ab^-1a^-1": "aba^-1"}
+    for text, expected in cases.items():
+        got = klein.render(simplify_word(klein.parse(text), klein))
         assert got == expected, text
 
 
