@@ -7,7 +7,7 @@ results independently (full product-space recount and coset enumeration),
 and exports classes as colorings.
 """
 
-from .coloring import Coloring, coloring_of, colorings_fixing_c1_count
+from .coloring import coloring_of, colorings_fixing_c1_count
 from .enumerator import (SubgroupClass, TransitiveRep, canonical_form,
                          classify_image, count_distinct_subgroups,
                          enumerate_candidates, enumerate_classes)
@@ -22,24 +22,22 @@ from .presentations import (CATALOG, CatalogEntry, CoxeterSymbol,
                             parse_symbol, presentation_for)
 from .stabilizer import (CosetTable, StabilizerGens, build_coset_table,
                          raw_schreier_words, same_subgroup,
-                         schreier_generators, simplify_word,
-                         stabilizer_words_check)
+                         schreier_generators, simplify_word)
 from .words import Word, parse_word
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment", "BruteForceCounts", "CATALOG", "CatalogEntry", "Coloring",
-    "CosetTable", "CoxeterSymbol", "MAX_DEGREE", "Perm", "Presentation",
-    "StabilizerGens", "SubgroupClass", "TCResult", "TransitiveRep", "Word",
-    "all_perms", "brute_force_classes", "build_coset_table", "canonical_form",
-    "catalog", "catalog_by_id", "classify_image", "coloring_of",
+    "Assignment", "BruteForceCounts", "CATALOG", "CatalogEntry", "CosetTable",
+    "CoxeterSymbol", "MAX_DEGREE", "Perm", "Presentation", "StabilizerGens",
+    "SubgroupClass", "TCResult", "TransitiveRep", "Word", "all_perms",
+    "brute_force_classes", "build_coset_table", "canonical_form", "catalog",
+    "catalog_by_id", "classify_image", "coloring_of",
     "colorings_fixing_c1_count", "conjugate_assignment",
     "count_distinct_subgroups", "default_coset_budget",
     "enumerate_candidates", "enumerate_classes", "evaluate_word",
     "full_presentation", "is_transitive", "kleinian_presentation",
-    "parse_cycles", "parse_symbol",
-    "parse_word", "presentation_for", "raw_schreier_words", "same_subgroup",
-    "schreier_generators", "simplify_word", "stabilizer_words_check",
-    "todd_coxeter", "verify_class",
+    "parse_cycles", "parse_symbol", "parse_word", "presentation_for",
+    "raw_schreier_words", "same_subgroup", "schreier_generators",
+    "simplify_word", "todd_coxeter", "verify_class",
 ]

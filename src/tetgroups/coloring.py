@@ -2,49 +2,22 @@
 
 A class of index n colors the group with n colors, one per coset of the
 stabilizer of point 1; a generator acts on colors the way it acts on
-points.  Fixing which coset gets color 1 still leaves (n-1)! labelings of
-the remaining cosets, so each subgroup accounts for (n-1)! colorings.
+points.  That triple of colors, transversal words naming them and action
+is the class's coset table.  Fixing which coset gets color 1 still leaves
+(n-1)! labelings of the remaining cosets, so each subgroup accounts for
+(n-1)! colorings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from .enumerator import SubgroupClass
-from .perms import Assignment
-from .stabilizer import build_coset_table
-from .words import Word
+from .stabilizer import CosetTable, build_coset_table
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """n colors, a transversal word naming each color, and the action."""
-
-    index: int
-    coset_words: tuple[Word, ...]
-    action: Assignment
-
-    def as_json_dict(self) -> dict:
-        names = self.action.names
-        return {
-            "index": self.index,
-            "coset_words": [w.render(names) for w in self.coset_words],
-            "action": self.action.as_dict(),
-        }
-
-    def as_csv_rows(self) -> list[tuple[str, int, int]]:
-        """One row per (generator, color, image color)."""
-        rows = []
-        for name, perm in zip(self.action.names, self.action.perms):
-            for color in range(1, self.index + 1):
-                rows.append((name, color, perm.apply(color)))
-        return rows
-
-
-def coloring_of(cls: SubgroupClass) -> Coloring:
-    table = build_coset_table(cls.rep)
-    return Coloring(cls.index, table.transversal, cls.rep.assignment)
+def coloring_of(cls: SubgroupClass) -> CosetTable:
+    return build_coset_table(cls.rep)
 
 
 def colorings_fixing_c1_count(n: int) -> int:

@@ -120,14 +120,15 @@ class TCResult:
     """Outcome of a coset enumeration.
 
     status 'closed' means the table completed with `index` live cosets and
-    `action` is the induced transitive rep on them (coset 1 is the
-    subgroup).  status 'overflow' means the coset budget ran out first,
-    which says nothing about the true index.
+    `action` is the generators' assignment on them (coset 1 is the
+    subgroup); wrap it in a TransitiveRep to check it.  status 'overflow'
+    means the coset budget ran out first, which says nothing about the true
+    index.
     """
 
     status: str
     index: int | None = None
-    action: TransitiveRep | None = None
+    action: Assignment | None = None
 
 
 class _Overflow(Exception):
@@ -244,8 +245,7 @@ def todd_coxeter(presentation: Presentation, subgroup_words: list[Word] | tuple[
     for g in range(k):
         images.append(Perm(tuple(renumber[graph.find(graph.neighbors[root][2 * g])]
                                  for root in roots)))
-    assignment = Assignment(presentation.generator_names, tuple(images))
-    action = TransitiveRep(presentation, assignment)
+    action = Assignment(presentation.generator_names, tuple(images))
     return TCResult("closed", len(roots), action)
 
 

@@ -88,6 +88,19 @@ class Presentation:
                          if len(base) == 1 and k == 2)
 
     @cached_property
+    def braid_rules(self) -> dict[tuple[int, int, int], int]:
+        """Rewrites xyx -> y and yxy -> x, keyed by the three generators,
+        for each relator (xy)^2 whose x and y are distinct involutions."""
+        rules = {}
+        for base, k in self.relator_powers:
+            if k == 2 and len(base) == 2:
+                x, y = base.letters[0][0], base.letters[1][0]
+                if x != y and x in self.involutions and y in self.involutions:
+                    rules[(x, y, x)] = y
+                    rules[(y, x, y)] = x
+        return rules
+
+    @cached_property
     def pair_bases(self) -> tuple[Word, ...]:
         """Bases of relators of length >= 2 words, in relator order.
 

@@ -15,23 +15,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .enumerator import TransitiveRep
-from .perms import Assignment, all_perms, conjugate_assignment, evaluate_word
+from .perms import all_perms, conjugate_assignment
 from .presentations import Presentation
 from .words import Word
 
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Action table and transversal of a transitive rep.
+    """A class's coset table, which is also its coloring.
 
-    table[i-1][g] is the image of point i under generator g.  transversal
-    words are the shortest (then lexicographically least) words carrying
-    point 1 to each point; transversal[0] is the empty word.
+    Color i is the coset at point i of rep.  transversal[i-1] names it by
+    the shortest (then lexicographically least) word carrying point 1 to i,
+    so transversal[0] is the empty word.  The generators permute the colors
+    as rep.assignment permutes the points.
     """
 
     rep: TransitiveRep
-    table: tuple[tuple[int, ...], ...]
     transversal: tuple[Word, ...]
+
+    def as_json_dict(self) -> dict:
+        action = self.rep.assignment
+        return {
+            "index": self.rep.degree,
+            "coset_words": [w.render(action.names) for w in self.transversal],
+            "action": action.as_dict(),
+        }
+
+    def as_csv_rows(self) -> list[tuple[str, int, int]]:
+        """One row per (generator, color, image color)."""
+        action = self.rep.assignment
+        return [(name, color, perm.apply(color))
+                for name, perm in zip(action.names, action.perms)
+                for color in range(1, self.rep.degree + 1)]
 
 
 def build_coset_table(rep: TransitiveRep) -> CosetTable:
@@ -39,26 +54,24 @@ def build_coset_table(rep: TransitiveRep) -> CosetTable:
     whose generators are involutions that loses nothing."""
     n = rep.degree
     perms = rep.assignment.perms
-    k = len(perms)
-    table = tuple(tuple(perms[g].apply(i) for g in range(k))
-                  for i in range(1, n + 1))
 
     # Breadth-first, new words by prepending a generator: t_j = g t_i gives
     # evaluate(t_j)(1) = g(t_i(1)) = g(i) = j.  Scanning generators in the
     # outer loop makes each level come out in word order, so the first word
     # reaching a point is its lexicographic minimum among shortest words.
+    # Positive words never cancel, so prepending needs no reduction.
     transversal: dict[int, Word] = {1: Word.empty()}
     frontier = [1]
     while len(transversal) < n:
         next_frontier = []
-        for g in range(k):
+        for g, perm in enumerate(perms):
             for i in frontier:
-                j = perms[g].apply(i)
+                j = perm.apply(i)
                 if j not in transversal:
-                    transversal[j] = Word.gen(g) * transversal[i]
+                    transversal[j] = Word(((g, 1),) + transversal[i].letters)
                     next_frontier.append(j)
         frontier = next_frontier
-    return CosetTable(rep, table, tuple(transversal[i] for i in range(1, n + 1)))
+    return CosetTable(rep, tuple(transversal[i] for i in range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -81,33 +94,33 @@ def raw_schreier_words(table: CosetTable) -> list[Word]:
 
     Exactly n-1 of them are trivial: the tree edges of the transversal.
     """
-    rep = table.rep
-    n = rep.degree
+    perms = table.rep.assignment.perms
     out = []
-    for i in range(1, n + 1):
-        for g in range(len(rep.assignment.perms)):
-            j = table.table[i - 1][g]
-            word = (~table.transversal[i - 1]) * Word.gen(g, -1) * table.transversal[j - 1]
-            out.append(word)
+    for i, t_i in enumerate(table.transversal, start=1):
+        t_i_inverse = (~t_i).letters
+        for g, perm in enumerate(perms):
+            t_j = table.transversal[perm.apply(i) - 1]
+            out.append(Word.from_letters(t_i_inverse + ((g, -1),) + t_j.letters))
     return out
 
 
 def _dedup(words: list[Word], pres: Presentation) -> tuple[Word, ...]:
+    """Drop the empty words and later repeats of a word or its inverse;
+    the words must already be reduced by pres."""
     kept: list[Word] = []
     seen: set[tuple] = set()
     for w in words:
-        r = pres.reduce(w)
-        if r.is_empty() or r.letters in seen:
+        if w.is_empty() or w.letters in seen:
             continue
-        kept.append(r)
-        seen.add(r.letters)
-        seen.add(pres.reduce(~r).letters)
+        kept.append(w)
+        seen.add(w.letters)
+        seen.add(pres.reduce(~w).letters)
     return tuple(kept)
 
 
 def schreier_generators(table: CosetTable) -> StabilizerGens:
     pres = table.rep.presentation
-    words = _dedup(raw_schreier_words(table), pres)
+    words = _dedup([pres.reduce(w) for w in raw_schreier_words(table)], pres)
     simplified = _dedup([simplify_word(w, pres) for w in words], pres)
     return StabilizerGens(table.rep, words, simplified)
 
@@ -116,18 +129,11 @@ def simplify_word(word: Word, presentation: Presentation) -> Word:
     """Shorten a word without changing the group element it names.
 
     Rules, applied at the leftmost match until none fires: involution-aware
-    free reduction, and for each relator (xy)^2 with x, y involutions the
-    rewrites xyx -> y and yxy -> x.  Never lengthens, and a second pass is
-    a no-op.
+    free reduction, and the presentation's braid_rules (xyx -> y and
+    yxy -> x for each relator (xy)^2 with x, y involutions).  Never
+    lengthens, and a second pass is a no-op.
     """
-    rules: dict[tuple[int, int, int], int] = {}
-    for base, k in presentation.relator_powers:
-        if k == 2 and len(base) == 2:
-            x, y = base.letters[0][0], base.letters[1][0]
-            if x != y and x in presentation.involutions and y in presentation.involutions:
-                rules[(x, y, x)] = y
-                rules[(y, x, y)] = x
-
+    rules = presentation.braid_rules
     # reduce gives every involution letter the sign +1, so a window of
     # rule letters never needs its signs checked.
     current = presentation.reduce(word)
@@ -161,11 +167,3 @@ def same_subgroup(rep1: TransitiveRep, rep2: TransitiveRep) -> bool:
         if conjugate_assignment(rep1.assignment, sigma).key() == target:
             return True
     return False
-
-
-def stabilizer_words_check(table: CosetTable) -> bool:
-    """Every deduplicated Schreier word really fixes point 1."""
-    gens = schreier_generators(table)
-    a: Assignment = table.rep.assignment
-    return all(evaluate_word(w, a).apply(1) == 1
-               for w in gens.words + gens.simplified)

@@ -38,7 +38,7 @@ class Word:
 
     @staticmethod
     def gen(index: int, sign: int = 1) -> "Word":
-        return Word(((index, sign),))
+        return Word.from_letters(((index, sign),))
 
     @staticmethod
     def empty() -> "Word":

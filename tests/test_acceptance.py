@@ -141,7 +141,7 @@ def test_criterion_2_published_degree2_table(capsys):
         check(failures, res.status == "closed" and res.index == 2,
               f"row {i}: printed words do not give an index-2 subgroup")
         if res.status == "closed":
-            check(failures, res.action.assignment == by_moved[frozenset(row.moved)],
+            check(failures, res.action == by_moved[frozenset(row.moved)],
                   f"row {i}: printed words give a different action")
 
     report(capsys, "criterion 2: published index-2 table reproduced", failures)

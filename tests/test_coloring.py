@@ -23,9 +23,9 @@ def test_coset_words_carry_color_one_to_each_color(t10_kleinian):
     for n in (2, 3, 4):
         for cls in enumerate_classes(t10_kleinian, n):
             col = coloring_of(cls)
-            assert len(col.coset_words) == cls.index
-            for color, word in enumerate(col.coset_words, start=1):
-                assert evaluate_word(word, col.action).apply(1) == color
+            assert len(col.transversal) == cls.index
+            for color, word in enumerate(col.transversal, start=1):
+                assert evaluate_word(word, col.rep.assignment).apply(1) == color
 
 
 def test_coloring_json_rebuilds_the_action(t10_full, t10_kleinian):

@@ -154,6 +154,31 @@ def test_counts_match_the_oracle_on_random_symbols(entries, group, n):
     assert counts == tuple(brute_force_classes(pres, n))
 
 
+# Generator pairs in symbol order: PQ=p, QR=q, RS=r, PR=s, PS=t, QS=u.
+PAIRS = ((0, 1), (1, 2), (2, 3), (0, 2), (0, 3), (1, 3))
+
+
+def class_profile(pres, n):
+    classes = enumerate_classes(pres, n)
+    return (len(enumerate_candidates(pres, n)), len(classes),
+            count_distinct_subgroups(pres, n),
+            sorted((c.image_type, c.labeled_orbit_size) for c in classes))
+
+
+@given(st.tuples(*[st.integers(min_value=2, max_value=8)] * 6),
+       st.permutations(range(4)), st.sampled_from(["full", "kleinian"]),
+       st.integers(min_value=1, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_counts_do_not_change_when_the_generators_are_relabeled(entries, pi, group, n):
+    # Relabeling P, Q, R, S by pi gives an isomorphic group (and rotation
+    # subgroup): the pair {X, Y} takes the old label of {pi(X), pi(Y)}.
+    label = {frozenset(pair): e for pair, e in zip(PAIRS, entries)}
+    relabeled = tuple(label[frozenset((pi[x], pi[y]))] for x, y in PAIRS)
+    pres = presentation_for(CoxeterSymbol(*entries), group)
+    moved = presentation_for(CoxeterSymbol(*relabeled), group)
+    assert class_profile(moved, n) == class_profile(pres, n)
+
+
 def test_index_one_is_the_trivial_class(t10_full):
     classes = enumerate_classes(t10_full, 1)
     assert len(classes) == 1

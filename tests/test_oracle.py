@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tetgroups import (CoxeterSymbol, Word, brute_force_classes,
-                       canonical_form, count_distinct_subgroups,
-                       default_coset_budget, enumerate_candidates,
-                       enumerate_classes, presentation_for, same_subgroup,
-                       todd_coxeter, verify_class)
+from tetgroups import (CoxeterSymbol, TransitiveRep, Word,
+                       brute_force_classes, canonical_form,
+                       count_distinct_subgroups, default_coset_budget,
+                       enumerate_candidates, enumerate_classes,
+                       presentation_for, same_subgroup, todd_coxeter,
+                       verify_class)
 
 S1 = CoxeterSymbol(3, 3, 3, 2, 2, 2)
 
@@ -47,7 +50,7 @@ def test_coset_enumeration_of_finite_groups():
     res = todd_coxeter(full, [Word.gen(0), Word.gen(1), Word.gen(2)], 400)
     assert res.status == "closed"
     assert res.index == 5
-    assert res.action is not None and res.action.degree == 5
+    assert TransitiveRep(full, res.action).degree == 5
 
 
 def test_coset_enumeration_overflow(t10_kleinian):
@@ -69,7 +72,7 @@ def test_coset_enumeration_is_deterministic(t10_full):
     second = todd_coxeter(t10_full, words, 100)
     assert first.status == second.status == "closed"
     assert first.index == second.index == 2
-    assert first.action.assignment.key() == second.action.assignment.key()
+    assert first.action.key() == second.action.key()
 
 
 def test_coset_enumeration_recovers_each_class(t10_full, t10_kleinian):
@@ -82,8 +85,9 @@ def test_coset_enumeration_recovers_each_class(t10_full, t10_kleinian):
                 res = todd_coxeter(pres, gens.simplified,
                                    default_coset_budget(n, pres))
                 assert res.status == "closed" and res.index == n
-                assert same_subgroup(res.action, cls.rep)
-                assert (canonical_form(res.action.assignment).key()
+                action = TransitiveRep(pres, res.action)
+                assert same_subgroup(action, cls.rep)
+                assert (canonical_form(action.assignment).key()
                         == cls.rep.assignment.key())
 
 
@@ -101,6 +105,15 @@ def test_verify_class_outcomes(t10_kleinian):
     cls = enumerate_classes(t10_kleinian, 4)[0]
     assert verify_class(cls.rep) is True
     assert verify_class(cls.rep, max_cosets=1) is None
+
+
+@given(st.tuples(*[st.integers(min_value=2, max_value=8)] * 6),
+       st.sampled_from(["full", "kleinian"]), st.integers(min_value=1, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_every_class_closes_on_random_symbols(entries, group, n):
+    pres = presentation_for(CoxeterSymbol(*entries), group)
+    for cls in enumerate_classes(pres, n):
+        assert verify_class(cls.rep) is True
 
 
 def test_default_budget_scales_with_index(t10_full):

@@ -6,8 +6,7 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
                        build_coset_table, enumerate_classes, evaluate_word,
                        full_presentation, kleinian_presentation,
                        parse_cycles, raw_schreier_words,
-                       same_subgroup, schreier_generators, simplify_word,
-                       stabilizer_words_check)
+                       same_subgroup, schreier_generators, simplify_word)
 from tetgroups.reference import DEGREE2_ROWS
 
 ALL_TWOS = full_presentation(CoxeterSymbol(2, 2, 2, 2, 2, 2))
@@ -33,7 +32,6 @@ def test_transversal_of_single_moved_generator(t10_full):
     rep = rep_with_moved(t10_full, ("S",))
     table = build_coset_table(rep)
     assert [t10_full.render(w) for w in table.transversal] == ["", "S"]
-    assert table.table == ((1, 1, 1, 2), (2, 2, 2, 1))
 
 
 def test_transversal_words_reach_their_points(t10_kleinian):
@@ -92,13 +90,6 @@ def test_last_degree2_row_is_the_same_subgroup_prettied():
     for text in row.stabilizer_words:
         word = ALL_TWOS.parse(text)
         assert evaluate_word(word, rep.assignment).apply(1) == 1
-
-
-def test_schreier_words_fix_point_one(t10_full, t10_kleinian):
-    for pres in (t10_full, t10_kleinian):
-        for n in (2, 3, 4):
-            for cls in enumerate_classes(pres, n):
-                assert stabilizer_words_check(build_coset_table(cls.rep))
 
 
 def test_simplify_word_golden_rewrites(t10_full):

@@ -37,6 +37,8 @@ def test_from_letters_cancels_adjacent_inverses():
 def test_bad_sign_rejected():
     with pytest.raises(ValueError):
         Word.from_letters([(0, 2)])
+    with pytest.raises(ValueError):
+        Word.gen(0, 2)
 
 
 def test_concatenation_reduces_at_the_seam():
