@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cross-check the enumerator against the brute-force oracle everywhere.
 
-Runs every catalog symbol, both groups, indices 1 through 4, and compares
+Runs every catalog symbol, both groups, indices 1 through 5, and compares
 labeled / class / subgroup counts from the two independent implementations,
 then confirms each class with coset enumeration.  Exits nonzero on any
 disagreement.
@@ -25,7 +25,7 @@ def main() -> int:
     for entry in catalog():
         for group in ("full", "kleinian"):
             pres = presentation_for(entry.symbol, group)
-            for n in range(1, 5):
+            for n in range(1, 6):
                 classes = enumerate_classes(pres, n)
                 labeled = len(enumerate_candidates(pres, n))
                 subgroups = count_distinct_subgroups(pres, n)
@@ -43,7 +43,7 @@ def main() -> int:
     dt = time.perf_counter() - t0
     for row in bad:
         print("DISAGREE", *row)
-    print(f"{len(catalog())} symbols, 2 groups, indices 1..4: "
+    print(f"{len(catalog())} symbols, 2 groups, indices 1..5: "
           f"{total_classes} classes, {len(bad)} disagreements, "
           f"{unverified} unverified, {dt:.1f}s")
     return 1 if bad else 0

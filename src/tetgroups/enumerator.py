@@ -189,8 +189,8 @@ def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]
     whole orbit is marked then, and later members are skipped as they come.
     """
     _check_degree(n)
-    if n > 4:
-        warnings.warn("oracle cross-checks only run for index <= 4; "
+    if n > 5:
+        warnings.warn("oracle cross-checks only run for index <= 5; "
                       f"counts at index {n} are enumerator-only", stacklevel=2)
     perms = all_perms(n)
     conj = perm_tables(n).conj

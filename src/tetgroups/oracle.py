@@ -1,10 +1,12 @@
 """Independent cross-checks for the enumerator.
 
-brute_force_classes recounts subgroup classes from scratch: it materializes
-the full product space S_n^k as a boolean tensor, applies each relator as a
-lookup table, and only then filters for transitivity and conjugacy.  It
-shares nothing with the enumerator's search except the meaning of the
-convention (rightmost letter of a word acts first).
+brute_force_classes recounts subgroup classes from scratch with numpy.  It
+does not materialize the product space S_n^k: each relator on a single
+generator (P^2, a^p) first cuts that generator's range, then every other
+relator is evaluated as a lookup table on the grid of the ranges it uses,
+and only then are transitivity and conjugacy counted.  It builds its own
+permutation tables and shares nothing with the enumerator's search except
+the convention (rightmost letter of a word acts first).
 
 todd_coxeter independently confirms that a claimed stabilizer really has
 the claimed index, by coset enumeration over the presentation.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -31,85 +34,105 @@ class BruteForceCounts(NamedTuple):
     subgroups: int
 
 
+class _SymmetricTables(NamedTuple):
+    """S_n as indices into its 0-based one-line codes in lex order, so
+    index 0 is the identity."""
+
+    comp: np.ndarray  # comp[a, b]: a after b
+    inv: np.ndarray
+    conj: np.ndarray  # conj[s, x]: s x s^-1
+    set_image: np.ndarray  # set_image[a, m]: a's image of the point-set bitmask m
+    fix1: np.ndarray  # the elements fixing point 1
+
+
+@lru_cache(maxsize=None)
+def _symmetric_tables(n: int) -> _SymmetricTables:
+    one_line = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    # A dense table over the base-n codes of one-line forms (n^n entries)
+    # turns a permutation back into its index without a sort or a search.
+    place = n ** np.arange(n)
+    index_of = np.zeros(n ** n, dtype=np.int64)
+    index_of[(one_line * place).sum(axis=1)] = np.arange(len(one_line))
+    comp = index_of[(one_line[:, one_line] * place).sum(axis=2)]  # [a, b, x] = a[b[x]]
+    inv = np.nonzero(comp == 0)[1]  # each row of comp holds the identity once
+    conj = comp[comp, inv[:, None]]
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    set_image = (bits[None] << one_line[:, None]).sum(axis=2)
+    fix1 = np.flatnonzero(one_line[:, 0] == 0)
+    tables = _SymmetricTables(comp, inv, conj, set_image, fix1)
+    for table in tables:
+        table.flags.writeable = False  # one cached copy serves every caller
+    return tables
+
+
 def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
-    """Count (labeled reps, conjugacy classes, subgroups) at index n <= 4.
+    """Count (labeled reps, conjugacy classes, subgroups) at index n <= 5.
 
     Labeled: transitive assignments satisfying all relators.  Classes: their
     orbits under conjugation by all of S_n.  Subgroups: orbits under the
     point-1 stabilizer of S_n, i.e. index-n subgroups counted plainly.
-    """
-    if not 1 <= n <= 4:
-        raise ValueError(f"oracle only runs for index 1..4, got {n}")
-    k = len(presentation.generator_names)
-    perms = list(itertools.permutations(range(n)))  # 0-based tuples, lex order
-    F = len(perms)
-    index_of = {p: i for i, p in enumerate(perms)}
-    comp = np.array([[index_of[tuple(a[b[x]] for x in range(n))] for b in perms]
-                     for a in perms], dtype=np.int64)
-    inv = np.array([index_of[tuple(sorted(range(n), key=lambda x: p[x]))]
-                    for p in perms], dtype=np.int64)
-    identity_idx = index_of[tuple(range(n))]
 
-    # One boolean lookup table per relator, over the generators it uses,
-    # evaluating the relator word letter by letter (rightmost first means
-    # left-folding through the composition table).  ok's axes follow
-    # sorted(support), which is generator order, so a reshape that inserts
-    # singleton axes for unused generators broadcasts the table across the
-    # whole product space correctly.
-    mask = np.ones((F,) * k, dtype=bool)
+    Nothing of size (n!)^k is built.  A relator on one generator only
+    restricts that generator's range (P^2 leaves P 26 of the 120 elements
+    of S_5); the other relators are tested on the product of those ranges.
+    """
+    if not 1 <= n <= 5:
+        raise ValueError(f"oracle only runs for index 1..5, got {n}")
+    t = _symmetric_tables(n)
+    F = len(t.inv)
+    k = len(presentation.generator_names)
+
+    def holds(rel: Word, images: dict[int, np.ndarray]) -> np.ndarray:
+        # Left-fold the relator letter by letter through the composition
+        # table (rightmost letter acts first); images[g] holds generator
+        # g's candidates, shaped to broadcast against the others.
+        res = 0  # the identity
+        for g, sign in rel:
+            img = images[g] if sign > 0 else t.inv[images[g]]
+            res = t.comp[res, img]
+        return res == 0
+
+    allowed = [np.arange(F)] * k
+    others = []
     for rel in presentation.relators:
         support = sorted({g for g, _ in rel})
-        axes = {g: ax for ax, g in enumerate(support)}
-        grids = np.indices((F,) * len(support))
-        res = np.full((F,) * len(support), identity_idx, dtype=np.int64)
-        for g, sign in rel:
-            img = grids[axes[g]]
-            if sign < 0:
-                img = inv[img]
-            res = comp[res, img]
-        ok = res == identity_idx
-        mask &= ok.reshape(tuple(F if g in support else 1 for g in range(k)))
-    survivors = np.argwhere(mask)
+        if len(support) == 1:
+            g = support[0]
+            allowed[g] = allowed[g][holds(rel, {g: allowed[g]})]
+        else:
+            others.append((rel, support))
+    # A relator's table has one axis per generator it uses, in generator
+    # order, so inserting singleton axes for the rest broadcasts it.
+    mask = np.ones(tuple(len(a) for a in allowed), dtype=bool)
+    for rel, support in others:
+        grid = dict(zip(support, np.ix_(*(allowed[g] for g in support))))
+        mask &= holds(rel, grid).reshape(
+            tuple(len(allowed[g]) if g in grid else 1 for g in range(k)))
+    surv = np.stack([allowed[g][pos] for g, pos in enumerate(np.nonzero(mask))],
+                    axis=1)
 
-    transitive_rows = []
-    for row in survivors:
-        images = [perms[i] for i in row]
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            x = stack.pop()
-            for p in images:
-                if not seen[p[x]]:
-                    seen[p[x]] = True
-                    count += 1
-                    stack.append(p[x])
-        if count == n:
-            transitive_rows.append(row)
-    labeled = len(transitive_rows)
+    # Transitive exactly when point 1's orbit is everything; each round
+    # applies every generator, and n - 1 rounds cover the longest path.
+    reach = np.ones(len(surv), dtype=np.int64)
+    for _ in range(n - 1):
+        for g in range(k):
+            reach |= t.set_image[surv[:, g], reach]
+    surv = surv[reach == (1 << n) - 1]
+    labeled = len(surv)
     if labeled == 0:
         return BruteForceCounts(0, 0, 0)
 
-    conj = np.empty((F, F), dtype=np.int64)
-    for s in range(F):
-        conj[s] = comp[comp[s], inv[s]]
-    surv = np.array(transitive_rows, dtype=np.int64)
-
-    def count_orbits(sigma_rows: np.ndarray) -> int:
+    def count_orbits(conj_rows: np.ndarray) -> int:
         # Conjugate every survivor by every chosen relabeling at once, pack
         # each assignment tuple into one integer, take each orbit's least.
-        imgs = conj[sigma_rows][:, surv]  # (n_sigma, m, k)
+        imgs = conj_rows[:, surv]  # (n_sigma, labeled, k)
         packed = np.zeros(imgs.shape[:2], dtype=np.int64)
         for col in range(k):
             packed = packed * F + imgs[:, :, col]
         return len(np.unique(packed.min(axis=0)))
 
-    all_sigmas = np.arange(F)
-    fix1 = np.array([i for i, p in enumerate(perms) if p[0] == 0])
-    classes = count_orbits(all_sigmas)
-    subgroups = count_orbits(fix1)
-    return BruteForceCounts(labeled, classes, subgroups)
+    return BruteForceCounts(labeled, count_orbits(t.conj),
+                            count_orbits(t.conj[t.fix1]))
 
 
 _SENTINEL = -1

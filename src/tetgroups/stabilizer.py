@@ -106,7 +106,12 @@ def raw_schreier_words(table: CosetTable) -> list[Word]:
 
 def _dedup(words: list[Word], pres: Presentation) -> tuple[Word, ...]:
     """Drop the empty words and later repeats of a word or its inverse;
-    the words must already be reduced by pres."""
+    the words must already be reduced by pres.
+
+    A reduced word's inverse is reduced too, so it is written down
+    directly: letters reversed, and signs flipped except on involutions,
+    which reduction keeps at +1."""
+    involutions = pres.involutions
     kept: list[Word] = []
     seen: set[tuple] = set()
     for w in words:
@@ -114,7 +119,8 @@ def _dedup(words: list[Word], pres: Presentation) -> tuple[Word, ...]:
             continue
         kept.append(w)
         seen.add(w.letters)
-        seen.add(pres.reduce(~w).letters)
+        seen.add(tuple((g, s if g in involutions else -s)
+                       for g, s in reversed(w.letters)))
     return tuple(kept)
 
 

@@ -1,5 +1,4 @@
 import itertools
-import warnings
 from collections import Counter
 from math import factorial
 
@@ -84,20 +83,41 @@ def test_enumerate_classes_golden_counts():
     assert [len(enumerate_classes(klein, n)) for n in (2, 3, 4)] == [1, 1, 1]
 
 
-def test_search_matches_the_product_space_on_a_general_presentation():
-    # The Coxeter presentations use each generator once per base and never
-    # inverted; these relators put the deepest generator inverted (abc^-1),
-    # inside the base (acb), twice (cacb^-1) and alone (b^-3).
+def general_presentation():
+    """The Coxeter presentations use each generator once per base and never
+    inverted; these relators put the deepest generator inverted (abc^-1),
+    inside the base (acb), twice (cacb^-1) and alone (b^-3), and leave c
+    without a relator of its own."""
     a, b, c = (Word.gen(i) for i in range(3))
-    pres = Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b", "c"),
+    return Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b", "c"),
                         ((a, 4), (~b, 3), (a * b * ~c, 2), (a * c * b, 4),
                          (c * a * c * ~b, 2)))
+
+
+def test_search_matches_the_product_space_on_a_general_presentation():
+    pres = general_presentation()
     for n in (3, 4):
         raw = product_space(pres, n)
         expected = [x for x in raw if satisfies_relators(pres, x)]
         assert 0 < len(expected) < len(raw)
         assert ([x.key() for x in enumerate_candidates(pres, n)]
                 == [x.key() for x in expected if is_transitive(x)])
+
+
+def test_oracle_matches_the_product_space_on_a_general_presentation():
+    # The oracle cuts b's range by its own relator b^-3 and leaves c's whole;
+    # grouping the reference by canonical form gives the classes, and by the
+    # least conjugate under relabelings fixing 1 the subgroups.
+    pres = general_presentation()
+    for n in (3, 4):
+        reps = [x for x in product_space(pres, n)
+                if satisfies_relators(pres, x) and is_transitive(x)]
+        fix1 = [s for s in all_perms(n) if s.apply(1) == 1]
+        subgroups = {min(conjugate_assignment(x, s).key() for s in fix1) for x in reps}
+        classes = {canonical_form(x).key() for x in reps}
+        assert len(classes) < len(subgroups) < len(reps)
+        assert (tuple(brute_force_classes(pres, n))
+                == (len(reps), len(classes), len(subgroups)))
 
 
 def test_class_reps_are_canonical_and_sorted(t10_kleinian):
@@ -115,9 +135,7 @@ def test_orbit_marking_matches_canonical_form_grouping(id_, group, n):
     # The grouping the enumerator replaced, kept as a second method: each
     # candidate's canonical form names its orbit.
     pres = presentation_for(catalog_by_id(id_).symbol, group)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the index > 4 "enumerator-only" note
-        classes = enumerate_classes(pres, n)
+    classes = enumerate_classes(pres, n)
     orbits = Counter(canonical_form(a).key() for a in enumerate_candidates(pres, n))
     expected = []
     for key in sorted(orbits):
@@ -195,9 +213,10 @@ def test_degree_bounds(t10_full):
 
 def test_large_index_warns_about_missing_cross_check():
     pres = kleinian_presentation(CoxeterSymbol(2, 2, 2, 2, 2, 2))
-    with pytest.warns(UserWarning, match="index 5"):
-        classes = enumerate_classes(pres, 5)
-    # an abelian 2-group has no transitive action on five points
+    with pytest.warns(UserWarning, match="index 6"):
+        classes = enumerate_classes(pres, 6)
+    # a transitive abelian group acts regularly, and an abelian 2-group
+    # has no order 6
     assert classes == []
 
 

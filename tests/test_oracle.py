@@ -22,14 +22,15 @@ def test_brute_force_golden_triples(t10_full, t10_kleinian):
 def test_brute_force_index_bounds(t10_full):
     with pytest.raises(ValueError):
         brute_force_classes(t10_full, 0)
-    with pytest.raises(ValueError):
-        brute_force_classes(t10_full, 5)
+    with pytest.raises(ValueError, match="1..5"):
+        brute_force_classes(t10_full, 6)
 
 
 @pytest.mark.parametrize("group", ["full", "kleinian"])
 @pytest.mark.parametrize("sym_entries", [(3, 3, 3, 2, 2, 2), (3, 3, 6, 2, 2, 2),
-                                         (3, 6, 3, 2, 2, 2), (4, 4, 3, 2, 2, 2)])
-@pytest.mark.parametrize("n", [2, 3, 4])
+                                         (3, 6, 3, 2, 2, 2), (4, 4, 3, 2, 2, 2),
+                                         (3, 3, 3, 3, 3, 3)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_brute_force_agrees_with_enumerator(sym_entries, group, n):
     pres = presentation_for(CoxeterSymbol(*sym_entries), group)
     counts = brute_force_classes(pres, n)
