@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Cross-check the enumerator against the brute-force oracle everywhere.
 
-Runs every catalog symbol, both groups, indices 1 through 5, and compares
-labeled / class / subgroup counts from the two independent implementations,
-then confirms each class with coset enumeration.  Exits nonzero on any
-disagreement.
+Runs every catalog symbol, both groups, every index the oracle reaches
+(1 through ORACLE_MAX_DEGREE), and compares labeled / class / subgroup
+counts from the two independent implementations, then confirms each class
+with coset enumeration.  Exits nonzero on any disagreement.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import time
 from tetgroups import (brute_force_classes, catalog, count_distinct_subgroups,
                        enumerate_candidates, enumerate_classes,
                        presentation_for, verify_class)
+from tetgroups.perms import ORACLE_MAX_DEGREE
 
 
 def main() -> int:
@@ -25,7 +26,7 @@ def main() -> int:
     for entry in catalog():
         for group in ("full", "kleinian"):
             pres = presentation_for(entry.symbol, group)
-            for n in range(1, 6):
+            for n in range(1, ORACLE_MAX_DEGREE + 1):
                 classes = enumerate_classes(pres, n)
                 labeled = len(enumerate_candidates(pres, n))
                 subgroups = count_distinct_subgroups(pres, n)
@@ -43,7 +44,7 @@ def main() -> int:
     dt = time.perf_counter() - t0
     for row in bad:
         print("DISAGREE", *row)
-    print(f"{len(catalog())} symbols, 2 groups, indices 1..5: "
+    print(f"{len(catalog())} symbols, 2 groups, indices 1..{ORACLE_MAX_DEGREE}: "
           f"{total_classes} classes, {len(bad)} disagreements, "
           f"{unverified} unverified, {dt:.1f}s")
     return 1 if bad else 0

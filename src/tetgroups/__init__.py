@@ -1,13 +1,14 @@
 """Subgroup enumeration for Coxeter tetrahedron groups.
 
-For a tetrahedron symbol [p,q,r,s,t,u] this package enumerates the index
-2, 3 and 4 subgroups of the reflection group and of its rotation subgroup
-up to conjugacy, computes Schreier generators for each class, verifies the
-results independently (full product-space recount and coset enumeration),
-and exports classes as colorings.
+For a tetrahedron symbol [p,q,r,s,t,u] this package enumerates the
+subgroups of index up to 6 of the reflection group and of its rotation
+subgroup up to conjugacy, computes Schreier generators for each class,
+verifies the results independently (a numpy recount up to index 5 that
+never builds the product space S_n^k, and coset enumeration), and exports
+classes as colorings.
 """
 
-from .coloring import coloring_of, colorings_fixing_c1_count
+from .coloring import coloring_of
 from .enumerator import (SubgroupClass, TransitiveRep, canonical_form,
                          classify_image, count_distinct_subgroups,
                          enumerate_candidates, enumerate_classes)
@@ -32,8 +33,7 @@ __all__ = [
     "CoxeterSymbol", "MAX_DEGREE", "Perm", "Presentation", "StabilizerGens",
     "SubgroupClass", "TCResult", "TransitiveRep", "Word", "all_perms",
     "brute_force_classes", "build_coset_table", "canonical_form", "catalog",
-    "catalog_by_id", "classify_image", "coloring_of",
-    "colorings_fixing_c1_count", "conjugate_assignment",
+    "catalog_by_id", "classify_image", "coloring_of", "conjugate_assignment",
     "count_distinct_subgroups", "default_coset_budget",
     "enumerate_candidates", "enumerate_classes", "evaluate_word",
     "full_presentation", "is_transitive", "kleinian_presentation",

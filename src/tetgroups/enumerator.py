@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Sequence
 
-from .perms import (MAX_DEGREE, Assignment, Perm, all_perms,
+from .perms import (ORACLE_MAX_DEGREE, Assignment, Perm, all_perms,
                     conjugate_assignment, evaluate_word, images_transitive,
                     is_transitive, perm_tables)
 from .presentations import Presentation
@@ -56,12 +56,6 @@ class SubgroupClass:
     index: int
     image_type: str
     labeled_orbit_size: int
-
-
-def _check_degree(n: int) -> None:
-    if not 1 <= n <= MAX_DEGREE:
-        raise ValueError(f"index must be between 1 and {MAX_DEGREE} "
-                         f"(the enumerator's limit), got {n}")
 
 
 def _search(presentation: Presentation, n: int) -> Iterator[tuple[int, ...]]:
@@ -130,7 +124,6 @@ def _fold(letters: list[tuple[int, bool]], chosen: list[int],
 
 def enumerate_candidates(presentation: Presentation, n: int) -> list[Assignment]:
     """Transitive, relator-satisfying assignments in lexicographic order."""
-    _check_degree(n)
     names = presentation.generator_names
     perms = all_perms(n)
     return [Assignment(names, tuple(perms[i] for i in combo))
@@ -188,11 +181,11 @@ def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]
     met from each S_n-orbit is its least member: the canonical rep.  Its
     whole orbit is marked then, and later members are skipped as they come.
     """
-    _check_degree(n)
-    if n > 5:
-        warnings.warn("oracle cross-checks only run for index <= 5; "
-                      f"counts at index {n} are enumerator-only", stacklevel=2)
-    perms = all_perms(n)
+    perms = all_perms(n)  # refuses an index outside 1..MAX_DEGREE
+    if n > ORACLE_MAX_DEGREE:
+        warnings.warn("oracle cross-checks only run for index <= "
+                      f"{ORACLE_MAX_DEGREE}; counts at index {n} are "
+                      "enumerator-only", stacklevel=2)
     conj = perm_tables(n).conj
     names = presentation.generator_names
     pending: set[tuple[int, ...]] = set()  # marked orbit members not yet met
@@ -220,7 +213,6 @@ def count_distinct_subgroups(presentation: Presentation, n: int) -> int:
     and freely, since only the identity fixes a point and commutes with a
     transitive group; so the labeled count is (n-1)! times the subgroup count.
     """
-    _check_degree(n)
     labeled = sum(1 for _ in _search(presentation, n))
     subgroups, rest = divmod(labeled, factorial(n - 1))
     if rest:

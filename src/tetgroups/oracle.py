@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .enumerator import TransitiveRep
-from .perms import Assignment, Perm
+from .perms import ORACLE_MAX_DEGREE, Assignment, Perm
 from .presentations import Presentation
 from .stabilizer import build_coset_table, schreier_generators
 from .words import Word
@@ -66,7 +66,8 @@ def _symmetric_tables(n: int) -> _SymmetricTables:
 
 
 def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
-    """Count (labeled reps, conjugacy classes, subgroups) at index n <= 5.
+    """Count (labeled reps, conjugacy classes, subgroups) at index n, up to
+    ORACLE_MAX_DEGREE.
 
     Labeled: transitive assignments satisfying all relators.  Classes: their
     orbits under conjugation by all of S_n.  Subgroups: orbits under the
@@ -76,8 +77,9 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     restricts that generator's range (P^2 leaves P 26 of the 120 elements
     of S_5); the other relators are tested on the product of those ranges.
     """
-    if not 1 <= n <= 5:
-        raise ValueError(f"oracle only runs for index 1..5, got {n}")
+    if not 1 <= n <= ORACLE_MAX_DEGREE:
+        raise ValueError(f"oracle only runs for index 1..{ORACLE_MAX_DEGREE}, "
+                         f"got {n}")
     t = _symmetric_tables(n)
     F = len(t.inv)
     k = len(presentation.generator_names)

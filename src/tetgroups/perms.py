@@ -21,6 +21,10 @@ from .words import Word
 # second), 25M at 7, which no longer fits a laptop-scale job.
 MAX_DEGREE = 6
 
+# The numpy recount (oracle.brute_force_classes) runs up to this index; past
+# it, enumerator counts have no second method behind them.
+ORACLE_MAX_DEGREE = 5
+
 
 @dataclass(frozen=True)
 class Perm:
@@ -148,7 +152,8 @@ def parse_cycles(text: str, degree: int) -> Perm:
 def all_perms(n: int) -> tuple[Perm, ...]:
     """All of S_n sorted by one-line notation; the identity comes first."""
     if not 1 <= n <= MAX_DEGREE:
-        raise ValueError(f"degree must be between 1 and {MAX_DEGREE}")
+        raise ValueError(f"degree must be between 1 and {MAX_DEGREE} "
+                         f"(the enumerator's index limit), got {n}")
     return tuple(Perm(p) for p in itertools.permutations(range(1, n + 1)))
 
 

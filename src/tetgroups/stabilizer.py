@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .enumerator import TransitiveRep
-from .perms import all_perms, conjugate_assignment
+from .perms import evaluate_word
 from .presentations import Presentation
-from .words import Word
+from .words import Word, reduce_letters
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ class StabilizerGens:
     again.  Both lists generate the stabilizer of point 1.
     """
 
-    rep: TransitiveRep
     words: tuple[Word, ...]
     simplified: tuple[Word, ...]
 
@@ -100,7 +99,7 @@ def raw_schreier_words(table: CosetTable) -> list[Word]:
         t_i_inverse = (~t_i).letters
         for g, perm in enumerate(perms):
             t_j = table.transversal[perm.apply(i) - 1]
-            out.append(Word.from_letters(t_i_inverse + ((g, -1),) + t_j.letters))
+            out.append(Word(reduce_letters(t_i_inverse + ((g, -1),) + t_j.letters)))
     return out
 
 
@@ -128,7 +127,7 @@ def schreier_generators(table: CosetTable) -> StabilizerGens:
     pres = table.rep.presentation
     words = _dedup([pres.reduce(w) for w in raw_schreier_words(table)], pres)
     simplified = _dedup([simplify_word(w, pres) for w in words], pres)
-    return StabilizerGens(table.rep, words, simplified)
+    return StabilizerGens(words, simplified)
 
 
 def simplify_word(word: Word, presentation: Presentation) -> Word:
@@ -159,17 +158,20 @@ def simplify_word(word: Word, presentation: Presentation) -> Word:
 def same_subgroup(rep1: TransitiveRep, rep2: TransitiveRep) -> bool:
     """Do the two reps have the same point-1 stabilizer?
 
-    True when some relabeling fixing point 1 carries one assignment to the
-    other; conjugating by such a sigma leaves the stabilizer untouched.
+    They do exactly when a relabeling sigma fixing point 1 carries rep1's
+    action to rep2's, and only one sigma can: rep1's transversal word t_i
+    carries 1 to i, so sigma(i) = sigma(t_i(1)) = t_i'(sigma(1)) = t_i'(1),
+    with t_i' the image of t_i under rep2.  So the answer is whether that
+    sigma commutes with every generator.  It is then a bijection for free:
+    its image is closed under rep2's generators, and rep2 is transitive.
     """
     if rep1.degree != rep2.degree:
         return False
     if rep1.presentation.generator_names != rep2.presentation.generator_names:
         return False
-    target = rep2.assignment.key()
-    for sigma in all_perms(rep1.degree):
-        if sigma.apply(1) != 1:
-            continue
-        if conjugate_assignment(rep1.assignment, sigma).key() == target:
-            return True
-    return False
+    a2 = rep2.assignment
+    sigma = [evaluate_word(t, a2).apply(1)
+             for t in build_coset_table(rep1).transversal]
+    return all(sigma[g1.apply(i) - 1] == g2.apply(sigma_i)
+               for g1, g2 in zip(rep1.assignment.perms, a2.perms)
+               for i, sigma_i in enumerate(sigma, start=1))

@@ -14,12 +14,21 @@ from typing import Iterable, Iterator
 Letter = tuple[int, int]
 
 
-def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
+def reduce_letters(letters: Iterable[Letter],
+                   involutions: frozenset[int] = frozenset()) -> tuple[Letter, ...]:
+    """Cancel adjacent inverse letters in one stack pass: each letter meets
+    a prefix that is already reduced.
+
+    A generator in involutions has its sign flattened to +1 first, so g g
+    cancels too; with no involutions this is plain free reduction.  The
+    letters are not checked: they must come from words, or have passed
+    Word.from_letters.
+    """
     out: list[Letter] = []
     for gen, sign in letters:
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        if out and out[-1][0] == gen and out[-1][1] == -sign:
+        if gen in involutions:
+            sign = 1
+        if out and out[-1][0] == gen and (gen in involutions or out[-1][1] == -sign):
             out.pop()
         else:
             out.append((gen, sign))
@@ -34,7 +43,13 @@ class Word:
 
     @staticmethod
     def from_letters(letters: Iterable[Letter]) -> "Word":
-        return Word(_free_reduce(letters))
+        letters = tuple(letters)
+        for gen, sign in letters:
+            if sign not in (1, -1):
+                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+            if gen < 0:
+                raise ValueError(f"generator index must be >= 0, got {gen}")
+        return Word(reduce_letters(letters))
 
     @staticmethod
     def gen(index: int, sign: int = 1) -> "Word":
@@ -54,7 +69,7 @@ class Word:
         return not self.letters
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(_free_reduce(self.letters + other.letters))
+        return Word(reduce_letters(self.letters + other.letters))
 
     def __invert__(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
@@ -64,18 +79,9 @@ class Word:
 
         For a generator g with g^2 = e the letters g and g^-1 denote the
         same element, so signs are flattened and adjacent equal letters
-        cancel.  One stack pass suffices: each letter meets a prefix that
-        is already reduced.
+        cancel.
         """
-        out: list[Letter] = []
-        for gen, sign in self.letters:
-            if gen in involutions:
-                sign = 1
-            if out and out[-1][0] == gen and (gen in involutions or out[-1][1] == -sign):
-                out.pop()
-            else:
-                out.append((gen, sign))
-        return Word(tuple(out))
+        return Word(reduce_letters(self.letters, involutions))
 
     def render(self, names: tuple[str, ...] | list[str]) -> str:
         """Print with exponent folding: ``SRS``, ``a^-1b^2``.  Empty word is ''."""

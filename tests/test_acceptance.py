@@ -11,19 +11,17 @@ import itertools
 import json
 import random
 import time
-from math import factorial
 
 import pytest
 
 from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
                        all_perms, brute_force_classes, build_coset_table,
-                       canonical_form, catalog, colorings_fixing_c1_count,
-                       conjugate_assignment, count_distinct_subgroups,
-                       enumerate_classes, evaluate_word,
-                       full_presentation, is_transitive, parse_cycles,
-                       presentation_for, raw_schreier_words, same_subgroup,
-                       schreier_generators, simplify_word, todd_coxeter,
-                       verify_class)
+                       canonical_form, catalog, conjugate_assignment,
+                       count_distinct_subgroups, enumerate_classes,
+                       evaluate_word, full_presentation, is_transitive,
+                       parse_cycles, presentation_for, raw_schreier_words,
+                       same_subgroup, schreier_generators, simplify_word,
+                       todd_coxeter, verify_class)
 from tetgroups.cli import main as cli_main
 from tetgroups.reference import (CORROBORATED_IDS, DEGREE2_ROWS,
                                  T10_KLEINIAN_ROW4_REPAIRED,
@@ -348,11 +346,6 @@ def test_criterion_6_algebraic_invariants(capsys, catalog_table):
             classes_checked += 1
     check(failures, classes_checked == 1011,
           f"checked {classes_checked} classes, expected 1011")
-
-    check(failures,
-          [colorings_fixing_c1_count(n) for n in (1, 2, 3, 4)]
-          == [factorial(n - 1) for n in (1, 2, 3, 4)],
-          "coloring count formula")
 
     elapsed = time.perf_counter() - t0
     report(capsys, "criterion 6: algebraic invariants "

@@ -1,8 +1,5 @@
-import pytest
-
-from tetgroups import (Assignment, Perm, TransitiveRep, coloring_of,
-                       colorings_fixing_c1_count, enumerate_classes,
-                       evaluate_word, parse_cycles)
+from tetgroups import (Assignment, TransitiveRep, coloring_of,
+                       enumerate_classes, evaluate_word, parse_cycles)
 
 
 def test_coloring_of_index2_class(t10_full):
@@ -48,8 +45,3 @@ def test_csv_rows_cover_every_generator_color_pair(t10_kleinian):
     for gen, color, image in rows:
         assert image == cls.rep.assignment.image_of(gen).apply(color)
 
-
-def test_colorings_fixing_first_color_formula():
-    assert [colorings_fixing_c1_count(n) for n in (1, 2, 3, 4)] == [1, 1, 2, 6]
-    with pytest.raises(ValueError):
-        colorings_fixing_c1_count(0)

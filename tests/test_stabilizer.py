@@ -1,11 +1,13 @@
-import pytest
-from hypothesis import given, settings
+from functools import lru_cache
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
-                       build_coset_table, enumerate_classes, evaluate_word,
+                       all_perms, build_coset_table, catalog, catalog_by_id,
+                       conjugate_assignment, enumerate_classes, evaluate_word,
                        full_presentation, kleinian_presentation,
-                       parse_cycles, raw_schreier_words,
+                       parse_cycles, presentation_for, raw_schreier_words,
                        same_subgroup, schreier_generators, simplify_word)
 from tetgroups.reference import DEGREE2_ROWS
 
@@ -152,3 +154,35 @@ def test_same_subgroup_degree_and_names_must_match(t10_full, t10_kleinian):
     assert not same_subgroup(rep2, rep4)
     krep = enumerate_classes(t10_kleinian, 2)[0].rep
     assert not same_subgroup(rep2, krep)
+
+
+@lru_cache(maxsize=None)
+def cell_reps(entry_id, group, n):
+    pres = presentation_for(catalog_by_id(entry_id).symbol, group)
+    return tuple(cls.rep for cls in enumerate_classes(pres, n))
+
+
+def swept_same_subgroup(rep1, rep2):
+    """same_subgroup by trying every relabeling that fixes point 1."""
+    target = rep2.assignment.key()
+    return any(conjugate_assignment(rep1.assignment, tau).key() == target
+               for tau in all_perms(rep1.degree) if tau.apply(1) == 1)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_same_subgroup_agrees_with_the_sweep(data):
+    # two class reps of one cell, the second relabeled by any sigma; a sigma
+    # that moves point 1 gives a conjugate subgroup, the same one only when
+    # it is normal
+    entry = data.draw(st.sampled_from(catalog()))
+    group = data.draw(st.sampled_from(("full", "kleinian")))
+    n = data.draw(st.integers(min_value=2, max_value=5))
+    reps = cell_reps(entry.id, group, n)
+    assume(reps)
+    rep1 = data.draw(st.sampled_from(reps))
+    rep2 = data.draw(st.sampled_from(reps))
+    sigma = Perm(tuple(data.draw(st.permutations(range(1, n + 1)))))
+    moved = TransitiveRep(rep2.presentation,
+                          conjugate_assignment(rep2.assignment, sigma))
+    assert same_subgroup(rep1, moved) == swept_same_subgroup(rep1, moved)

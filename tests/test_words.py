@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tetgroups import Word, parse_word
-from tetgroups.words import _free_reduce
+from tetgroups.words import reduce_letters
 
 NAMES = ("P", "Q", "R", "S")
 
@@ -39,6 +39,11 @@ def test_bad_sign_rejected():
         Word.from_letters([(0, 2)])
     with pytest.raises(ValueError):
         Word.gen(0, 2)
+    # a negative generator index would otherwise index the names from the end
+    with pytest.raises(ValueError):
+        Word.gen(-1)
+    with pytest.raises(ValueError):
+        Word.from_letters([(0, 1), (-1, 1)])
 
 
 def test_concatenation_reduces_at_the_seam():
@@ -95,7 +100,7 @@ def test_parse_word_errors():
 def test_from_letters_output_is_freely_reduced(raw):
     out = Word.from_letters(raw).letters
     assert all(not (a[0] == b[0] and a[1] == -b[1]) for a, b in zip(out, out[1:]))
-    assert _free_reduce(out) == out
+    assert reduce_letters(out) == out
 
 
 @given(words, words, words)
