@@ -10,11 +10,13 @@ each class is the conjugacy class of the stabilizer of point 1.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial
+from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .perms import (ORACLE_MAX_DEGREE, Assignment, Perm, all_perms,
+from .perms import (ORACLE_MAX_DEGREE, Assignment, all_perms,
                     conjugate_assignment, evaluate_word, images_transitive,
                     is_transitive, perm_tables)
 from .presentations import Presentation
@@ -58,19 +60,25 @@ class SubgroupClass:
     labeled_orbit_size: int
 
 
-def _search(presentation: Presentation, n: int) -> Iterator[tuple[int, ...]]:
-    """Transitive relator-satisfying assignments, as indices into all_perms(n).
+def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """One (combo, |Stab(combo)|) per S_n-orbit of transitive assignments.
 
-    They come out in lexicographic order.  A relator is tested once the
-    deepest generator x it uses is placed.  When x occurs once in its base,
-    the base is rewritten as w * x with the same order (order(u x v) =
-    order(v u x) and order(g) = order(g^-1)), so one composition-table row
-    comp[w] tests every choice of x; with w the identity (a relator on x
-    alone, such as P^2) x's range is filtered up front.  Other bases are
-    folded in full for each x.
+    combo indexes all_perms(n) and is its orbit's least member; the reps come
+    out in lexicographic order.  A relator is tested once the deepest
+    generator x it uses is placed.  When x occurs once in its base, the base
+    is rewritten as w * x with the same order (order(u x v) = order(v u x)
+    and order(g) = order(g^-1)), so one composition-table row comp[w] tests
+    every choice of x; with w the identity (a relator on x alone, such as
+    P^2) x's range is filtered up front.  Other bases are folded in full.
+
+    Orderly generation (Read 1978; McKay 1998): a choice is dropped when a
+    relabeling in stab, those fixing the prefix, maps it lower.  An orbit's
+    least member passes (relabeling keeps relators and transitivity); any
+    other is mapped lower where it first differs from it.  At a leaf, stab is
+    the combo's stabilizer.
     """
     perms = all_perms(n)
-    comp, inv, order, _ = perm_tables(n)
+    comp, inv, order, conj = perm_tables(n)
     k = len(presentation.generator_names)
     ranges: list[Sequence[int]] = [range(len(perms))] * k
     checks: list[list] = [[] for _ in range(k)]
@@ -93,7 +101,7 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[int, ...]]:
 
     chosen = [0] * k
 
-    def extend(depth: int) -> Iterator[tuple[int, ...]]:
+    def extend(depth: int, stab: list[int]) -> Iterator[tuple[tuple[int, ...], int]]:
         choices = ranges[depth]
         for prefix, letters, allowed in checks[depth]:
             if prefix is None:
@@ -103,13 +111,16 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[int, ...]]:
                 row = comp[_fold(prefix, chosen, comp, inv)]
                 choices = [i for i in choices if allowed[row[i]]]
         for i in choices:
+            if any(conj[s][i] < i for s in stab):
+                continue
+            fixing = [s for s in stab if conj[s][i] == i]
             chosen[depth] = i
             if depth + 1 < k:
-                yield from extend(depth + 1)
+                yield from extend(depth + 1, fixing)
             elif images_transitive([perms[j].images for j in chosen], n):
-                yield tuple(chosen)
+                yield tuple(chosen), len(fixing)
 
-    return extend(0)
+    return extend(0, list(range(len(perms))))
 
 
 def _fold(letters: list[tuple[int, bool]], chosen: list[int],
@@ -123,23 +134,21 @@ def _fold(letters: list[tuple[int, bool]], chosen: list[int],
 
 
 def enumerate_candidates(presentation: Presentation, n: int) -> list[Assignment]:
-    """Transitive, relator-satisfying assignments in lexicographic order."""
+    """Transitive, relator-satisfying assignments in lexicographic order: the
+    union of the class reps' orbits."""
     names = presentation.generator_names
     perms = all_perms(n)
+    conj = perm_tables(n).conj
+    combos = {tuple(map(c.__getitem__, combo))
+              for combo, _ in _search(presentation, n) for c in conj}
     return [Assignment(names, tuple(perms[i] for i in combo))
-            for combo in _search(presentation, n)]
+            for combo in sorted(combos)]
 
 
 def canonical_form(assignment: Assignment) -> Assignment:
     """Lexicographically least S_n-conjugate (one-line tuples, generator order)."""
-    best = None
-    best_key = None
-    for sigma in all_perms(assignment.degree):
-        cand = conjugate_assignment(assignment, sigma)
-        key = cand.key()
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+    return min((conjugate_assignment(assignment, sigma)
+                for sigma in all_perms(assignment.degree)), key=Assignment.key)
 
 
 def classify_image(assignment: Assignment) -> str:
@@ -149,15 +158,14 @@ def classify_image(assignment: Assignment) -> str:
     past that the label just records the order.
     """
     n = assignment.degree
-    elements = {Perm.identity(n)}
-    frontier = [Perm.identity(n)]
+    tables = perm_tables(n)
+    perms = all_perms(n)  # sorted by one-line tuple, as bisect needs
+    gens = [bisect_left(perms, p.images, key=attrgetter("images"))
+            for p in assignment.perms]
+    elements, frontier = {0}, {0}
     while frontier:
-        g = frontier.pop()
-        for img in assignment.perms:
-            h = g * img
-            if h not in elements:
-                elements.add(h)
-                frontier.append(h)
+        frontier = {tables.comp[g][x] for g in frontier for x in gens} - elements
+        elements |= frontier
     size = len(elements)
     if size == 1:
         return "1"
@@ -167,7 +175,7 @@ def classify_image(assignment: Assignment) -> str:
         return {3: "Z3", 6: "S3"}.get(size, f"G{size}")
     if n == 4:
         if size == 4:
-            has_4cycle = any(g.order() == 4 for g in elements)
+            has_4cycle = any(tables.order[g] == 4 for g in elements)
             return "Z4" if has_4cycle else "V"
         return {8: "D4", 12: "A4", 24: "S4"}.get(size, f"G{size}")
     return f"G{size}"
@@ -176,32 +184,22 @@ def classify_image(assignment: Assignment) -> str:
 def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]:
     """Conjugacy classes of index-n subgroups, sorted by canonical rep.
 
-    The search yields candidates in lexicographic order, and relabeling
-    preserves both the relators and transitivity, so the first candidate
-    met from each S_n-orbit is its least member: the canonical rep.  Its
-    whole orbit is marked then, and later members are skipped as they come.
+    The search yields each S_n-orbit once, at its least member, with the
+    member's stabilizer, so the orbit has n!/|Stab| labeled members.
     """
     perms = all_perms(n)  # refuses an index outside 1..MAX_DEGREE
     if n > ORACLE_MAX_DEGREE:
         warnings.warn("oracle cross-checks only run for index <= "
                       f"{ORACLE_MAX_DEGREE}; counts at index {n} are "
                       "enumerator-only", stacklevel=2)
-    conj = perm_tables(n).conj
     names = presentation.generator_names
-    pending: set[tuple[int, ...]] = set()  # marked orbit members not yet met
     classes = []
-    for combo in _search(presentation, n):
-        if combo in pending:
-            pending.remove(combo)
-            continue
-        orbit = {tuple(map(c.__getitem__, combo)) for c in conj}
-        pending |= orbit
-        pending.remove(combo)
+    for combo, stab in _search(presentation, n):
         canon = Assignment(names, tuple(perms[i] for i in combo))
         classes.append(SubgroupClass(rep=TransitiveRep(presentation, canon),
                                      index=n,
                                      image_type=classify_image(canon),
-                                     labeled_orbit_size=len(orbit)))
+                                     labeled_orbit_size=factorial(n) // stab))
     return classes
 
 
@@ -210,10 +208,11 @@ def count_distinct_subgroups(presentation: Presentation, n: int) -> int:
 
     Subgroups are stabilizers of point 1.  The (n-1)! relabelings fixing 1
     permute the transitive assignments with a given stabilizer transitively,
-    and freely, since only the identity fixes a point and commutes with a
-    transitive group; so the labeled count is (n-1)! times the subgroup count.
+    and freely (only the identity fixes a point and commutes with a
+    transitive group), so the labeled count, the sum of the orbit sizes
+    n!/|Stab|, is (n-1)! times the subgroup count.
     """
-    labeled = sum(1 for _ in _search(presentation, n))
+    labeled = sum(factorial(n) // stab for _, stab in _search(presentation, n))
     subgroups, rest = divmod(labeled, factorial(n - 1))
     if rest:
         raise RuntimeError(f"{labeled} labeled assignments at index {n} "

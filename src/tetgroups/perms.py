@@ -222,17 +222,15 @@ def evaluate_word(word: Word, assignment: Assignment) -> Perm:
 
     The rightmost letter acts first, matching the left-action convention.
     """
-    n = assignment.degree
-    res = Perm.identity(n)
+    perms = assignment.perms
+    res = tuple(range(assignment.degree + 1))  # res[x] is the image of x; 0 pads
     for gen, sign in word:
-        if gen >= len(assignment.perms):
+        if gen >= len(perms):
             raise KeyError(f"word uses generator index {gen}, assignment has "
-                           f"{len(assignment.perms)}")
-        img = assignment.perms[gen]
-        if sign < 0:
-            img = img.inverse()
-        res = res * img
-    return res
+                           f"{len(perms)}")
+        img = perms[gen] if sign > 0 else perms[gen].inverse()
+        res = (0, *map(res.__getitem__, img.images))
+    return Perm(res[1:])
 
 
 def is_transitive(assignment: Assignment) -> bool:

@@ -128,22 +128,86 @@ def test_class_reps_are_canonical_and_sorted(t10_kleinian):
         assert canonical_form(c.rep.assignment).key() == c.rep.assignment.key()
 
 
+def reference_candidates(pres, n):
+    """The transitive relator-satisfying assignments by brute force, sharing
+    no code with the search: each generator ranges over the elements its
+    one-letter relators allow (P over the involutions), and the product of
+    those ranges is filtered by every relator and by transitivity."""
+    ranges = [all_perms(n)] * len(pres.generator_names)
+    for base, exp in pres.relator_powers:
+        if len(base) == 1:
+            (gen, _), = base
+            ranges[gen] = [p for p in ranges[gen] if exp % p.order() == 0]
+    return [a for a in (Assignment(pres.generator_names, perms)
+                        for perms in itertools.product(*ranges))
+            if satisfies_relators(pres, a) and is_transitive(a)]
+
+
+def canonical_grouping(pres, candidates):
+    """(rep key, orbit size, image type) per class, grouping the candidates
+    by canonical form: the class grouping the search replaced."""
+    orbits = Counter(canonical_form(a).key() for a in candidates)
+    return [(key, orbits[key], classify_image(Assignment(
+        pres.generator_names, tuple(Perm(im) for im in key))))
+        for key in sorted(orbits)]
+
+
+def class_triples(classes):
+    return [(c.rep.assignment.key(), c.labeled_orbit_size, c.image_type)
+            for c in classes]
+
+
+def conjugation_orbit(assignment):
+    return {conjugate_assignment(assignment, s).key()
+            for s in all_perms(assignment.degree)}
+
+
 @pytest.mark.parametrize("id_, group, n", [("t10", "kleinian", 5),
                                            ("t32", "kleinian", 5),
                                            ("t32", "full", 4)])
 def test_orbit_marking_matches_canonical_form_grouping(id_, group, n):
-    # The grouping the enumerator replaced, kept as a second method: each
-    # candidate's canonical form names its orbit.
+    # Checked against references that share no code with the search.  At
+    # index 4 the brute-force candidates are grouped by canonical form.  At
+    # index 5, where that grouping is slow, each rep is conjugated by all of
+    # S_5: it must be its orbit's least member, its orbit must have the
+    # reported size, and the orbits must add up to the oracle's labeled count.
     pres = presentation_for(catalog_by_id(id_).symbol, group)
     classes = enumerate_classes(pres, n)
-    orbits = Counter(canonical_form(a).key() for a in enumerate_candidates(pres, n))
-    expected = []
-    for key in sorted(orbits):
-        canon = Assignment(pres.generator_names, tuple(Perm(im) for im in key))
-        expected.append((key, orbits[key], classify_image(canon)))
-    assert expected
-    assert [(c.rep.assignment.key(), c.labeled_orbit_size, c.image_type)
-            for c in classes] == expected
+    assert classes
+    if n == 4:
+        assert class_triples(classes) == canonical_grouping(
+            pres, reference_candidates(pres, n))
+        return
+    for c in classes:
+        orbit = conjugation_orbit(c.rep.assignment)
+        assert min(orbit) == c.rep.assignment.key()
+        assert len(orbit) == c.labeled_orbit_size
+    assert (sum(c.labeled_orbit_size for c in classes)
+            == brute_force_classes(pres, n).labeled)
+
+
+def test_classes_match_canonical_form_grouping_on_a_general_presentation():
+    pres = general_presentation()
+    for n in (3, 4):
+        candidates = [x for x in product_space(pres, n)
+                      if satisfies_relators(pres, x) and is_transitive(x)]
+        grouped = canonical_grouping(pres, candidates)
+        assert 1 < len(grouped) < len(candidates)
+        assert class_triples(enumerate_classes(pres, n)) == grouped
+
+
+@given(st.tuples(*[st.integers(min_value=2, max_value=6)] * 6),
+       st.sampled_from(["full", "kleinian"]), st.integers(min_value=1, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_each_class_is_one_whole_orbit_on_random_symbols(entries, group, n):
+    pres = presentation_for(CoxeterSymbol(*entries), group)
+    classes = enumerate_classes(pres, n)
+    for c in classes:
+        a = c.rep.assignment
+        assert canonical_form(a) == a
+        assert c.labeled_orbit_size == len(conjugation_orbit(a))
+    assert (sum(c.labeled_orbit_size for c in classes)
+            == brute_force_classes(pres, n).labeled)
 
 
 def test_labeled_orbits_partition_the_candidates(t10_kleinian):
