@@ -137,9 +137,6 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
                             count_orbits(t.conj[t.fix1]))
 
 
-_SENTINEL = -1
-
-
 @dataclass(frozen=True)
 class TCResult:
     """Outcome of a coset enumeration.
@@ -148,130 +145,155 @@ class TCResult:
     `action` is the generators' assignment on them (coset 1 is the
     subgroup); wrap it in a TransitiveRep to check it.  status 'overflow'
     means the coset budget ran out first, which says nothing about the true
-    index.
+    index.  Either way the counters tell how much work was done: cosets
+    defined, the most live at once, and cosets killed by coincidences.
     """
 
     status: str
     index: int | None = None
     action: Assignment | None = None
+    defined: int = 0
+    peak_live: int = 0
+    coincidences: int = 0
 
 
 class _Overflow(Exception):
     pass
 
 
-class _CosetGraph:
-    """Partial action graph with union-find coincidence handling.
-
-    Column 2g follows generator g, column 2g+1 its inverse.  Vertices are
-    numbered by first definition; merging keeps the smaller number, so the
-    start vertex is always its own root.
-    """
-
-    def __init__(self, k: int, max_cosets: int):
-        self.k = k
-        self.max_cosets = max_cosets
-        self.parent: list[int] = []
-        self.neighbors: list[list[int]] = []
-        self.live = 0
-
-    def new_vertex(self) -> int:
-        if self.live + 1 > self.max_cosets:
-            raise _Overflow
-        self.parent.append(len(self.parent))
-        self.neighbors.append([_SENTINEL] * (2 * self.k))
-        self.live += 1
-        return len(self.parent) - 1
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def follow(self, v: int, gen: int, sign: int) -> int:
-        v = self.find(v)
-        col = 2 * gen + (0 if sign > 0 else 1)
-        w = self.neighbors[v][col]
-        if w == _SENTINEL:
-            w = self.new_vertex()
-            self.neighbors[v][col] = w
-            self.neighbors[w][col ^ 1] = v
-            return w
-        return self.find(w)
-
-    def unify(self, a: int, b: int) -> None:
-        pending = [(a, b)]
-        while pending:
-            x, y = pending.pop()
-            x, y = self.find(x), self.find(y)
-            if x == y:
-                continue
-            if y < x:
-                x, y = y, x
-            # y dies, x survives
-            self.parent[y] = x
-            self.live -= 1
-            for col in range(2 * self.k):
-                w = self.neighbors[y][col]
-                if w == _SENTINEL:
-                    continue
-                cur = self.neighbors[x][col]
-                if cur == _SENTINEL:
-                    self.neighbors[x][col] = w
-                    self.neighbors[self.find(w)][col ^ 1] = x
-                else:
-                    pending.append((cur, w))
-
-    def scan(self, word: Word, start: int) -> None:
-        """Trace the word from start and force it to act as the identity."""
-        cur = self.find(start)
-        origin = cur
-        for gen, sign in reversed(word.letters):
-            cur = self.follow(cur, gen, sign)
-        self.unify(cur, self.find(origin))
-
-
 def todd_coxeter(presentation: Presentation, subgroup_words: list[Word] | tuple[Word, ...],
                  max_cosets: int) -> TCResult:
     """Enumerate cosets of the subgroup generated by the given words.
 
-    Deterministic: cosets are numbered by first definition, scans run in a
-    fixed order (subgroup words at the start coset, then every relator at
-    every live coset in numbering order).  Words act on the left, so scans
-    walk letters right to left.
+    HLT scan-and-fill (Holt, Eick & O'Brien, *Handbook of Computational
+    Group Theory*, 2005, sec. 5.1-5.2): each subgroup word is scanned at
+    coset 1, then every relator at every live coset in numbering order.  A
+    scan runs forward and backward as far as the table is defined; a gap
+    of one letter is a deduction, ends that meet at different cosets are a
+    coincidence, and only a longer gap defines a new coset.  After its
+    scans every undefined entry of the coset's row is defined, so a closed
+    table is complete.  Involutions have one self-inverse column (see
+    Presentation.coset_columns), so their squares are never scanned.
+
+    Deterministic: cosets are numbered by first definition, and merging
+    keeps the smaller number.  max_cosets bounds the live cosets.  Words
+    act on the left, so scans walk letters right to left.
     """
     k = len(presentation.generator_names)
     for w in subgroup_words:
         for gen, _ in w:
             if not 0 <= gen < k:
                 raise ValueError(f"subgroup word uses generator index {gen}")
-    graph = _CosetGraph(k, max_cosets)
-    try:
-        start = graph.new_vertex()
-        for w in subgroup_words:
-            graph.scan(w, start)
-        ptr = 0
-        while ptr < len(graph.parent):
-            if graph.find(ptr) == ptr:
-                for rel in presentation.relators:
-                    if graph.find(ptr) != ptr:
-                        break
-                    graph.scan(rel, ptr)
-            ptr += 1
-    except _Overflow:
+    if max_cosets < 1:
         return TCResult("overflow")
+    of_letter, inverse, relators = presentation.coset_columns
+    width = len(inverse)
+    # table[c][x]: coset c acted on by column x, or -1 while undefined.
+    # parent is a union-find forest over the cosets; a live coset is a root.
+    table = [[-1] * width]
+    parent = [0]
+    peak_live = 1
+    coincidences = 0  # each kills one coset, so len(table) - coincidences are live
 
-    roots = [v for v in range(len(graph.parent)) if graph.find(v) == v]
+    def define(c: int, x: int) -> None:
+        nonlocal peak_live
+        live = len(table) - coincidences
+        if live >= max_cosets:
+            raise _Overflow
+        d = len(table)
+        table.append([-1] * width)
+        parent.append(d)
+        table[c][x] = d
+        table[d][inverse[x]] = c
+        peak_live = max(peak_live, live + 1)
+
+    def find(c: int) -> int:
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def merge(a: int, b: int, dead: list[int]) -> None:
+        nonlocal coincidences
+        a, b = find(a), find(b)
+        if a != b:
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+            dead.append(b)
+            coincidences += 1
+
+    def coincidence(a: int, b: int) -> None:
+        # Each dead coset's row is moved onto its root, and the entries
+        # that pointed at it are cleared, so live rows name live cosets.
+        dead: list[int] = []
+        merge(a, b, dead)
+        for y in dead:  # grows as merges cascade
+            for x, d in enumerate(table[y]):
+                if d < 0:
+                    continue
+                xi = inverse[x]
+                table[d][xi] = -1
+                mu, nu = find(y), find(d)
+                if table[mu][x] >= 0:
+                    merge(nu, table[mu][x], dead)
+                elif table[nu][xi] >= 0:
+                    merge(mu, table[nu][xi], dead)
+                else:
+                    table[mu][x] = nu
+                    table[nu][xi] = mu
+
+    def scan_and_fill(c: int, word: tuple[int, ...]) -> None:
+        f, i = c, 0
+        b, j = c, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] >= 0:
+                f = table[f][word[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][inverse[word[j]]] >= 0:
+                b = table[b][inverse[word[j]]]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:  # a deduction
+                table[f][word[i]] = b
+                table[b][inverse[word[i]]] = f
+                return
+            define(f, word[i])
+
+    try:
+        for w in subgroup_words:
+            scan_and_fill(0, tuple(of_letter[letter] for letter in reversed(w.letters)))
+        c = 0
+        while c < len(table):
+            for rel in relators:
+                if parent[c] != c:
+                    break
+                scan_and_fill(c, rel)
+            if parent[c] == c:
+                for x in range(width):
+                    if table[c][x] < 0:
+                        define(c, x)
+            c += 1
+    except _Overflow:
+        return TCResult("overflow", defined=len(table), peak_live=peak_live,
+                        coincidences=coincidences)
+
+    roots = [c for c in range(len(table)) if parent[c] == c]
     renumber = {root: i + 1 for i, root in enumerate(roots)}
     images = []
     for g in range(k):
-        images.append(Perm(tuple(renumber[graph.find(graph.neighbors[root][2 * g])]
-                                 for root in roots)))
+        x = of_letter[(g, 1)]
+        images.append(Perm(tuple(renumber[table[root][x]] for root in roots)))
     action = Assignment(presentation.generator_names, tuple(images))
-    return TCResult("closed", len(roots), action)
+    return TCResult("closed", len(roots), action, len(table), peak_live, coincidences)
 
 
 def default_coset_budget(index: int, presentation: Presentation) -> int:

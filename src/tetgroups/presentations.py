@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .words import Word, parse_word
+from .words import Letter, Word, parse_word
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,20 @@ def parse_symbol(text: str) -> CoxeterSymbol:
     return CoxeterSymbol(*values)
 
 
+class CosetColumns(NamedTuple):
+    """A presentation's coset-table layout.
+
+    of_letter maps each letter (g, +1 or -1) to its column; inverse[x] is
+    the column of x's inverse letter (x itself for an involution).  Each
+    relator is listed as the columns of its letters in the order they act,
+    rightmost letter first.
+    """
+
+    of_letter: dict[Letter, int]
+    inverse: tuple[int, ...]
+    relators: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Generator names plus relators, with a few derived conveniences.
@@ -99,6 +114,27 @@ class Presentation:
                     rules[(x, y, x)] = y
                     rules[(y, x, y)] = x
         return rules
+
+    @cached_property
+    def coset_columns(self) -> CosetColumns:
+        """Coset-table columns: one self-inverse column per involution, a
+        pair (g, g^-1) per other generator, in generator order."""
+        of_letter: dict[Letter, int] = {}
+        inverse: list[int] = []
+        for g in range(len(self.generator_names)):
+            col = len(inverse)
+            if g in self.involutions:
+                of_letter[(g, 1)] = of_letter[(g, -1)] = col
+                inverse.append(col)
+            else:
+                of_letter[(g, 1)], of_letter[(g, -1)] = col, col + 1
+                inverse += [col + 1, col]
+        # An involution's g^2 holds in every table, so it is never scanned.
+        relators = tuple(
+            tuple(of_letter[letter] for letter in reversed(rel.letters))
+            for (base, k), rel in zip(self.relator_powers, self.relators)
+            if not (len(base) == 1 and k == 2))
+        return CosetColumns(of_letter, tuple(inverse), relators)
 
     @cached_property
     def pair_bases(self) -> tuple[Word, ...]:

@@ -13,11 +13,12 @@ transversal give the trivial word.  These words generate L.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .enumerator import TransitiveRep
 from .perms import evaluate_word
 from .presentations import Presentation
-from .words import Word, reduce_letters
+from .words import Letter, Word, reduce_letters
 
 
 @dataclass(frozen=True)
@@ -88,45 +89,51 @@ class StabilizerGens:
     simplified: tuple[Word, ...]
 
 
+def _schreier_letters(table: CosetTable, involutions: frozenset[int] = frozenset(),
+                      ) -> Iterator[tuple[Letter, ...]]:
+    """Yield the letters of each t_i^-1 g^-1 t_{g(i)}, in (i, g) order,
+    reduced by reduce_letters with the given involutions."""
+    perms = table.rep.assignment.perms
+    for i, t_i in enumerate(table.transversal, start=1):
+        t_i_inverse = (~t_i).letters
+        for g, perm in enumerate(perms):
+            t_j = table.transversal[perm.apply(i) - 1]
+            yield reduce_letters(t_i_inverse + ((g, -1),) + t_j.letters, involutions)
+
+
 def raw_schreier_words(table: CosetTable) -> list[Word]:
     """All n*k formal words t_i^-1 g^-1 t_{g(i)}, freely reduced only.
 
     Exactly n-1 of them are trivial: the tree edges of the transversal.
     """
-    perms = table.rep.assignment.perms
-    out = []
-    for i, t_i in enumerate(table.transversal, start=1):
-        t_i_inverse = (~t_i).letters
-        for g, perm in enumerate(perms):
-            t_j = table.transversal[perm.apply(i) - 1]
-            out.append(Word(reduce_letters(t_i_inverse + ((g, -1),) + t_j.letters)))
-    return out
+    return [Word(letters) for letters in _schreier_letters(table)]
 
 
-def _dedup(words: list[Word], pres: Presentation) -> tuple[Word, ...]:
-    """Drop the empty words and later repeats of a word or its inverse;
-    the words must already be reduced by pres.
+def _dedup(words: Iterable[tuple[Letter, ...]],
+           involutions: frozenset[int]) -> tuple[Word, ...]:
+    """Drop the empty words and later repeats of a word or its inverse,
+    given as letter tuples reduced with the involutions.
 
     A reduced word's inverse is reduced too, so it is written down
     directly: letters reversed, and signs flipped except on involutions,
     which reduction keeps at +1."""
-    involutions = pres.involutions
     kept: list[Word] = []
     seen: set[tuple] = set()
-    for w in words:
-        if w.is_empty() or w.letters in seen:
+    for letters in words:
+        if not letters or letters in seen:
             continue
-        kept.append(w)
-        seen.add(w.letters)
+        kept.append(Word(letters))
+        seen.add(letters)
         seen.add(tuple((g, s if g in involutions else -s)
-                       for g, s in reversed(w.letters)))
+                       for g, s in reversed(letters)))
     return tuple(kept)
 
 
 def schreier_generators(table: CosetTable) -> StabilizerGens:
     pres = table.rep.presentation
-    words = _dedup([pres.reduce(w) for w in raw_schreier_words(table)], pres)
-    simplified = _dedup([simplify_word(w, pres) for w in words], pres)
+    involutions = pres.involutions
+    words = _dedup(_schreier_letters(table, involutions), involutions)
+    simplified = _dedup((simplify_word(w, pres).letters for w in words), involutions)
     return StabilizerGens(words, simplified)
 
 
@@ -139,20 +146,20 @@ def simplify_word(word: Word, presentation: Presentation) -> Word:
     lengthens, and a second pass is a no-op.
     """
     rules = presentation.braid_rules
-    # reduce gives every involution letter the sign +1, so a window of
+    involutions = presentation.involutions
+    # Reduction gives every involution letter the sign +1, so a window of
     # rule letters never needs its signs checked.
-    current = presentation.reduce(word)
+    letters = reduce_letters(word.letters, involutions)
     while True:
-        letters = current.letters
         for pos in range(len(letters) - 2):
             replacement = rules.get((letters[pos][0], letters[pos + 1][0],
                                      letters[pos + 2][0]))
             if replacement is not None:
                 break
         else:
-            return current
-        current = presentation.reduce(
-            Word(letters[:pos] + ((replacement, 1),) + letters[pos + 3:]))
+            return Word(letters)
+        letters = reduce_letters(letters[:pos] + ((replacement, 1),) + letters[pos + 3:],
+                                 involutions)
 
 
 def same_subgroup(rep1: TransitiveRep, rep2: TransitiveRep) -> bool:

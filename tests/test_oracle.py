@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetgroups import (CoxeterSymbol, TransitiveRep, Word,
-                       brute_force_classes, canonical_form,
+from tetgroups import (CoxeterSymbol, Presentation, TransitiveRep, Word,
+                       brute_force_classes, build_coset_table, canonical_form,
                        count_distinct_subgroups, default_coset_budget,
                        enumerate_candidates, enumerate_classes,
-                       presentation_for, same_subgroup, todd_coxeter,
-                       verify_class)
+                       presentation_for, same_subgroup, schreier_generators,
+                       todd_coxeter, verify_class)
 
 S1 = CoxeterSymbol(3, 3, 3, 2, 2, 2)
 
@@ -54,6 +54,77 @@ def test_coset_enumeration_of_finite_groups():
     assert TransitiveRep(full, res.action).degree == 5
 
 
+# Orders of the four finite catalog groups, full and rotation subgroup.  At
+# the budget below the most live cosets at once are 122 / 61, 384 / 194,
+# 1155 / 580 and 14404 / 7201, so s4's full group has 596 cosets of headroom.
+FINITE_ORDER_BUDGET = 15000
+
+
+@pytest.mark.parametrize("entries,full_order,kleinian_order", [
+    ((3, 3, 3, 2, 2, 2), 120, 60),
+    ((4, 3, 3, 2, 2, 2), 384, 192),
+    ((3, 4, 3, 2, 2, 2), 1152, 576),
+    ((5, 3, 3, 2, 2, 2), 14400, 7200),
+])
+def test_coset_enumeration_finds_finite_group_orders(entries, full_order,
+                                                     kleinian_order):
+    for group, order in (("full", full_order), ("kleinian", kleinian_order)):
+        pres = presentation_for(CoxeterSymbol(*entries), group)
+        res = todd_coxeter(pres, [], FINITE_ORDER_BUDGET)
+        assert res.status == "closed" and res.index == order
+        assert TransitiveRep(pres, res.action).degree == order
+
+
+def two_generator_presentation(*relator_powers):
+    return Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("x", "y"),
+                        relator_powers)
+
+
+X, Y = Word.gen(0), Word.gen(1)
+
+
+def test_coset_enumeration_defines_generators_no_relator_uses():
+    # <x, y | x^2> is Z_2 * Z, where <x> and the trivial group have
+    # infinite index: y's column must be filled even though no relator
+    # scans it, so neither may close
+    pres = two_generator_presentation((X, 2))
+    for words in ([X], []):
+        res = todd_coxeter(pres, words, 200)
+        assert res.status == "overflow"
+
+
+def test_coset_enumeration_closes_where_every_column_is_filled():
+    # <x, y | x^2, y^3, (xy)^2> is S_3, where <x> has index 3
+    s3 = two_generator_presentation((X, 2), (Y, 3), (X * Y, 2))
+    res = todd_coxeter(s3, [X], 200)
+    assert res.status == "closed" and res.index == 3
+    assert TransitiveRep(s3, res.action).degree == 3
+    # each scan that ends one letter short is a deduction: no coset is
+    # defined only to be merged away again
+    assert (res.defined, res.coincidences) == (3, 0)
+    # <x, y | x^2, y^3> is Z_2 * Z_3: <x> alone has infinite index, and the
+    # normal closure of x, the kernel of the map onto Z_3, has index 3
+    z2_z3 = two_generator_presentation((X, 2), (Y, 3))
+    assert todd_coxeter(z2_z3, [X], 200).status == "overflow"
+    res = todd_coxeter(z2_z3, [X, Y * X * ~Y, ~Y * X * Y], 200)
+    assert res.status == "closed" and res.index == 3
+    assert res.action.perms[0].is_identity()
+
+
+def test_coset_enumeration_counters(t10_kleinian):
+    # Every coincidence kills one defined coset, so the survivors number
+    # defined - coincidences; the budget bounds the live cosets.
+    full = presentation_for(S1, "full")
+    res = todd_coxeter(full, [], 400)
+    assert res.defined - res.coincidences == res.index == 120
+    assert res.index <= res.peak_live <= 400
+    # on overflow the counters are set too: the budget was reached
+    res = todd_coxeter(t10_kleinian, [], 50)
+    assert res.status == "overflow"
+    assert res.peak_live == 50
+    assert res.defined - res.coincidences == 50
+
+
 def test_coset_enumeration_overflow(t10_kleinian):
     # the whole group is infinite, so enumerating cosets of the trivial
     # subgroup must exhaust any budget
@@ -77,15 +148,15 @@ def test_coset_enumeration_is_deterministic(t10_full):
 
 
 def test_coset_enumeration_recovers_each_class(t10_full, t10_kleinian):
-    from tetgroups import build_coset_table, schreier_generators
-
     for pres in (t10_full, t10_kleinian):
         for n in (2, 3, 4):
+            budget = default_coset_budget(n, pres)
             for cls in enumerate_classes(pres, n):
                 gens = schreier_generators(build_coset_table(cls.rep))
-                res = todd_coxeter(pres, gens.simplified,
-                                   default_coset_budget(n, pres))
+                res = todd_coxeter(pres, gens.simplified, budget)
                 assert res.status == "closed" and res.index == n
+                assert res.defined - res.coincidences == n
+                assert res.peak_live <= budget
                 action = TransitiveRep(pres, res.action)
                 assert same_subgroup(action, cls.rep)
                 assert (canonical_form(action.assignment).key()
@@ -109,12 +180,19 @@ def test_verify_class_outcomes(t10_kleinian):
 
 
 @given(st.tuples(*[st.integers(min_value=2, max_value=8)] * 6),
-       st.sampled_from(["full", "kleinian"]), st.integers(min_value=1, max_value=4))
+       st.sampled_from(["full", "kleinian"]), st.integers(min_value=1, max_value=5))
 @settings(max_examples=100, deadline=None)
 def test_every_class_closes_on_random_symbols(entries, group, n):
+    # The simplified Schreier words close at the class's index, and the
+    # coset action they give is the class's own (same point-1 stabilizer).
     pres = presentation_for(CoxeterSymbol(*entries), group)
+    budget = default_coset_budget(n, pres)
     for cls in enumerate_classes(pres, n):
         assert verify_class(cls.rep) is True
+        gens = schreier_generators(build_coset_table(cls.rep))
+        res = todd_coxeter(pres, gens.simplified, budget)
+        assert res.status == "closed" and res.index == n
+        assert same_subgroup(TransitiveRep(pres, res.action), cls.rep)
 
 
 def test_default_budget_scales_with_index(t10_full):

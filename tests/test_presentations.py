@@ -1,8 +1,8 @@
 import pytest
 
-from tetgroups import (CATALOG, CoxeterSymbol, Word, catalog, catalog_by_id,
-                       full_presentation, kleinian_presentation, parse_symbol,
-                       presentation_for)
+from tetgroups import (CATALOG, CoxeterSymbol, Presentation, Word, catalog,
+                       catalog_by_id, full_presentation, kleinian_presentation,
+                       parse_symbol, presentation_for)
 
 T10 = CoxeterSymbol(3, 3, 6, 2, 2, 2)
 
@@ -55,6 +55,27 @@ def test_kleinian_presentation_shape(t10_kleinian):
     assert powers == [("a", 3), ("b", 3), ("c", 6),
                       ("ab", 2), ("abc", 2), ("bc", 2)]
     assert t10_kleinian.involutions == frozenset()
+
+
+def test_coset_columns(t10_full, t10_kleinian):
+    # One self-inverse column per involution; the squares are not scanned,
+    # and each relator lists its columns rightmost letter first.
+    full = t10_full.coset_columns
+    assert full.inverse == (0, 1, 2, 3)
+    assert full.of_letter[(3, 1)] == full.of_letter[(3, -1)] == 3
+    assert full.relators[0] == (1, 0) * 3
+    assert len(full.relators) == 6
+    klein = t10_kleinian.coset_columns
+    assert klein.inverse == (1, 0, 3, 2, 5, 4)
+    assert [klein.of_letter[(g, s)] for g in range(3) for s in (1, -1)] == list(range(6))
+    assert klein.relators[0] == (0, 0, 0)
+    assert klein.relators[4] == (4, 2, 0) * 2
+    # a = PQ with p = 2 is an involution: one column, and a^2 is dropped
+    mixed = kleinian_presentation(CoxeterSymbol(2, 3, 3, 2, 2, 2)).coset_columns
+    assert mixed.inverse == (0, 2, 1, 4, 3)
+    assert len(mixed.relators) == 5
+    inverted = Presentation("test", T10, ("x", "y"), ((Word.gen(0) * Word.gen(1, -1), 3),))
+    assert inverted.coset_columns.relators == ((3, 0) * 3,)
 
 
 def test_kleinian_involutions_from_order_two_entries():

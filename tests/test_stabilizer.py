@@ -94,6 +94,34 @@ def test_last_degree2_row_is_the_same_subgroup_prettied():
         assert evaluate_word(word, rep.assignment).apply(1) == 1
 
 
+def reference_dedup(words, pres):
+    """Drop empty words and repeats of a kept word or its inverse, with the
+    inverse reduced by the presentation."""
+    kept, seen = [], set()
+    for w in words:
+        if not w.is_empty() and w not in seen:
+            kept.append(w)
+            seen.update((w, pres.reduce(~w)))
+    return tuple(kept)
+
+
+@given(st.tuples(*[st.integers(min_value=2, max_value=4)] * 6),
+       st.sampled_from(["full", "kleinian"]), st.integers(min_value=2, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_schreier_generators_match_reduction_after_free_reduction(entries, group, n):
+    # One involution-aware reduction of the raw letters gives the same words
+    # as free reduction followed by the presentation's reduce; entries of 2
+    # make some Kleinian generators involutions and others not.
+    pres = presentation_for(CoxeterSymbol(*entries), group)
+    for cls in enumerate_classes(pres, n):
+        table = build_coset_table(cls.rep)
+        gens = schreier_generators(table)
+        words = reference_dedup([pres.reduce(w) for w in raw_schreier_words(table)], pres)
+        assert gens.words == words
+        assert gens.simplified == reference_dedup(
+            [simplify_word(w, pres) for w in words], pres)
+
+
 def test_simplify_word_golden_rewrites(t10_full):
     cases = {"SPS": "P", "SQS": "Q", "SRS": "SRS", "PQP": "PQP",
              "RPR": "P", "PSP": "S", "QSQ": "S"}
