@@ -3,9 +3,9 @@
 For a tetrahedron symbol [p,q,r,s,t,u] this package enumerates the
 subgroups of index up to 6 of the reflection group and of its rotation
 subgroup up to conjugacy, computes Schreier generators for each class,
-verifies the results independently (a numpy recount up to index 5 that
-never builds the product space S_n^k, and coset enumeration), and exports
-classes as colorings.
+verifies the results independently (a numpy recount at every index that
+never builds the product space S_n^k and counts orbits by Burnside's lemma,
+and coset enumeration), and exports classes as colorings.
 """
 
 from .coloring import coloring_of

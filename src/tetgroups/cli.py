@@ -92,16 +92,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+# A count row's six cells: the full group's, then the kleinian's, at indices 2-4.
+CELLS = (("H2", "full", 2), ("H3", "full", 3), ("H4", "full", 4),
+         ("K2", "kleinian", 2), ("K3", "kleinian", 3), ("K4", "kleinian", 4))
+
+
 def _row_counts(symbol: CoxeterSymbol) -> tuple[int, ...]:
-    """Class counts at indices 2-4, the full group's then the kleinian's."""
+    """Class counts of one symbol, one per cell of CELLS."""
     return tuple(len(enumerate_classes(presentation_for(symbol, group), n))
-                 for group in ("full", "kleinian") for n in (2, 3, 4))
+                 for _, group, n in CELLS)
 
 
 def cmd_counts(args: argparse.Namespace) -> int:
-    mismatch_cells = []
-    inconsistent_cells = []
-    cell_names = ("H2", "H3", "H4", "K2", "K3", "K4")
     records = []
     for row in REFERENCE_COUNTS:
         entry = catalog_by_id(row.id)
@@ -112,47 +114,44 @@ def cmd_counts(args: argparse.Namespace) -> int:
         if args.diff:
             rec["reference"] = list(expected)
             cells = []
-            for pos, (want, have) in enumerate(zip(expected, got)):
-                cell = {"cell": cell_names[pos], "computed": have, "reference": want}
+            for (name, group, n), want, have in zip(CELLS, expected, got):
+                cell = {"cell": name, "computed": have, "reference": want}
                 if want == have:
                     cell["status"] = "PASS"
                 else:
-                    group = "full" if pos < 3 else "kleinian"
-                    n = (2, 3, 4)[pos % 3]
                     oracle = brute_force_classes(
                         presentation_for(entry.symbol, group), n).classes
                     cell["status"] = "MISMATCH"
                     cell["oracle"] = oracle
                     cell["oracle_agrees_with_computed"] = oracle == have
-                    mismatch_cells.append((row.id, cell_names[pos], want, have, oracle))
-                    if oracle != have:
-                        inconsistent_cells.append((row.id, cell_names[pos], have, oracle))
                 cells.append(cell)
             rec["cells"] = cells
         records.append(rec)
+    mismatches = [(rec["id"], cell) for rec in records for cell in rec.get("cells", ())
+                  if cell["status"] == "MISMATCH"]
+    inconsistent = sum(not cell["oracle_agrees_with_computed"] for _, cell in mismatches)
 
     if args.format == "json":
         print(json.dumps(records, indent=2))
     else:
-        print(f"{'id':<4} {'symbol':<14} " + " ".join(f"{c:>4}" for c in cell_names))
+        print(f"{'id':<4} {'symbol':<14} " + " ".join(f"{c:>4}" for c, _, _ in CELLS))
         for rec in records:
             print(f"{rec['id']:<4} {rec['symbol']:<14} "
                   + " ".join(f"{v:>4}" for v in rec["computed"]))
         if args.diff:
-            for id_, cell, want, have, oracle in mismatch_cells:
-                agree = "agrees" if oracle == have else "DISAGREES"
-                print(f"MISMATCH {id_} {cell}: reference {want}, computed {have}, "
-                      f"oracle {oracle} ({agree} with computed)")
-            passed = 32 * 6 - len(mismatch_cells)
-            print(f"diff summary: {passed}/192 cells match the reference; "
-                  f"{len(mismatch_cells)} mismatches "
-                  f"({'all' if not inconsistent_cells else len(inconsistent_cells)} "
-                  + ("backed by the oracle" if not inconsistent_cells
+            for id_, cell in mismatches:
+                agree = "agrees" if cell["oracle_agrees_with_computed"] else "DISAGREES"
+                print(f"MISMATCH {id_} {cell['cell']}: reference {cell['reference']}, "
+                      f"computed {cell['computed']}, oracle {cell['oracle']} "
+                      f"({agree} with computed)")
+            total = len(records) * len(CELLS)
+            print(f"diff summary: {total - len(mismatches)}/{total} cells match the "
+                  f"reference; {len(mismatches)} mismatches "
+                  f"({'all' if not inconsistent else inconsistent} "
+                  + ("backed by the oracle" if not inconsistent
                      else "cells INTERNALLY INCONSISTENT")
                   + "; reference tables may carry transcription noise)")
-    if args.diff and inconsistent_cells:
-        return 1
-    return 0
+    return 1 if inconsistent else 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -9,16 +9,15 @@ each class is the conjugacy class of the stabilizer of point 1.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .perms import (ORACLE_MAX_DEGREE, Assignment, all_perms,
-                    conjugate_assignment, evaluate_word, images_transitive,
-                    is_transitive, perm_tables)
+from .perms import (Assignment, all_perms, conjugate_assignment,
+                    evaluate_word, images_transitive, is_transitive,
+                    perm_tables)
 from .presentations import Presentation
 
 
@@ -188,10 +187,6 @@ def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]
     member's stabilizer, so the orbit has n!/|Stab| labeled members.
     """
     perms = all_perms(n)  # refuses an index outside 1..MAX_DEGREE
-    if n > ORACLE_MAX_DEGREE:
-        warnings.warn("oracle cross-checks only run for index <= "
-                      f"{ORACLE_MAX_DEGREE}; counts at index {n} are "
-                      "enumerator-only", stacklevel=2)
     names = presentation.generator_names
     classes = []
     for combo, stab in _search(presentation, n):

@@ -4,9 +4,9 @@ brute_force_classes recounts subgroup classes from scratch with numpy.  It
 does not materialize the product space S_n^k: each relator on a single
 generator (P^2, a^p) first cuts that generator's range, then every other
 relator is evaluated as a lookup table on the grid of the ranges it uses,
-and only then are transitivity and conjugacy counted.  It builds its own
-permutation tables and shares nothing with the enumerator's search except
-the convention (rightmost letter of a word acts first).
+then transitivity is tested, and the orbits are counted by Burnside's lemma.
+It builds its own permutation tables and shares nothing with the
+enumerator's search except the convention (rightmost letter acts first).
 
 todd_coxeter independently confirms that a claimed stabilizer really has
 the claimed index, by coset enumeration over the presentation.
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .enumerator import TransitiveRep
-from .perms import ORACLE_MAX_DEGREE, Assignment, Perm
+from .perms import MAX_DEGREE, Assignment, Perm
 from .presentations import Presentation
 from .stabilizer import build_coset_table, schreier_generators
 from .words import Word
@@ -40,9 +40,15 @@ class _SymmetricTables(NamedTuple):
 
     comp: np.ndarray  # comp[a, b]: a after b
     inv: np.ndarray
-    conj: np.ndarray  # conj[s, x]: s x s^-1
     set_image: np.ndarray  # set_image[a, m]: a's image of the point-set bitmask m
-    fix1: np.ndarray  # the elements fixing point 1
+    # One row per conjugacy class (cycle type) of S_n: which elements commute
+    # with one element of the class, and the class's size.
+    class_centralizers: np.ndarray
+    class_sizes: np.ndarray
+    # The same for the point-1 stabilizer, a copy of S_(n-1); its classes are
+    # the cycle types among the elements fixing point 1.
+    stab1_centralizers: np.ndarray
+    stab1_sizes: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -55,11 +61,27 @@ def _symmetric_tables(n: int) -> _SymmetricTables:
     index_of[(one_line * place).sum(axis=1)] = np.arange(len(one_line))
     comp = index_of[(one_line[:, one_line] * place).sum(axis=2)]  # [a, b, x] = a[b[x]]
     inv = np.nonzero(comp == 0)[1]  # each row of comp holds the identity once
-    conj = comp[comp, inv[:, None]]
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     set_image = (bits[None] << one_line[:, None]).sum(axis=2)
-    fix1 = np.flatnonzero(one_line[:, 0] == 0)
-    tables = _SymmetricTables(comp, inv, conj, set_image, fix1)
+
+    # Each point's cycle length under each element; sorted along the row,
+    # they spell the element's cycle type.
+    rows = np.arange(len(one_line))[:, None]
+    power, length = one_line, np.zeros_like(one_line)
+    for m in range(1, n + 1):
+        length[(length == 0) & (power == np.arange(n))] = m
+        power = one_line[rows, power]
+    cycle_type = np.sort(length, axis=1)
+
+    def classes(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _, first, sizes = np.unique(cycle_type[members], axis=0,
+                                    return_index=True, return_counts=True)
+        reps = members[first]
+        return comp[reps] == comp[:, reps].T, sizes  # s x == x s
+
+    tables = _SymmetricTables(comp, inv, set_image,
+                              *classes(np.arange(len(one_line))),
+                              *classes(np.flatnonzero(one_line[:, 0] == 0)))
     for table in tables:
         table.flags.writeable = False  # one cached copy serves every caller
     return tables
@@ -67,7 +89,7 @@ def _symmetric_tables(n: int) -> _SymmetricTables:
 
 def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     """Count (labeled reps, conjugacy classes, subgroups) at index n, up to
-    ORACLE_MAX_DEGREE.
+    MAX_DEGREE.
 
     Labeled: transitive assignments satisfying all relators.  Classes: their
     orbits under conjugation by all of S_n.  Subgroups: orbits under the
@@ -76,10 +98,11 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     Nothing of size (n!)^k is built.  A relator on one generator only
     restricts that generator's range (P^2 leaves P 26 of the 120 elements
     of S_5); the other relators are tested on the product of those ranges.
+    Orbits are counted by Burnside's lemma, one conjugacy class of the
+    acting group at a time, so no survivor is conjugated by the whole group.
     """
-    if not 1 <= n <= ORACLE_MAX_DEGREE:
-        raise ValueError(f"oracle only runs for index 1..{ORACLE_MAX_DEGREE}, "
-                         f"got {n}")
+    if not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"oracle only runs for index 1..{MAX_DEGREE}, got {n}")
     t = _symmetric_tables(n)
     F = len(t.inv)
     k = len(presentation.generator_names)
@@ -110,8 +133,9 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
         grid = dict(zip(support, np.ix_(*(allowed[g] for g in support))))
         mask &= holds(rel, grid).reshape(
             tuple(len(allowed[g]) if g in grid else 1 for g in range(k)))
-    surv = np.stack([allowed[g][pos] for g, pos in enumerate(np.nonzero(mask))],
-                    axis=1)
+    # np.nonzero is slow on a many-axis mask; the flat positions unravel fast.
+    at = np.unravel_index(np.flatnonzero(mask), mask.shape)
+    surv = np.stack([a[pos] for a, pos in zip(allowed, at)], axis=1)
 
     # Transitive exactly when point 1's orbit is everything; each round
     # applies every generator, and n - 1 rounds cover the longest path.
@@ -120,21 +144,23 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
         for g in range(k):
             reach |= t.set_image[surv[:, g], reach]
     surv = surv[reach == (1 << n) - 1]
-    labeled = len(surv)
-    if labeled == 0:
-        return BruteForceCounts(0, 0, 0)
 
-    def count_orbits(conj_rows: np.ndarray) -> int:
-        # Conjugate every survivor by every chosen relabeling at once, pack
-        # each assignment tuple into one integer, take each orbit's least.
-        imgs = conj_rows[:, surv]  # (n_sigma, labeled, k)
-        packed = np.zeros(imgs.shape[:2], dtype=np.int64)
-        for col in range(k):
-            packed = packed * F + imgs[:, :, col]
-        return len(np.unique(packed.min(axis=0)))
+    def count_orbits(centralizers: np.ndarray, sizes: np.ndarray) -> int:
+        # Burnside's lemma: the orbits number the mean, over the acting
+        # group, of the survivors each element fixes.  Conjugate elements
+        # fix equally many, so one element per class stands for it, and it
+        # fixes a survivor when it commutes with every generator's image.
+        fixed = sum(size * int(np.count_nonzero(centralizer[surv].all(axis=1)))
+                    for centralizer, size in zip(centralizers, sizes.tolist()))
+        orbits, rest = divmod(fixed, int(sizes.sum()))
+        if rest:
+            raise RuntimeError(f"{fixed} fixed points at index {n} are not a "
+                               f"multiple of the group order {sizes.sum()}")
+        return orbits
 
-    return BruteForceCounts(labeled, count_orbits(t.conj),
-                            count_orbits(t.conj[t.fix1]))
+    return BruteForceCounts(len(surv),
+                            count_orbits(t.class_centralizers, t.class_sizes),
+                            count_orbits(t.stab1_centralizers, t.stab1_sizes))
 
 
 @dataclass(frozen=True)

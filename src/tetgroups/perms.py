@@ -18,12 +18,10 @@ from .words import Word
 
 # Enumeration beyond this degree is refused before anything is allocated.
 # The per-degree tables hold n!^2 entries each: 518k at 6 (built in under a
-# second), 25M at 7, which no longer fits a laptop-scale job.
+# second), 25M at 7, which no longer fits a laptop-scale job.  The numpy
+# recount (oracle.brute_force_classes) has the same limit, so raising it
+# needs a second method at the new index first.
 MAX_DEGREE = 6
-
-# The numpy recount (oracle.brute_force_classes) runs up to this index; past
-# it, enumerator counts have no second method behind them.
-ORACLE_MAX_DEGREE = 5
 
 
 @dataclass(frozen=True)
@@ -225,7 +223,7 @@ def evaluate_word(word: Word, assignment: Assignment) -> Perm:
     perms = assignment.perms
     res = tuple(range(assignment.degree + 1))  # res[x] is the image of x; 0 pads
     for gen, sign in word:
-        if gen >= len(perms):
+        if not 0 <= gen < len(perms):
             raise KeyError(f"word uses generator index {gen}, assignment has "
                            f"{len(perms)}")
         img = perms[gen] if sign > 0 else perms[gen].inverse()

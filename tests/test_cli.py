@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tetgroups import MAX_DEGREE
+from tetgroups import MAX_DEGREE, BruteForceCounts
 from tetgroups.cli import main
 from tetgroups.perms import perm_tables
 
@@ -152,3 +152,19 @@ def test_counts_json_rows_match_direct_enumeration(capsys):
     assert rows["t10"]["computed"] == [3, 1, 2, 1, 1, 1]
     assert rows["t32"]["computed"] == [1, 13, 6, 0, 13, 6]
     assert "reference" not in rows["t10"]
+
+
+def test_counts_diff_exits_1_when_the_oracle_disputes_a_mismatch(monkeypatch, capsys):
+    # Every mismatched cell is recounted by the oracle; an oracle that agrees
+    # with no cell makes each MISMATCH line read DISAGREES and the exit 1.
+    monkeypatch.setattr("tetgroups.cli.brute_force_classes",
+                        lambda pres, n: BruteForceCounts(0, 7, 0))
+    code, out, _ = run(capsys, "counts", "--diff")
+    assert code == 1
+    lines = out.splitlines()
+    mismatches = [line for line in lines if line.startswith("MISMATCH")]
+    assert len(mismatches) == 24
+    assert "MISMATCH t32 H4: reference 86, computed 6, oracle 7 " \
+           "(DISAGREES with computed)" in mismatches
+    assert lines[-1].startswith("diff summary: 168/192 cells match the reference; "
+                                "24 mismatches (22 cells INTERNALLY INCONSISTENT;")

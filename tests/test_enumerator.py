@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from collections import Counter
 from math import factorial
 
@@ -275,10 +276,13 @@ def test_degree_bounds(t10_full):
         enumerate_classes(t10_full, 13)
 
 
-def test_large_index_warns_about_missing_cross_check():
+def test_index_6_has_a_cross_check_and_no_warning():
+    # the oracle reaches MAX_DEGREE, so no index is enumerator-only
     pres = kleinian_presentation(CoxeterSymbol(2, 2, 2, 2, 2, 2))
-    with pytest.warns(UserWarning, match="index 6"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         classes = enumerate_classes(pres, 6)
+    assert tuple(brute_force_classes(pres, 6)) == (0, 0, 0)
     # a transitive abelian group acts regularly, and an abelian 2-group
     # has no order 6
     assert classes == []

@@ -1,13 +1,18 @@
+import itertools
+from math import factorial
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetgroups import (CoxeterSymbol, Presentation, TransitiveRep, Word,
                        brute_force_classes, build_coset_table, canonical_form,
-                       count_distinct_subgroups, default_coset_budget,
-                       enumerate_candidates, enumerate_classes,
-                       presentation_for, same_subgroup, schreier_generators,
-                       todd_coxeter, verify_class)
+                       catalog_by_id, count_distinct_subgroups,
+                       default_coset_budget, enumerate_candidates,
+                       enumerate_classes, presentation_for, same_subgroup,
+                       schreier_generators, todd_coxeter, verify_class)
+from tetgroups.oracle import _symmetric_tables
 
 S1 = CoxeterSymbol(3, 3, 3, 2, 2, 2)
 
@@ -22,8 +27,27 @@ def test_brute_force_golden_triples(t10_full, t10_kleinian):
 def test_brute_force_index_bounds(t10_full):
     with pytest.raises(ValueError):
         brute_force_classes(t10_full, 0)
-    with pytest.raises(ValueError, match="1..5"):
-        brute_force_classes(t10_full, 6)
+    with pytest.raises(ValueError, match="1..6"):
+        brute_force_classes(t10_full, 7)
+
+
+@pytest.mark.parametrize("n, p_n, p_n_minus_1", [(1, 1, 1), (2, 2, 1), (3, 3, 2),
+                                                 (4, 5, 3), (5, 7, 5), (6, 11, 7)])
+def test_conjugacy_classes_are_cycle_types(n, p_n, p_n_minus_1):
+    # S_n has one class per partition of n (its cycle types), and the
+    # point-1 stabilizer, a copy of S_(n-1), one per partition of n - 1.
+    # Grouping by element order instead would merge (12) with (12)(34).
+    # Each class is kept as one member's centralizer, so a class's size
+    # times its centralizer's is the group order (orbit-stabilizer).
+    t = _symmetric_tables(n)
+    assert len(t.class_centralizers) == len(t.class_sizes) == p_n
+    assert t.class_sizes.sum() == factorial(n)
+    assert all(t.class_centralizers.sum(axis=1) * t.class_sizes == factorial(n))
+    fixes_1 = np.array([p[0] == 0 for p in itertools.permutations(range(n))])
+    assert len(t.stab1_centralizers) == len(t.stab1_sizes) == p_n_minus_1
+    assert t.stab1_sizes.sum() == factorial(n - 1)
+    assert all((t.stab1_centralizers & fixes_1).sum(axis=1) * t.stab1_sizes
+               == factorial(n - 1))
 
 
 @pytest.mark.parametrize("group", ["full", "kleinian"])
@@ -37,6 +61,19 @@ def test_brute_force_agrees_with_enumerator(sym_entries, group, n):
     assert counts.labeled == len(enumerate_candidates(pres, n))
     assert counts.classes == len(enumerate_classes(pres, n))
     assert counts.subgroups == count_distinct_subgroups(pres, n)
+
+
+@pytest.mark.parametrize("entry_id, group", [("t10", "full"), ("t31", "full"),
+                                             ("t31", "kleinian"), ("t32", "full")])
+def test_brute_force_agrees_with_enumerator_at_index_6(entry_id, group):
+    # t31 kleinian has the most classes at index 6 (46) and is the
+    # oracle's slowest catalog cell there.
+    pres = presentation_for(catalog_by_id(entry_id).symbol, group)
+    counts = brute_force_classes(pres, 6)
+    classes = enumerate_classes(pres, 6)
+    assert counts.labeled == sum(cls.labeled_orbit_size for cls in classes)
+    assert counts.classes == len(classes)
+    assert counts.subgroups == count_distinct_subgroups(pres, 6)
 
 
 def test_coset_enumeration_of_finite_groups():

@@ -129,6 +129,9 @@ def test_evaluate_word_unknown_generator_index():
     a = Assignment(("P",), (Perm((2, 1)),))
     with pytest.raises(KeyError):
         evaluate_word(Word.gen(3), a)
+    # a negative index must not wrap round to the last generator
+    with pytest.raises(KeyError):
+        evaluate_word(Word(((-1, 1),)), a)
 
 
 def test_is_transitive_small_cases():

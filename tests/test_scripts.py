@@ -43,14 +43,17 @@ def test_full_sweep_names_an_inconclusive_class_apart_from_a_failed_one(
     assert "2 unverified" in out
 
 
-def test_full_sweep_fails_on_a_class_unconfirmed_past_the_oracle(monkeypatch, capsys):
+def test_full_sweep_fails_on_a_class_unconfirmed_at_the_top_index(monkeypatch, capsys):
     script = load_script("run_full_sweep")
     entry = script.catalog()[0]
     monkeypatch.setattr(script, "catalog", lambda: (entry,))
     monkeypatch.setattr(script, "verify_class",
-                        lambda rep: rep.degree <= script.ORACLE_MAX_DEGREE or None)
+                        lambda rep: rep.degree < script.MAX_DEGREE or None)
     assert script.main() == 1
     out = capsys.readouterr().out
-    assert "0 disagreements, 0 unverified" in out
-    assert f"UNVERIFIED {entry.id} full 6 verify inconclusive" in out
-    assert "index 6 (enumerator-only): 2 classes, 2 unverified" in out
+    # s1 has one class in each group at index 6
+    assert f"DISAGREE {entry.id} full 6 verify inconclusive" in out
+    assert f"DISAGREE {entry.id} kleinian 6 verify inconclusive" in out
+    summary = out.splitlines()[-1]
+    assert summary.startswith("1 symbols, 2 groups, indices 1..6: ")
+    assert "2 disagreements, 2 unverified" in summary
