@@ -9,12 +9,12 @@ nonzero on any disagreement or any class not confirmed.
 
 from __future__ import annotations
 
+import resource
 import sys
 import time
 
 from tetgroups import (brute_force_classes, catalog, count_distinct_subgroups,
-                       enumerate_candidates, enumerate_classes,
-                       presentation_for, verify_class)
+                       enumerate_classes, presentation_for, verify_class)
 from tetgroups.perms import MAX_DEGREE
 
 
@@ -35,7 +35,7 @@ def main() -> int:
             pres = presentation_for(entry.symbol, group)
             for n in range(1, MAX_DEGREE + 1):
                 classes = enumerate_classes(pres, n)
-                labeled = len(enumerate_candidates(pres, n))
+                labeled = sum(cls.labeled_orbit_size for cls in classes)
                 subgroups = count_distinct_subgroups(pres, n)
                 oracle = brute_force_classes(pres, n)
                 mine = (labeled, len(classes), subgroups)
@@ -46,11 +46,12 @@ def main() -> int:
                 unverified += len(rows)
                 bad += rows
     dt = time.perf_counter() - t0
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     for row in bad:
         print("DISAGREE", *row)
     print(f"{len(catalog())} symbols, 2 groups, indices 1..{MAX_DEGREE}: "
           f"{total_classes} classes, {len(bad)} disagreements, "
-          f"{unverified} unverified, {dt:.1f}s")
+          f"{unverified} unverified, {dt:.1f}s, peak RSS {peak_mb:.0f} MB")
     return 1 if bad else 0
 
 

@@ -16,14 +16,14 @@ from .oracle import (BruteForceCounts, TCResult, brute_force_classes,
                      default_coset_budget, todd_coxeter, verify_class)
 from .perms import (MAX_DEGREE, Assignment, Perm, all_perms,
                     conjugate_assignment, evaluate_word, is_transitive,
-                    parse_cycles)
+                    parse_cycles, word_order)
 from .presentations import (CATALOG, CatalogEntry, CoxeterSymbol,
                             Presentation, catalog, catalog_by_id,
                             full_presentation, kleinian_presentation,
                             parse_symbol, presentation_for)
 from .stabilizer import (CosetTable, StabilizerGens, build_coset_table,
                          raw_schreier_words, same_subgroup,
-                         schreier_generators, simplify_word)
+                         schreier_generators, schreier_words, simplify_word)
 from .words import Word, parse_word
 
 __version__ = "0.1.0"
@@ -39,5 +39,6 @@ __all__ = [
     "full_presentation", "is_transitive", "kleinian_presentation",
     "parse_cycles", "parse_symbol", "parse_word", "presentation_for",
     "raw_schreier_words", "same_subgroup", "schreier_generators",
-    "simplify_word", "todd_coxeter", "verify_class",
+    "schreier_words", "simplify_word", "todd_coxeter", "verify_class",
+    "word_order",
 ]

@@ -16,8 +16,7 @@ from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .perms import (Assignment, all_perms, conjugate_assignment,
-                    evaluate_word, images_transitive, is_transitive,
-                    perm_tables)
+                    images_transitive, is_transitive, perm_tables, word_order)
 from .presentations import Presentation
 
 
@@ -32,7 +31,7 @@ class TransitiveRep:
         if self.assignment.names != self.presentation.generator_names:
             raise ValueError("assignment names do not match the presentation")
         bad = [base for base, k in self.presentation.relator_powers
-               if k % evaluate_word(base, self.assignment).order() != 0]
+               if k % word_order(base, self.assignment) != 0]
         if bad:
             shown = ", ".join(self.presentation.render(w) for w in bad)
             raise ValueError(f"relators violated (base words: {shown})")

@@ -1,15 +1,19 @@
 """Independent cross-checks for the enumerator.
 
 brute_force_classes recounts subgroup classes from scratch with numpy.  It
-does not materialize the product space S_n^k: each relator on a single
-generator (P^2, a^p) first cuts that generator's range, then every other
-relator is evaluated as a lookup table on the grid of the ranges it uses,
-then transitivity is tested, and the orbits are counted by Burnside's lemma.
-It builds its own permutation tables and shares nothing with the
-enumerator's search except the convention (rightmost letter acts first).
+does not materialize the product space S_n^k: a relator holds when the
+order of its base divides its exponent, read from an order column; each
+relator on a single generator (P^2, a^p) first cuts that generator's range,
+then the generators are joined one at a time and every other relator
+keeps only the rows where it holds once its last generator is placed.
+Transitivity is tested on the survivors, and the orbits are counted by
+Burnside's lemma.  It builds its own permutation tables and shares nothing
+with the enumerator's search except the convention (rightmost letter acts
+first).
 
 todd_coxeter independently confirms that a claimed stabilizer really has
-the claimed index, by coset enumeration over the presentation.
+the claimed index, by coset enumeration over the presentation; verify_class
+runs it on a class's raw Schreier words.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from .enumerator import TransitiveRep
 from .perms import MAX_DEGREE, Assignment, Perm
 from .presentations import Presentation
-from .stabilizer import build_coset_table, schreier_generators
+from .stabilizer import build_coset_table, schreier_words
 from .words import Word
 
 
@@ -40,6 +44,7 @@ class _SymmetricTables(NamedTuple):
 
     comp: np.ndarray  # comp[a, b]: a after b
     inv: np.ndarray
+    order: np.ndarray  # order[a]: the lcm of a's cycle lengths
     set_image: np.ndarray  # set_image[a, m]: a's image of the point-set bitmask m
     # One row per conjugacy class (cycle type) of S_n: which elements commute
     # with one element of the class, and the class's size.
@@ -64,8 +69,8 @@ def _symmetric_tables(n: int) -> _SymmetricTables:
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     set_image = (bits[None] << one_line[:, None]).sum(axis=2)
 
-    # Each point's cycle length under each element; sorted along the row,
-    # they spell the element's cycle type.
+    # Each point's cycle length under each element; their lcm is the
+    # element's order, and sorted along the row they spell its cycle type.
     rows = np.arange(len(one_line))[:, None]
     power, length = one_line, np.zeros_like(one_line)
     for m in range(1, n + 1):
@@ -79,7 +84,7 @@ def _symmetric_tables(n: int) -> _SymmetricTables:
         reps = members[first]
         return comp[reps] == comp[:, reps].T, sizes  # s x == x s
 
-    tables = _SymmetricTables(comp, inv, set_image,
+    tables = _SymmetricTables(comp, inv, np.lcm.reduce(length, axis=1), set_image,
                               *classes(np.arange(len(one_line))),
                               *classes(np.flatnonzero(one_line[:, 0] == 0)))
     for table in tables:
@@ -95,70 +100,77 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     orbits under conjugation by all of S_n.  Subgroups: orbits under the
     point-1 stabilizer of S_n, i.e. index-n subgroups counted plainly.
 
-    Nothing of size (n!)^k is built.  A relator on one generator only
-    restricts that generator's range (P^2 leaves P 26 of the 120 elements
-    of S_5); the other relators are tested on the product of those ranges.
-    Orbits are counted by Burnside's lemma, one conjugacy class of the
-    acting group at a time, so no survivor is conjugated by the whole group.
+    Nothing of size (n!)^k is built.  A relator (base, exp) holds when the
+    base's order divides exp.  A relator on one generator only restricts
+    that generator's range (P^2 leaves P 26 of the 120 elements of S_5).
+    The generators are then placed in order, each joined to the rows that
+    survive so far, and a relator is tested as soon as its last generator
+    is placed, so it only sees rows that every earlier relator kept.
+    Orbits are counted by Burnside's lemma over the conjugacy classes of
+    the acting group, so no survivor is conjugated by the whole group.
     """
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"oracle only runs for index 1..{MAX_DEGREE}, got {n}")
     t = _symmetric_tables(n)
-    F = len(t.inv)
     k = len(presentation.generator_names)
 
-    def holds(rel: Word, images: dict[int, np.ndarray]) -> np.ndarray:
-        # Left-fold the relator letter by letter through the composition
-        # table (rightmost letter acts first); images[g] holds generator
-        # g's candidates, shaped to broadcast against the others.
+    def holds(base: Word, exp: int, images) -> np.ndarray:
+        # Fold the base letter by letter through the composition table
+        # (rightmost letter acts first); images[g] holds generator g's
+        # images, shaped to broadcast against the others.
         res = 0  # the identity
-        for g, sign in rel:
-            img = images[g] if sign > 0 else t.inv[images[g]]
-            res = t.comp[res, img]
-        return res == 0
+        for g, sign in base:
+            res = t.comp[res, images[g] if sign > 0 else t.inv[images[g]]]
+        return (exp % t.order == 0)[res]
 
-    allowed = [np.arange(F)] * k
-    others = []
-    for rel in presentation.relators:
-        support = sorted({g for g, _ in rel})
-        if len(support) == 1:
-            g = support[0]
-            allowed[g] = allowed[g][holds(rel, {g: allowed[g]})]
-        else:
-            others.append((rel, support))
-    # A relator's table has one axis per generator it uses, in generator
-    # order, so inserting singleton axes for the rest broadcasts it.
-    mask = np.ones(tuple(len(a) for a in allowed), dtype=bool)
-    for rel, support in others:
-        grid = dict(zip(support, np.ix_(*(allowed[g] for g in support))))
-        mask &= holds(rel, grid).reshape(
-            tuple(len(allowed[g]) if g in grid else 1 for g in range(k)))
-    # np.nonzero is slow on a many-axis mask; the flat positions unravel fast.
-    at = np.unravel_index(np.flatnonzero(mask), mask.shape)
-    surv = np.stack([a[pos] for a, pos in zip(allowed, at)], axis=1)
+    placed_last = [[] for _ in range(k)]
+    for base, exp in presentation.relator_powers:
+        placed_last[max(g for g, _ in base)].append((base, exp))
+    # columns[g][row]: generator g's image in each surviving row.
+    columns: list[np.ndarray] = []
+    rows = 1
+    for g, relators in enumerate(placed_last):
+        choices = np.arange(len(t.inv))
+        joint = []
+        for base, exp in relators:
+            if all(h == g for h, _ in base):
+                choices = choices[holds(base, exp, {g: choices})]
+            else:
+                joint.append((base, exp))
+        # The join: one axis for the rows so far, one for g's choices.
+        grid = [c[:, None] for c in columns] + [choices[None, :]]
+        mask = np.ones((rows, len(choices)), dtype=bool)
+        for base, exp in joint:
+            mask &= holds(base, exp, grid)
+        row, choice = np.divmod(np.flatnonzero(mask), len(choices))
+        columns = [c[row] for c in columns] + [choices[choice]]
+        rows = len(row)
 
     # Transitive exactly when point 1's orbit is everything; each round
     # applies every generator, and n - 1 rounds cover the longest path.
-    reach = np.ones(len(surv), dtype=np.int64)
+    reach = np.ones(len(columns[0]), dtype=np.int64)
     for _ in range(n - 1):
-        for g in range(k):
-            reach |= t.set_image[surv[:, g], reach]
-    surv = surv[reach == (1 << n) - 1]
+        for c in columns:
+            reach |= t.set_image[c, reach]
+    kept = np.flatnonzero(reach == (1 << n) - 1)
+    columns = [c[kept] for c in columns]
 
     def count_orbits(centralizers: np.ndarray, sizes: np.ndarray) -> int:
         # Burnside's lemma: the orbits number the mean, over the acting
         # group, of the survivors each element fixes.  Conjugate elements
         # fix equally many, so one element per class stands for it, and it
         # fixes a survivor when it commutes with every generator's image.
-        fixed = sum(size * int(np.count_nonzero(centralizer[surv].all(axis=1)))
-                    for centralizer, size in zip(centralizers, sizes.tolist()))
+        fixes = centralizers[:, columns[0]]
+        for c in columns[1:]:
+            fixes &= centralizers[:, c]
+        fixed = int(np.count_nonzero(fixes, axis=1) @ sizes)
         orbits, rest = divmod(fixed, int(sizes.sum()))
         if rest:
             raise RuntimeError(f"{fixed} fixed points at index {n} are not a "
                                f"multiple of the group order {sizes.sum()}")
         return orbits
 
-    return BruteForceCounts(len(surv),
+    return BruteForceCounts(len(kept),
                             count_orbits(t.class_centralizers, t.class_sizes),
                             count_orbits(t.stab1_centralizers, t.stab1_sizes))
 
@@ -329,12 +341,18 @@ def default_coset_budget(index: int, presentation: Presentation) -> int:
 def verify_class(rep: TransitiveRep, max_cosets: int | None = None) -> bool | None:
     """Confirm a class's stabilizer has the class's index, by coset count.
 
+    The subgroup is given by its Schreier words (schreier_words), not the
+    simplified ones: both generate it, and each raw word walks out along
+    the transversal and back.  On every catalog class at indices 1-6 the
+    enumeration then defines exactly rep.degree cosets with no
+    coincidence, so a budget of rep.degree closes it.
+
     Returns True when the enumeration closes at the rep's degree, False
     when it closes elsewhere, None when the coset budget overflowed (which
     is inconclusive, not a failure).
     """
     pres = rep.presentation
-    gens = schreier_generators(build_coset_table(rep)).simplified
+    gens = schreier_words(build_coset_table(rep))
     budget = max_cosets if max_cosets is not None else default_coset_budget(rep.degree, pres)
     result = todd_coxeter(pres, gens, budget)
     if result.status == "overflow":

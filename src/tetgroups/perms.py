@@ -215,20 +215,54 @@ class Assignment:
         return {name: p.cycle_string() for name, p in zip(self.names, self.perms)}
 
 
+def _word_images(word: Word, assignment: Assignment) -> tuple[int, ...]:
+    """One-line form of a word's image, padded in front: entry x is the
+    image of x, entry 0 is 0.  The rightmost letter acts first."""
+    perms = assignment.perms
+    res = tuple(range(assignment.degree + 1))
+    for gen, sign in word:
+        if not 0 <= gen < len(perms):
+            raise KeyError(f"word uses generator index {gen}, assignment has "
+                           f"{len(perms)}")
+        images = perms[gen].images
+        if sign > 0:
+            res = (0, *map(res.__getitem__, images))
+        else:  # the product so far after g^-1 sends g(x) to res[x]
+            after = list(res)
+            for x, y in enumerate(images, start=1):
+                after[y] = res[x]
+            res = tuple(after)
+    return res
+
+
+def _cycle_order(images: Sequence[int]) -> int:
+    """Order of a permutation in padded one-line form: the lcm of its
+    cycle lengths."""
+    seen = [False] * len(images)
+    order = 1
+    for start in range(1, len(images)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        if length > 1:
+            order = lcm(order, length)
+    return order
+
+
 def evaluate_word(word: Word, assignment: Assignment) -> Perm:
     """Image of a word: product of generator images in word order.
 
     The rightmost letter acts first, matching the left-action convention.
     """
-    perms = assignment.perms
-    res = tuple(range(assignment.degree + 1))  # res[x] is the image of x; 0 pads
-    for gen, sign in word:
-        if not 0 <= gen < len(perms):
-            raise KeyError(f"word uses generator index {gen}, assignment has "
-                           f"{len(perms)}")
-        img = perms[gen] if sign > 0 else perms[gen].inverse()
-        res = (0, *map(res.__getitem__, img.images))
-    return Perm(res[1:])
+    return Perm(_word_images(word, assignment)[1:])
+
+
+def word_order(word: Word, assignment: Assignment) -> int:
+    """Order of a word's image, read off one-line tuples with no Perm built;
+    a bad generator index raises KeyError as in evaluate_word."""
+    return _cycle_order(_word_images(word, assignment))
 
 
 def is_transitive(assignment: Assignment) -> bool:

@@ -94,7 +94,7 @@ class Presentation:
     @cached_property
     def relators(self) -> tuple[Word, ...]:
         """Each relator written out in full, base^exponent."""
-        return tuple(Word(base.letters * k) for base, k in self.relator_powers)
+        return tuple(Word._unchecked(base.letters * k) for base, k in self.relator_powers)
 
     @cached_property
     def involutions(self) -> frozenset[int]:

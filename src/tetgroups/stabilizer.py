@@ -69,7 +69,7 @@ def build_coset_table(rep: TransitiveRep) -> CosetTable:
             for i in frontier:
                 j = perm.apply(i)
                 if j not in transversal:
-                    transversal[j] = Word(((g, 1),) + transversal[i].letters)
+                    transversal[j] = Word._unchecked(((g, 1),) + transversal[i].letters)
                     next_frontier.append(j)
         frontier = next_frontier
     return CosetTable(rep, tuple(transversal[i] for i in range(1, n + 1)))
@@ -79,8 +79,9 @@ def build_coset_table(rep: TransitiveRep) -> CosetTable:
 class StabilizerGens:
     """Schreier generators before and after rewriting.
 
-    words: one word per non-tree table entry, involution-normalized, with
-    later duplicates of an earlier word or its inverse dropped.
+    words: schreier_words, one word per non-tree table entry,
+    involution-normalized, with later duplicates of an earlier word or its
+    inverse dropped.
     simplified: the same list pushed through simplify_word and deduplicated
     again.  Both lists generate the stabilizer of point 1.
     """
@@ -106,7 +107,7 @@ def raw_schreier_words(table: CosetTable) -> list[Word]:
 
     Exactly n-1 of them are trivial: the tree edges of the transversal.
     """
-    return [Word(letters) for letters in _schreier_letters(table)]
+    return [Word._unchecked(letters) for letters in _schreier_letters(table)]
 
 
 def _dedup(words: Iterable[tuple[Letter, ...]],
@@ -122,18 +123,26 @@ def _dedup(words: Iterable[tuple[Letter, ...]],
     for letters in words:
         if not letters or letters in seen:
             continue
-        kept.append(Word(letters))
+        kept.append(Word._unchecked(letters))
         seen.add(letters)
         seen.add(tuple((g, s if g in involutions else -s)
                        for g, s in reversed(letters)))
     return tuple(kept)
 
 
+def schreier_words(table: CosetTable) -> tuple[Word, ...]:
+    """The words t_i^-1 g^-1 t_{g(i)}, involution-normalized, without the
+    empty ones and later repeats of a word or its inverse.  They generate
+    the stabilizer of point 1."""
+    involutions = table.rep.presentation.involutions
+    return _dedup(_schreier_letters(table, involutions), involutions)
+
+
 def schreier_generators(table: CosetTable) -> StabilizerGens:
     pres = table.rep.presentation
-    involutions = pres.involutions
-    words = _dedup(_schreier_letters(table, involutions), involutions)
-    simplified = _dedup((simplify_word(w, pres).letters for w in words), involutions)
+    words = schreier_words(table)
+    simplified = _dedup((simplify_word(w, pres).letters for w in words),
+                        pres.involutions)
     return StabilizerGens(words, simplified)
 
 
@@ -157,7 +166,7 @@ def simplify_word(word: Word, presentation: Presentation) -> Word:
             if replacement is not None:
                 break
         else:
-            return Word(letters)
+            return Word._unchecked(letters)
         letters = reduce_letters(letters[:pos] + ((replacement, 1),) + letters[pos + 3:],
                                  involutions)
 

@@ -22,7 +22,7 @@ def reduce_letters(letters: Iterable[Letter],
     A generator in involutions has its sign flattened to +1 first, so g g
     cancels too; with no involutions this is plain free reduction.  The
     letters are not checked: they must come from words, or have passed
-    Word.from_letters.
+    Word's checks.
     """
     out: list[Letter] = []
     for gen, sign in letters:
@@ -37,27 +37,41 @@ def reduce_letters(letters: Iterable[Letter],
 
 @dataclass(frozen=True)
 class Word:
-    """Freely reduced word, letters are (generator index, +1 or -1)."""
+    """Freely reduced word, letters are (generator index, +1 or -1).
+
+    Word(letters) checks every letter and reduces them.  Code that already
+    holds valid, freely reduced letters builds with Word._unchecked.
+    """
 
     letters: tuple[Letter, ...] = ()
 
-    @staticmethod
-    def from_letters(letters: Iterable[Letter]) -> "Word":
-        letters = tuple(letters)
+    def __post_init__(self) -> None:
+        letters = tuple(self.letters)
         for gen, sign in letters:
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign}")
             if gen < 0:
                 raise ValueError(f"generator index must be >= 0, got {gen}")
-        return Word(reduce_letters(letters))
+        object.__setattr__(self, "letters", reduce_letters(letters))
+
+    @classmethod
+    def _unchecked(cls, letters: tuple[Letter, ...]) -> "Word":
+        """A word on letters that are valid and freely reduced already."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
+
+    @staticmethod
+    def from_letters(letters: Iterable[Letter]) -> "Word":
+        return Word(tuple(letters))
 
     @staticmethod
     def gen(index: int, sign: int = 1) -> "Word":
-        return Word.from_letters(((index, sign),))
+        return Word(((index, sign),))
 
     @staticmethod
     def empty() -> "Word":
-        return Word(())
+        return Word._unchecked(())
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -69,10 +83,10 @@ class Word:
         return not self.letters
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(reduce_letters(self.letters + other.letters))
+        return Word._unchecked(reduce_letters(self.letters + other.letters))
 
     def __invert__(self) -> "Word":
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return Word._unchecked(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def reduce_involutions(self, involutions: frozenset[int]) -> "Word":
         """Normalize signs of involution generators to +1, then cancel.
@@ -81,7 +95,7 @@ class Word:
         same element, so signs are flattened and adjacent equal letters
         cancel.
         """
-        return Word(reduce_letters(self.letters, involutions))
+        return Word._unchecked(reduce_letters(self.letters, involutions))
 
     def render(self, names: tuple[str, ...] | list[str]) -> str:
         """Print with exponent folding: ``SRS``, ``a^-1b^2``.  Empty word is ''."""

@@ -1,9 +1,10 @@
 """The CLI's stdout at indices 2-4, pinned by sha256.
 
 cli_digests.json holds one digest per command line: `counts` and
-`counts --diff` in both formats, and `enumerate` in both formats for every
-catalog symbol, both groups and indices 2, 3 and 4.  Output at these indices
-must not change; only a deliberate change of output regenerates the file:
+`counts --diff` in both formats, and, for every catalog symbol, both groups
+and indices 2, 3 and 4, `enumerate` in both formats and `verify` at the
+default coset budget.  Output at these indices must not change; only a
+deliberate change of output regenerates the file:
 
     PYTHONPATH=src python tests/test_cli_digests.py > tests/cli_digests.json
 """
@@ -30,6 +31,8 @@ def commands():
                 for fmt in ("table", "json"):
                     yield ["enumerate", "--id", entry.id, "--group", group,
                            "--index", str(n), "--format", fmt]
+                yield ["verify", "--id", entry.id, "--group", group,
+                       "--index", str(n)]
 
 
 def stdout_digest(argv):

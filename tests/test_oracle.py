@@ -11,7 +11,8 @@ from tetgroups import (CoxeterSymbol, Presentation, TransitiveRep, Word,
                        catalog_by_id, count_distinct_subgroups,
                        default_coset_budget, enumerate_candidates,
                        enumerate_classes, presentation_for, same_subgroup,
-                       schreier_generators, todd_coxeter, verify_class)
+                       schreier_generators, schreier_words, todd_coxeter,
+                       verify_class)
 from tetgroups.oracle import _symmetric_tables
 
 S1 = CoxeterSymbol(3, 3, 3, 2, 2, 2)
@@ -214,6 +215,24 @@ def test_verify_class_outcomes(t10_kleinian):
     cls = enumerate_classes(t10_kleinian, 4)[0]
     assert verify_class(cls.rep) is True
     assert verify_class(cls.rep, max_cosets=1) is None
+
+
+def test_schreier_words_define_exactly_the_index_cosets(catalog_table):
+    # verify_class scans the raw Schreier words: on every catalog class at
+    # indices 1-4 they define the n cosets and no more, so a budget of n
+    # closes and a budget of n - 1 runs out.
+    for cell in catalog_table.cells:
+        n = cell.n
+        for cls in cell.classes:
+            words = schreier_words(build_coset_table(cls.rep))
+            res = todd_coxeter(cell.presentation, words, 10 * n)
+            where = (cell.id, cell.group, n)
+            assert res.status == "closed", where
+            assert res.defined == res.peak_live == res.index == n, where
+            assert res.coincidences == 0, where
+            assert verify_class(cls.rep, max_cosets=n) is True, where
+            if n >= 2:
+                assert verify_class(cls.rep, max_cosets=n - 1) is None, where
 
 
 @given(st.tuples(*[st.integers(min_value=2, max_value=8)] * 6),

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from tetgroups import (MAX_DEGREE, Assignment, Perm, Word, all_perms,
                        conjugate_assignment, evaluate_word, is_transitive,
-                       parse_cycles)
+                       parse_cycles, word_order)
 from tetgroups.perms import perm_tables
 
 perms4 = st.sampled_from(all_perms(4))
@@ -131,7 +131,20 @@ def test_evaluate_word_unknown_generator_index():
         evaluate_word(Word.gen(3), a)
     # a negative index must not wrap round to the last generator
     with pytest.raises(KeyError):
-        evaluate_word(Word(((-1, 1),)), a)
+        evaluate_word(Word._unchecked(((-1, 1),)), a)
+
+
+@given(st.tuples(perms4, perms4, perms4, perms4), words4)
+def test_word_order_is_the_order_of_the_image(seed, w):
+    a = assignment4(seed)
+    assert word_order(w, a) == evaluate_word(w, a).order()
+
+
+@pytest.mark.parametrize("gen", [1, 4, -1])
+def test_word_order_rejects_a_bad_generator_index(gen):
+    a = Assignment(("P",), (Perm((2, 1)),))
+    with pytest.raises(KeyError):
+        word_order(Word._unchecked(((0, -1), (gen, 1))), a)
 
 
 def test_is_transitive_small_cases():

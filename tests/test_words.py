@@ -46,6 +46,15 @@ def test_bad_sign_rejected():
         Word.from_letters([(0, 1), (-1, 1)])
 
 
+def test_constructor_checks_and_reduces_like_from_letters():
+    assert Word(((0, 1), (0, -1))) == Word.empty()
+    assert Word([(1, 1), (2, -1), (2, 1)]).letters == ((1, 1),)
+    with pytest.raises(ValueError):
+        Word(((-1, 1),))
+    with pytest.raises(ValueError):
+        Word(((0, 0),))
+
+
 def test_concatenation_reduces_at_the_seam():
     left = Word.from_letters([(0, 1), (1, 1)])
     right = Word.from_letters([(1, -1), (2, 1)])
