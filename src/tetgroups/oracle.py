@@ -7,9 +7,9 @@ relator on a single generator (P^2, a^p) first cuts that generator's range,
 then the generators are joined one at a time and every other relator
 keeps only the rows where it holds once its last generator is placed.
 Transitivity is tested on the survivors, and the orbits are counted by
-Burnside's lemma.  It builds its own permutation tables and shares nothing
-with the enumerator's search except the convention (rightmost letter acts
-first).
+Burnside's lemma, once per conjugacy class of S_n for both counts.  It
+builds its own permutation tables and shares nothing with the enumerator's
+search except the convention (rightmost letter acts first).
 
 todd_coxeter independently confirms that a claimed stabilizer really has
 the claimed index, by coset enumeration over the presentation; verify_class
@@ -40,20 +40,19 @@ class BruteForceCounts(NamedTuple):
 
 class _SymmetricTables(NamedTuple):
     """S_n as indices into its 0-based one-line codes in lex order, so
-    index 0 is the identity."""
+    index 0 is the identity, and one table of its conjugacy classes that
+    serves the Burnside sums over S_n and over its point-1 stabilizer."""
 
     comp: np.ndarray  # comp[a, b]: a after b
     inv: np.ndarray
     order: np.ndarray  # order[a]: the lcm of a's cycle lengths
     set_image: np.ndarray  # set_image[a, m]: a's image of the point-set bitmask m
     # One row per conjugacy class (cycle type) of S_n: which elements commute
-    # with one element of the class, and the class's size.
+    # with one element of the class, the class's size, and how many of its
+    # members fix point 1 (its weight in the point-1 stabilizer's sum).
     class_centralizers: np.ndarray
     class_sizes: np.ndarray
-    # The same for the point-1 stabilizer, a copy of S_(n-1); its classes are
-    # the cycle types among the elements fixing point 1.
-    stab1_centralizers: np.ndarray
-    stab1_sizes: np.ndarray
+    class_weights: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -76,17 +75,14 @@ def _symmetric_tables(n: int) -> _SymmetricTables:
     for m in range(1, n + 1):
         length[(length == 0) & (power == np.arange(n))] = m
         power = one_line[rows, power]
-    cycle_type = np.sort(length, axis=1)
-
-    def classes(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, first, sizes = np.unique(cycle_type[members], axis=0,
-                                    return_index=True, return_counts=True)
-        reps = members[first]
-        return comp[reps] == comp[:, reps].T, sizes  # s x == x s
-
+    _, reps, sizes = np.unique(np.sort(length, axis=1), axis=0,
+                               return_index=True, return_counts=True)
+    # A class of size |C| whose members fix f points has |C| f / n members
+    # fixing point 1: conjugating by (1 x) swaps those fixing 1 and x.
+    weights = sizes * (length[reps] == 1).sum(axis=1) // n
     tables = _SymmetricTables(comp, inv, np.lcm.reduce(length, axis=1), set_image,
-                              *classes(np.arange(len(one_line))),
-                              *classes(np.flatnonzero(one_line[:, 0] == 0)))
+                              comp[reps] == comp[:, reps].T,  # s x == x s
+                              sizes, weights)
     for table in tables:
         table.flags.writeable = False  # one cached copy serves every caller
     return tables
@@ -107,7 +103,9 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     survive so far, and a relator is tested as soon as its last generator
     is placed, so it only sees rows that every earlier relator kept.
     Orbits are counted by Burnside's lemma over the conjugacy classes of
-    the acting group, so no survivor is conjugated by the whole group.
+    S_n, so no survivor is conjugated by the whole group: the survivors
+    each class fixes, weighted by the class sizes over n! for the classes
+    and by the members fixing point 1 over (n-1)! for the subgroups.
     """
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"oracle only runs for index 1..{MAX_DEGREE}, got {n}")
@@ -155,24 +153,25 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     kept = np.flatnonzero(reach == (1 << n) - 1)
     columns = [c[kept] for c in columns]
 
-    def count_orbits(centralizers: np.ndarray, sizes: np.ndarray) -> int:
-        # Burnside's lemma: the orbits number the mean, over the acting
-        # group, of the survivors each element fixes.  Conjugate elements
-        # fix equally many, so one element per class stands for it, and it
-        # fixes a survivor when it commutes with every generator's image.
-        fixes = centralizers[:, columns[0]]
-        for c in columns[1:]:
-            fixes &= centralizers[:, c]
-        fixed = int(np.count_nonzero(fixes, axis=1) @ sizes)
-        orbits, rest = divmod(fixed, int(sizes.sum()))
-        if rest:
-            raise RuntimeError(f"{fixed} fixed points at index {n} are not a "
-                               f"multiple of the group order {sizes.sum()}")
-        return orbits
+    # Burnside's lemma: the orbits number the mean, over the acting group,
+    # of the survivors each element fixes.  Conjugate elements fix equally
+    # many (relabeling keeps the relators and transitivity), so one element
+    # per class of S_n stands for the class in both sums, and it fixes a
+    # survivor when it commutes with every generator's image.
+    fixes = t.class_centralizers[:, columns[0]]
+    for c in columns[1:]:
+        fixes &= t.class_centralizers[:, c]
+    fixed = np.count_nonzero(fixes, axis=1)
 
-    return BruteForceCounts(len(kept),
-                            count_orbits(t.class_centralizers, t.class_sizes),
-                            count_orbits(t.stab1_centralizers, t.stab1_sizes))
+    def orbits(weights: np.ndarray) -> int:
+        total, order = int(fixed @ weights), int(weights.sum())
+        quotient, rest = divmod(total, order)
+        if rest:
+            raise RuntimeError(f"{total} fixed points at index {n} are not a "
+                               f"multiple of the group order {order}")
+        return quotient
+
+    return BruteForceCounts(len(kept), orbits(t.class_sizes), orbits(t.class_weights))
 
 
 @dataclass(frozen=True)

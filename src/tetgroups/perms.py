@@ -266,9 +266,10 @@ def word_order(word: Word, assignment: Assignment) -> int:
 
 
 def is_transitive(assignment: Assignment) -> bool:
-    """True when the generated group has a single orbit on {1..n}."""
-    return images_transitive([p.images for p in assignment.perms],
-                             assignment.degree)
+    """True when the generated group has a single orbit on {1..n}; degree 0
+    has no orbit."""
+    return assignment.degree > 0 and images_transitive(
+        [p.images for p in assignment.perms], assignment.degree)
 
 
 def images_transitive(images: Sequence[tuple[int, ...]], n: int) -> bool:

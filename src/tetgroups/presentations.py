@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .words import Letter, Word, parse_word
+from .words import Letter, Word, parse_word, reduce_letters
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ class Presentation:
 
     def reduce(self, word: Word) -> Word:
         """Involution-aware free reduction (SS cancels, S^-1 becomes S)."""
-        return word.reduce_involutions(self.involutions)
+        return Word._unchecked(reduce_letters(word.letters, self.involutions))
 
     def render(self, word: Word) -> str:
         return word.render(self.generator_names)

@@ -3,7 +3,7 @@
 A word is a sequence of letters ``(generator_index, sign)`` with sign +1 or
 -1.  Letters are stored freely reduced: adjacent pairs ``g g^-1`` cancel.
 Cancellation of ``g g`` for involutions is not the word's business, that
-depends on a presentation; see :meth:`Word.reduce_involutions`.
+depends on a presentation; see :meth:`Presentation.reduce`.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ class Word:
         return word
 
     @staticmethod
-    def from_letters(letters: Iterable[Letter]) -> "Word":
-        return Word(tuple(letters))
-
-    @staticmethod
     def gen(index: int, sign: int = 1) -> "Word":
         return Word(((index, sign),))
 
@@ -87,15 +83,6 @@ class Word:
 
     def __invert__(self) -> "Word":
         return Word._unchecked(tuple((g, -s) for g, s in reversed(self.letters)))
-
-    def reduce_involutions(self, involutions: frozenset[int]) -> "Word":
-        """Normalize signs of involution generators to +1, then cancel.
-
-        For a generator g with g^2 = e the letters g and g^-1 denote the
-        same element, so signs are flattened and adjacent equal letters
-        cancel.
-        """
-        return Word._unchecked(reduce_letters(self.letters, involutions))
 
     def render(self, names: tuple[str, ...] | list[str]) -> str:
         """Print with exponent folding: ``SRS``, ``a^-1b^2``.  Empty word is ''."""
@@ -142,4 +129,4 @@ def parse_word(text: str, names: tuple[str, ...] | list[str]) -> Word:
                 break
         else:
             raise ValueError(f"unknown generator at {text[pos:]!r} in word {text!r}")
-    return Word.from_letters(letters)
+    return Word(tuple(letters))

@@ -305,8 +305,8 @@ def test_criterion_6_algebraic_invariants(capsys, catalog_table):
                    if (cell.id, cell.group) == (entry.id, "full") and cell.n in (2, 3)
                    for cls in cell.classes]
         for _ in range(100):
-            w = Word.from_letters([(rng.randrange(4), rng.choice((1, -1)))
-                                   for _ in range(rng.randrange(12))])
+            w = Word([(rng.randrange(4), rng.choice((1, -1)))
+                      for _ in range(rng.randrange(12))])
             simple = simplify_word(w, pres)
             check(failures, len(simple) <= len(w),
                   f"{entry.id}: simplify lengthened a word")

@@ -52,6 +52,9 @@ def test_transitive_rep_validation(t10_full):
     with pytest.raises(ValueError, match="transitive"):
         TransitiveRep(t10_full, Assignment(("P", "Q", "R", "S"),
                                            (Perm.identity(2),) * 4))
+    # degree 0 has no point 1, so no orbit: refused, not an IndexError
+    with pytest.raises(ValueError, match="transitive"):
+        TransitiveRep(t10_full, Assignment(("P", "Q", "R", "S"), (Perm(()),) * 4))
 
 
 def test_candidate_stages_nest(t10_full):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetgroups import (CoxeterSymbol, Presentation, TransitiveRep, Word,
+from tetgroups import (CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
                        brute_force_classes, build_coset_table, canonical_form,
                        catalog_by_id, count_distinct_subgroups,
                        default_coset_budget, enumerate_candidates,
@@ -35,20 +35,25 @@ def test_brute_force_index_bounds(t10_full):
 @pytest.mark.parametrize("n, p_n, p_n_minus_1", [(1, 1, 1), (2, 2, 1), (3, 3, 2),
                                                  (4, 5, 3), (5, 7, 5), (6, 11, 7)])
 def test_conjugacy_classes_are_cycle_types(n, p_n, p_n_minus_1):
-    # S_n has one class per partition of n (its cycle types), and the
-    # point-1 stabilizer, a copy of S_(n-1), one per partition of n - 1.
-    # Grouping by element order instead would merge (12) with (12)(34).
-    # Each class is kept as one member's centralizer, so a class's size
-    # times its centralizer's is the group order (orbit-stabilizer).
+    # S_n has one class per partition of n (its cycle types).  Grouping by
+    # element order instead would merge (12) with (12)(34).  Each class is
+    # kept as one member's centralizer, so a class's size times its
+    # centralizer's is the group order (orbit-stabilizer).
     t = _symmetric_tables(n)
     assert len(t.class_centralizers) == len(t.class_sizes) == p_n
     assert t.class_sizes.sum() == factorial(n)
     assert all(t.class_centralizers.sum(axis=1) * t.class_sizes == factorial(n))
-    fixes_1 = np.array([p[0] == 0 for p in itertools.permutations(range(n))])
-    assert len(t.stab1_centralizers) == len(t.stab1_sizes) == p_n_minus_1
-    assert t.stab1_sizes.sum() == factorial(n - 1)
-    assert all((t.stab1_centralizers & fixes_1).sum(axis=1) * t.stab1_sizes
-               == factorial(n - 1))
+    # A class's weight is the number of its members fixing point 1, so the
+    # weights add up to the point-1 stabilizer, a copy of S_(n-1), whose
+    # cycle types are the classes with a fixed point: p(n-1) of them.
+    assert t.class_weights.sum() == factorial(n - 1)
+    assert np.count_nonzero(t.class_weights) == p_n_minus_1
+    by_type = {}
+    for p in itertools.permutations(range(n)):
+        cycles = Perm(tuple(x + 1 for x in p)).cycles()
+        by_type.setdefault(tuple(sorted(map(len, cycles))), []).append(p)
+    assert (sorted(zip(t.class_sizes.tolist(), t.class_weights.tolist()))
+            == sorted((len(ps), sum(p[0] == 0 for p in ps)) for ps in by_type.values()))
 
 
 @pytest.mark.parametrize("group", ["full", "kleinian"])

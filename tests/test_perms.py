@@ -11,7 +11,7 @@ perms4 = st.sampled_from(all_perms(4))
 words4 = st.lists(
     st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from([1, -1])),
     max_size=20,
-).map(Word.from_letters)
+).map(Word)
 
 
 def assignment4(seed) -> Assignment:
@@ -42,7 +42,7 @@ def test_rightmost_factor_acts_first():
     P, R = Perm((2, 1, 3)), Perm((3, 2, 1))
     assert (P * R).cycle_string() == "(132)"
     a = Assignment(("P", "R"), (P, R))
-    w = Word.from_letters([(0, 1), (1, 1)])
+    w = Word([(0, 1), (1, 1)])
     assert evaluate_word(w, a).cycle_string() == "(132)"
 
 

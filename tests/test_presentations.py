@@ -88,6 +88,9 @@ def test_reduce_uses_involutions(t10_full, t10_kleinian):
     w = Word.gen(2, -1) * Word.gen(1)
     assert t10_full.render(t10_full.reduce(w)) == "RQ"
     assert t10_kleinian.render(t10_kleinian.reduce(w)) == "c^-1b"
+    # P S S Q^-1: the reflection S cancels against itself, Q^-1 becomes Q
+    w = Word([(0, 1), (3, 1), (3, 1), (1, -1)])
+    assert t10_full.render(t10_full.reduce(w)) == "PQ"
 
 
 def test_parse_render_round_trip(t10_full):

@@ -1,7 +1,10 @@
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+import tetgroups.enumerator
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -41,6 +44,48 @@ def test_full_sweep_names_an_inconclusive_class_apart_from_a_failed_one(
     assert f"DISAGREE {entry.id} full 1 verify inconclusive" in out
     assert f"DISAGREE {entry.id} full 2 verify failed" in out
     assert "2 unverified" in out
+
+
+def test_full_sweep_searches_once_per_cell(monkeypatch, capsys):
+    script = load_script("run_full_sweep")
+    entry = script.catalog()[0]
+    monkeypatch.setattr(script, "catalog", lambda: (entry,))
+    search = tetgroups.enumerator._search
+    calls = []
+
+    def counting_search(presentation, n):
+        calls.append((presentation.kind, n))
+        return search(presentation, n)
+
+    monkeypatch.setattr(tetgroups.enumerator, "_search", counting_search)
+    assert script.main() == 0
+    # 2 groups x indices 1..6, each searched once
+    assert len(calls) == 12
+    assert set(calls) == {(group, n) for group in ("full", "kleinian")
+                          for n in range(1, script.MAX_DEGREE + 1)}
+    assert "0 disagreements, 0 unverified" in capsys.readouterr().out
+
+
+def test_full_sweep_reports_a_labeled_count_that_is_not_a_subgroup_count(
+        monkeypatch, capsys):
+    script = load_script("run_full_sweep")
+    entry = script.catalog()[0]
+    monkeypatch.setattr(script, "catalog", lambda: (entry,))
+    enumerate_classes = script.enumerate_classes
+
+    def one_more_at_5(pres, n):
+        classes = enumerate_classes(pres, n)
+        if n == 5:
+            classes[0] = replace(classes[0], labeled_orbit_size=classes[0].labeled_orbit_size + 1)
+        return classes
+
+    monkeypatch.setattr(script, "enumerate_classes", one_more_at_5)
+    assert script.main() == 1
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("DISAGREE")]
+    # one labeled rep too many at index 5 is no multiple of 4!, so each
+    # group's row shows the fraction where the subgroup count would be
+    assert len(rows) == 2 and all("/4!'" in row for row in rows)
 
 
 def test_full_sweep_fails_on_a_class_unconfirmed_at_the_top_index(monkeypatch, capsys):

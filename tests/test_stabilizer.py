@@ -27,7 +27,7 @@ def words4():
     return st.lists(
         st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from([1, -1])),
         max_size=16,
-    ).map(Word.from_letters)
+    ).map(Word)
 
 
 def test_transversal_of_single_moved_generator(t10_full):

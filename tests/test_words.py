@@ -11,7 +11,7 @@ letters = st.lists(
     st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from([1, -1])),
     max_size=30,
 )
-words = letters.map(Word.from_letters)
+words = letters.map(Word)
 
 
 def test_empty_word_basics():
@@ -27,26 +27,26 @@ def test_gen_builds_single_letter():
     assert Word.gen(0, -1).letters == ((0, -1),)
 
 
-def test_from_letters_cancels_adjacent_inverses():
-    assert Word.from_letters([(0, 1), (0, -1)]).is_empty()
+def test_constructor_cancels_adjacent_inverses():
+    assert Word([(0, 1), (0, -1)]).is_empty()
     # cancellation cascades through the middle
-    w = Word.from_letters([(1, 1), (0, 1), (0, -1), (1, -1)])
+    w = Word([(1, 1), (0, 1), (0, -1), (1, -1)])
     assert w.is_empty()
 
 
 def test_bad_sign_rejected():
     with pytest.raises(ValueError):
-        Word.from_letters([(0, 2)])
+        Word([(0, 2)])
     with pytest.raises(ValueError):
         Word.gen(0, 2)
     # a negative generator index would otherwise index the names from the end
     with pytest.raises(ValueError):
         Word.gen(-1)
     with pytest.raises(ValueError):
-        Word.from_letters([(0, 1), (-1, 1)])
+        Word([(0, 1), (-1, 1)])
 
 
-def test_constructor_checks_and_reduces_like_from_letters():
+def test_constructor_checks_and_reduces():
     assert Word(((0, 1), (0, -1))) == Word.empty()
     assert Word([(1, 1), (2, -1), (2, 1)]).letters == ((1, 1),)
     with pytest.raises(ValueError):
@@ -56,31 +56,29 @@ def test_constructor_checks_and_reduces_like_from_letters():
 
 
 def test_concatenation_reduces_at_the_seam():
-    left = Word.from_letters([(0, 1), (1, 1)])
-    right = Word.from_letters([(1, -1), (2, 1)])
+    left = Word([(0, 1), (1, 1)])
+    right = Word([(1, -1), (2, 1)])
     assert (left * right).letters == ((0, 1), (2, 1))
 
 
 def test_power_and_inverse():
-    w = Word.from_letters([(0, 1), (1, 1)])
+    w = Word([(0, 1), (1, 1)])
     assert (~w).letters == ((1, -1), (0, -1))
 
 
 def test_reduce_involutions_flattens_and_cancels():
     inv = frozenset({0, 3})
-    assert Word.gen(3, -1).reduce_involutions(inv).letters == ((3, 1),)
-    assert Word.from_letters([(3, 1), (3, 1)]).reduce_involutions(inv).is_empty()
+    assert reduce_letters([(3, -1)], inv) == ((3, 1),)
+    assert reduce_letters([(3, 1), (3, 1)], inv) == ()
     # P S S Q with S an involution collapses to P Q
-    w = Word.from_letters([(0, 1), (3, 1), (3, 1), (1, 1)])
-    assert w.reduce_involutions(inv).letters == ((0, 1), (1, 1))
+    assert reduce_letters([(0, 1), (3, 1), (3, 1), (1, 1)], inv) == ((0, 1), (1, 1))
     # non-involutions keep their signs and never cancel against equals
-    w = Word.from_letters([(1, 1), (1, 1)])
-    assert w.reduce_involutions(inv).letters == ((1, 1), (1, 1))
+    assert reduce_letters([(1, 1), (1, 1)], inv) == ((1, 1), (1, 1))
 
 
 def test_render_folds_exponents():
-    assert Word.from_letters([(3, 1), (2, 1), (3, 1)]).render(NAMES) == "SRS"
-    w = Word.from_letters([(0, -1), (1, 1), (1, 1)])
+    assert Word([(3, 1), (2, 1), (3, 1)]).render(NAMES) == "SRS"
+    w = Word([(0, -1), (1, 1), (1, 1)])
     assert w.render(("a", "b", "c")) == "a^-1b^2"
 
 
@@ -106,8 +104,8 @@ def test_parse_word_errors():
 
 
 @given(letters)
-def test_from_letters_output_is_freely_reduced(raw):
-    out = Word.from_letters(raw).letters
+def test_constructor_output_is_freely_reduced(raw):
+    out = Word(raw).letters
     assert all(not (a[0] == b[0] and a[1] == -b[1]) for a, b in zip(out, out[1:]))
     assert reduce_letters(out) == out
 
@@ -131,5 +129,5 @@ def test_render_parse_round_trip(w):
 @given(words)
 def test_involution_reduction_is_idempotent(w):
     inv = frozenset({0, 2})
-    once = w.reduce_involutions(inv)
-    assert once.reduce_involutions(inv) == once
+    once = reduce_letters(w.letters, inv)
+    assert reduce_letters(once, inv) == once
