@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import sys
 
-from tetgroups import (build_coset_table, catalog_by_id, coloring_of,
+from tetgroups import (Word, build_coset_table, catalog_by_id, coloring_of,
                        enumerate_classes, presentation_for, raw_schreier_words,
                        schreier_generators, verify_class)
 
@@ -29,7 +29,8 @@ def main() -> int:
 
     for group in ("full", "kleinian"):
         pres = presentation_for(entry.symbol, group)
-        rendered = ", ".join(pres.render(r) for r in pres.relators)
+        rendered = ", ".join(pres.render(Word(base.letters * k))
+                             for base, k in pres.relator_powers)
         print(f"\n{group} presentation on {', '.join(pres.generator_names)}: "
               f"relators {rendered}")
 

@@ -28,16 +28,17 @@ MAX_DEGREE = 6
 class Perm:
     """Permutation of {1..n}, stored in one-line notation.
 
-    images[i-1] is the image of i.  Instances are immutable and hashable;
-    the one-line tuple doubles as the lexicographic sort key.
+    images[i-1] is the image of i, an int.  Instances are immutable and
+    hashable; the one-line tuple doubles as the lexicographic sort key.
     """
 
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+        if (sorted(self.images) != list(range(1, n + 1))
+                or any(type(x) is not int for x in self.images)):
+            raise ValueError(f"not a permutation of 1..{n} in ints: {self.images}")
 
     @staticmethod
     def identity(n: int) -> "Perm":
@@ -126,8 +127,6 @@ def parse_cycles(text: str, degree: int) -> Perm:
             raise ValueError(f"unexpected character {ch!r} in {text!r}")
     if depth:
         raise ValueError(f"unbalanced parenthesis in {text!r}")
-    if not chunks and text:
-        raise ValueError(f"no cycles found in {text!r}")
     for chunk in chunks:
         if any(c in chunk for c in " ,"):
             points = [int(tok) for tok in chunk.replace(",", " ").split()]

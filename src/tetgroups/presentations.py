@@ -83,7 +83,8 @@ class Presentation:
 
     Each relator is stored as (base word, exponent): (PQ)^3 is (PQ, 3).
     Satisfying it is exactly requiring the order of the base's image to
-    divide the exponent.
+    divide the exponent.  A base must be non-empty and use only the named
+    generators, and an exponent is an int >= 1.
     """
 
     kind: str  # "full" or "kleinian"
@@ -91,10 +92,13 @@ class Presentation:
     generator_names: tuple[str, ...]
     relator_powers: tuple[tuple[Word, int], ...]
 
-    @cached_property
-    def relators(self) -> tuple[Word, ...]:
-        """Each relator written out in full, base^exponent."""
-        return tuple(Word._unchecked(base.letters * k) for base, k in self.relator_powers)
+    def __post_init__(self) -> None:
+        k = len(self.generator_names)
+        for base, exp in self.relator_powers:
+            if (base.is_empty() or any(g >= k for g, _ in base)
+                    or type(exp) is not int or exp < 1):
+                raise ValueError(f"relator ({base.letters}, {exp!r}) needs a non-empty "
+                                 f"base on generators 0..{k - 1} and an int exponent >= 1")
 
     @cached_property
     def involutions(self) -> frozenset[int]:
@@ -118,7 +122,9 @@ class Presentation:
     @cached_property
     def coset_columns(self) -> CosetColumns:
         """Coset-table columns: one self-inverse column per involution, a
-        pair (g, g^-1) per other generator, in generator order."""
+        pair (g, g^-1) per other generator, in generator order.  Each
+        relator base^k is written out here, k copies of its base, the only
+        place a relator is expanded."""
         of_letter: dict[Letter, int] = {}
         inverse: list[int] = []
         for g in range(len(self.generator_names)):
@@ -131,9 +137,8 @@ class Presentation:
                 inverse += [col + 1, col]
         # An involution's g^2 holds in every table, so it is never scanned.
         relators = tuple(
-            tuple(of_letter[letter] for letter in reversed(rel.letters))
-            for (base, k), rel in zip(self.relator_powers, self.relators)
-            if not (len(base) == 1 and k == 2))
+            tuple(of_letter[letter] for letter in reversed(base.letters * k))
+            for base, k in self.relator_powers if not (len(base) == 1 and k == 2))
         return CosetColumns(of_letter, tuple(inverse), relators)
 
     @cached_property

@@ -180,10 +180,13 @@ def same_subgroup(rep1: TransitiveRep, rep2: TransitiveRep) -> bool:
     with t_i' the image of t_i under rep2.  So the answer is whether that
     sigma commutes with every generator.  It is then a bijection for free:
     its image is closed under rep2's generators, and rep2 is transitive.
+    Reps of different groups (other generators or relators) never match.
     """
     if rep1.degree != rep2.degree:
         return False
-    if rep1.presentation.generator_names != rep2.presentation.generator_names:
+    pres1, pres2 = rep1.presentation, rep2.presentation
+    if (pres1.generator_names != pres2.generator_names
+            or pres1.relator_powers != pres2.relator_powers):
         return False
     a2 = rep2.assignment
     sigma = [evaluate_word(t, a2).apply(1)

@@ -39,8 +39,9 @@ def reduce_letters(letters: Iterable[Letter],
 class Word:
     """Freely reduced word, letters are (generator index, +1 or -1).
 
-    Word(letters) checks every letter and reduces them.  Code that already
-    holds valid, freely reduced letters builds with Word._unchecked.
+    Word(letters) checks every letter (an int generator index >= 0 and an
+    int sign +1 or -1) and reduces them.  Code that already holds valid,
+    freely reduced letters builds with Word._unchecked.
     """
 
     letters: tuple[Letter, ...] = ()
@@ -48,10 +49,10 @@ class Word:
     def __post_init__(self) -> None:
         letters = tuple(self.letters)
         for gen, sign in letters:
-            if sign not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-            if gen < 0:
-                raise ValueError(f"generator index must be >= 0, got {gen}")
+            if type(sign) is not int or sign not in (1, -1):
+                raise ValueError(f"letter sign must be the int +1 or -1, got {sign!r}")
+            if type(gen) is not int or gen < 0:
+                raise ValueError(f"generator index must be an int >= 0, got {gen!r}")
         object.__setattr__(self, "letters", reduce_letters(letters))
 
     @classmethod

@@ -92,6 +92,15 @@ def test_verify_with_tiny_budget_is_inconclusive(capsys):
     assert out.endswith("3 classes: 0 closed, 3 inconclusive, 0 failed\n")
 
 
+def test_verify_fails_a_class_that_closes_elsewhere(monkeypatch, capsys):
+    monkeypatch.setattr("tetgroups.cli.verify_class", lambda rep, budget: False)
+    code, out, _ = run(capsys, "verify", "--id", "t10", "--group", "kleinian",
+                       "--index", "4")
+    assert code == 1
+    assert "class 1: FAILED (coset enumeration closed at a different index)" in out
+    assert out.endswith("1 classes: 0 closed, 0 inconclusive, 1 failed\n")
+
+
 def test_verify_rejects_a_coset_budget_below_one(capsys):
     for bad in ("0", "-5"):
         code, out, err = run(capsys, "verify", "--id", "t10", "--group", "full",

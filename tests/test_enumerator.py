@@ -38,7 +38,8 @@ def product_space(pres, n):
 
 
 def satisfies_relators(pres, a):
-    return all(evaluate_word(r, a).is_identity() for r in pres.relators)
+    return all(evaluate_word(Word(base.letters * k), a).is_identity()
+               for base, k in pres.relator_powers)
 
 
 def test_transitive_rep_validation(t10_full):

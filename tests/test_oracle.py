@@ -176,6 +176,35 @@ def test_coset_enumeration_overflow(t10_kleinian):
     assert res.index is None and res.action is None
 
 
+def test_coset_enumeration_budget_below_one_overflows_at_once(t10_kleinian):
+    res = todd_coxeter(t10_kleinian, [], 0)
+    assert res.status == "overflow"
+    assert (res.defined, res.peak_live, res.coincidences) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("names, relator_powers, subgroup, index, defined", [
+    # <a, b, c | (ba^-1)^2, (b^-1c^-1)^4, c^-1b^-1, c^-1a^-1> is Z_2, and
+    # <a> is all of it: the cascade of merges walks a union-find chain, so
+    # find compresses its path
+    (("a", "b", "c"),
+     lambda a, b, c: ((b * ~a, 2), (~b * ~c, 4), (~c * ~b, 1), (~c * ~a, 1)),
+     lambda a, b, c: [a], 1, 9),
+    # <a, b | b^5, b> is Z, where <a^2> has index 2: a dead coset's
+    # neighbour already has an inverse entry of its own, which is merged
+    # with the surviving coset
+    (("a", "b"), lambda a, b: ((b, 5), (b, 1)), lambda a, b: [a * a], 2, 10),
+])
+def test_coset_enumeration_cascading_coincidences(names, relator_powers, subgroup,
+                                                   index, defined):
+    gens = [Word.gen(i) for i in range(len(names))]
+    pres = Presentation("test", S1, names, relator_powers(*gens))
+    res = todd_coxeter(pres, subgroup(*gens), 100)
+    assert res.status == "closed" and res.index == index
+    assert (res.defined, res.coincidences) == (defined, 8)
+    assert res.defined - res.coincidences == res.index
+    assert TransitiveRep(pres, res.action).degree == index
+
+
 def test_coset_enumeration_rejects_foreign_generators(t10_kleinian):
     with pytest.raises(ValueError):
         todd_coxeter(t10_kleinian, [Word.gen(3)], 50)

@@ -34,6 +34,11 @@ def test_invalid_images_rejected():
         Perm((0, 1, 2))
     with pytest.raises(ValueError):
         Perm((2, 3, 4))
+    # Perm((2.0, 1.0)) would equal Perm((2, 1)), yet apply(1) would give 2.0
+    # and cycle_string raise TypeError
+    for images in ((2.0, 1.0), (2, 1.0), (True,)):
+        with pytest.raises(ValueError, match="ints"):
+            Perm(images)
 
 
 def test_rightmost_factor_acts_first():
@@ -83,6 +88,11 @@ def test_parse_cycles_errors():
     for bad in ["((12))", "(12", "12", "(12)(21)", "(15)", "(1x)"]:
         with pytest.raises(ValueError):
             parse_cycles(bad, 4)
+    with pytest.raises(ValueError, match="unbalanced parenthesis"):
+        parse_cycles("(12))", 2)
+    # text outside the cycles is refused character by character
+    with pytest.raises(ValueError, match="unexpected character"):
+        parse_cycles("12", 2)
 
 
 def test_all_perms_ordering_and_bounds():

@@ -31,9 +31,11 @@ def test_parse_symbol_forms():
 def test_full_presentation_shape(t10_full):
     assert t10_full.kind == "full"
     assert t10_full.generator_names == ("P", "Q", "R", "S")
-    assert len(t10_full.relators) == 10
+    assert len(t10_full.relator_powers) == 10
+    assert not hasattr(t10_full, "relators")  # one stored form, the pairs
     assert t10_full.involutions == frozenset({0, 1, 2, 3})
-    rendered = [t10_full.render(r) for r in t10_full.relators]
+    rendered = [t10_full.render(Word(base.letters * k))
+                for base, k in t10_full.relator_powers]
     assert rendered == ["P^2", "Q^2", "R^2", "S^2", "PQPQPQ", "QRQRQR",
                         "RSRSRSRSRSRS", "PRPR", "PSPS", "QSQS"]
 
@@ -76,6 +78,18 @@ def test_coset_columns(t10_full, t10_kleinian):
     assert len(mixed.relators) == 5
     inverted = Presentation("test", T10, ("x", "y"), ((Word.gen(0) * Word.gen(1, -1), 3),))
     assert inverted.coset_columns.relators == ((3, 0) * 3,)
+
+
+def test_malformed_relators_rejected():
+    # a base on an unnamed generator would make both counters raise
+    # IndexError and todd_coxeter skip it as an involution square; an empty
+    # base would make both counters call max() on nothing; with a^-3 the
+    # counters would require a's order to divide 3 while todd_coxeter
+    # scanned nothing
+    a = Word.gen(0)
+    for relator in ((Word.gen(2), 2), (Word.empty(), 2), (a, -3), (a, 0), (a, 3.0)):
+        with pytest.raises(ValueError, match=r"relator \(.*\) needs"):
+            Presentation("t", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b"), (relator,))
 
 
 def test_kleinian_involutions_from_order_two_entries():

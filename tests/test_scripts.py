@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +8,10 @@ import pytest
 import tetgroups.enumerator
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# sha256 of the tour's whole stdout, so a change to any printed byte, the
+# relators' spelling included, shows up here
+TOUR_SHA256 = "50fbf214c411cc624ecd575d897e801f899571bec6fb44568d7ca952c9c70cd9"
 
 
 def load_script(name):
@@ -30,6 +35,12 @@ def test_worked_example_exits_1_unless_every_class_is_confirmed(
              if "coset enumeration" in line]
     assert len(lines) == 3  # one kleinian class at each of indices 2, 3, 4
     assert all(line.endswith(verdict) for line in lines)
+
+
+def test_worked_example_stdout_is_pinned(capsys):
+    assert load_script("worked_example").main() == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TOUR_SHA256
 
 
 def test_full_sweep_names_an_inconclusive_class_apart_from_a_failed_one(

@@ -182,6 +182,11 @@ def test_same_subgroup_degree_and_names_must_match(t10_full, t10_kleinian):
     assert not same_subgroup(rep2, rep4)
     krep = enumerate_classes(t10_kleinian, 2)[0].rep
     assert not same_subgroup(rep2, krep)
+    # the same action on the same names, but t10's group and t11's differ
+    every = ("P", "Q", "R", "S")
+    t11_full = full_presentation(catalog_by_id("t11").symbol)
+    assert same_subgroup(rep_with_moved(t10_full, every), rep_with_moved(t10_full, every))
+    assert not same_subgroup(rep_with_moved(t10_full, every), rep_with_moved(t11_full, every))
 
 
 @lru_cache(maxsize=None)

@@ -44,6 +44,11 @@ def test_bad_sign_rejected():
         Word.gen(-1)
     with pytest.raises(ValueError):
         Word([(0, 1), (-1, 1)])
+    # entries that only compare equal to ints: a float sign would render as
+    # P^2.0, and a float generator index would make render raise TypeError
+    for letters in (((0, 1.0), (0, 1.0)), ((0.0, 1),), ((0, True),)):
+        with pytest.raises(ValueError, match="int"):
+            Word(letters)
 
 
 def test_constructor_checks_and_reduces():
