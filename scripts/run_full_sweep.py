@@ -3,8 +3,10 @@
 
 Runs every catalog symbol, both groups, every index 1 through MAX_DEGREE,
 and compares labeled / class / subgroup counts from the two independent
-implementations, then confirms each class with coset enumeration.  Exits
-nonzero on any disagreement or any class not confirmed.
+implementations, then confirms each class with coset enumeration.  Before
+the summary line it prints, per index, the seconds spent in
+enumerate_classes, brute_force_classes and verify_class.  Exits nonzero on
+any disagreement or any class not confirmed.
 """
 
 from __future__ import annotations
@@ -31,28 +33,38 @@ def main() -> int:
     bad = []
     total_classes = 0
     unverified = 0
+    stages = ("enumerate_classes", "brute_force_classes", "verify_class")
+    spent = {n: [0.0] * len(stages) for n in range(1, MAX_DEGREE + 1)}
     for entry in catalog():
         for group in ("full", "kleinian"):
             pres = presentation_for(entry.symbol, group)
             for n in range(1, MAX_DEGREE + 1):
+                clock = [time.perf_counter()]
                 classes = enumerate_classes(pres, n)
+                clock.append(time.perf_counter())
+                oracle = brute_force_classes(pres, n)
+                clock.append(time.perf_counter())
+                rows = unconfirmed(classes, (entry.id, group, n))
+                clock.append(time.perf_counter())
+                spent[n] = [s + b - a for s, a, b in zip(spent[n], clock, clock[1:])]
                 # The (n-1)! relabelings fixing point 1 act freely on the
                 # labeled reps, with one orbit per subgroup; a remainder
                 # stays in the row as a fraction, which matches no count.
                 labeled = sum(cls.labeled_orbit_size for cls in classes)
                 subgroups, rest = divmod(labeled, factorial(n - 1))
-                oracle = brute_force_classes(pres, n)
                 mine = (labeled, len(classes), f"{labeled}/{n - 1}!" if rest else subgroups)
                 if mine != tuple(oracle):
                     bad.append((entry.id, group, n, mine, tuple(oracle)))
                 total_classes += len(classes)
-                rows = unconfirmed(classes, (entry.id, group, n))
                 unverified += len(rows)
                 bad += rows
     dt = time.perf_counter() - t0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     for row in bad:
         print("DISAGREE", *row)
+    for n, seconds in spent.items():
+        print(f"index {n}: " + ", ".join(f"{stage} {s:.2f}s"
+                                         for stage, s in zip(stages, seconds)))
     print(f"{len(catalog())} symbols, 2 groups, indices 1..{MAX_DEGREE}: "
           f"{total_classes} classes, {len(bad)} disagreements, "
           f"{unverified} unverified, {dt:.1f}s, peak RSS {peak_mb:.0f} MB")

@@ -13,10 +13,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .perms import (Assignment, all_perms, conjugate_assignment,
-                    images_transitive, is_transitive, perm_tables, word_order)
+                    images_transitive, is_transitive, orbit_masks, order_masks,
+                    perm_tables, word_order)
 from .presentations import Presentation
 
 
@@ -62,63 +63,77 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     """One (combo, |Stab(combo)|) per S_n-orbit of transitive assignments.
 
     combo indexes all_perms(n) and is its orbit's least member; the reps come
-    out in lexicographic order.  A relator is tested once the deepest
-    generator x it uses is placed.  When x occurs once in its base, the base
-    is rewritten as w * x with the same order (order(u x v) = order(v u x)
-    and order(g) = order(g^-1)), so one composition-table row comp[w] tests
-    every choice of x; with w the identity (a relator on x alone, such as
-    P^2) x's range is filtered up front.  Other bases are folded in full.
+    out in lexicographic order.  Sets of elements and of relabelings are int
+    bitsets over those indices, and a generator's choices are walked in
+    ascending bit order.
 
-    Orderly generation (Read 1978; McKay 1998): a choice is dropped when a
-    relabeling in stab, those fixing the prefix, maps it lower.  An orbit's
-    least member passes (relabeling keeps relators and transitivity); any
-    other is mapped lower where it first differs from it.  At a leaf, stab is
-    the combo's stabilizer.
+    A relator is tested once the deepest generator x it uses is placed.  When
+    x occurs once in its base, the base is rewritten as w * x with the same
+    order (order(u x v) = order(v u x) and order(g) = order(g^-1)), so one
+    AND with the row order_masks(n, exp)[w] cuts x's choices; with w the
+    identity (a relator on x alone, such as P^2) it cuts them up front.
+    Other bases are folded in full for each choice.
+
+    Orderly generation (Read 1978; McKay 1998): a choice i is dropped when a
+    relabeling in stab, those fixing the prefix, maps it lower (stab &
+    below[i]).  An orbit's least member passes (relabeling keeps relators
+    and transitivity); any other is mapped lower where it first differs from
+    it.  The next stab is stab & cent[i], so at a leaf stab is the combo's
+    stabilizer.
     """
     perms = all_perms(n)
-    comp, inv, order, conj = perm_tables(n)
+    comp, inv, _, _ = perm_tables(n)
+    below, cent = orbit_masks(n)
     k = len(presentation.generator_names)
-    ranges: list[Sequence[int]] = [range(len(perms))] * k
-    checks: list[list] = [[] for _ in range(k)]
+    everything = (1 << len(perms)) - 1
+    ranges = [everything] * k
+    checks: list[list] = [[] for _ in range(k)]  # (prefix, order_masks row table)
+    folds: list[list] = [[] for _ in range(k)]  # (letters, allowed orders mask)
     for base, exp in presentation.relator_powers:
         letters = [(gen, sign < 0) for gen, sign in base]
-        allowed = [exp % o == 0 for o in order]
+        rows = order_masks(n, exp)
         x = max(gen for gen, _ in letters)
         at = [j for j, (gen, _) in enumerate(letters) if gen == x]
         if len(at) > 1:
-            checks[x].append((None, letters, allowed))
+            folds[x].append((letters, rows[0]))
             continue
         j = at[0]
         prefix = letters[j + 1:] + letters[:j]
         if letters[j][1]:
             prefix = [(gen, not inverted) for gen, inverted in reversed(prefix)]
         if prefix:
-            checks[x].append((prefix, letters, allowed))
+            checks[x].append((prefix, rows))
         else:
-            ranges[x] = [i for i in ranges[x] if allowed[i]]
+            ranges[x] &= rows[0]
 
     chosen = [0] * k
 
-    def extend(depth: int, stab: list[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    def extend(depth: int, stab: int) -> Iterator[tuple[tuple[int, ...], int]]:
         choices = ranges[depth]
-        for prefix, letters, allowed in checks[depth]:
-            if prefix is None:
-                choices = [i for i in choices if allowed[
-                    _fold(letters, chosen[:depth] + [i], comp, inv)]]
-            else:
-                row = comp[_fold(prefix, chosen, comp, inv)]
-                choices = [i for i in choices if allowed[row[i]]]
-        for i in choices:
-            if any(conj[s][i] < i for s in stab):
+        for prefix, rows in checks[depth]:
+            choices &= rows[_fold(prefix, chosen, comp, inv)]
+        for letters, allowed in folds[depth]:
+            rest = choices
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                chosen[depth] = bit.bit_length() - 1
+                if not allowed >> _fold(letters, chosen, comp, inv) & 1:
+                    choices ^= bit
+        while choices:
+            bit = choices & -choices
+            choices ^= bit
+            i = bit.bit_length() - 1
+            if stab & below[i]:
                 continue
-            fixing = [s for s in stab if conj[s][i] == i]
+            fixing = stab & cent[i]
             chosen[depth] = i
             if depth + 1 < k:
                 yield from extend(depth + 1, fixing)
             elif images_transitive([perms[j].images for j in chosen], n):
-                yield tuple(chosen), len(fixing)
+                yield tuple(chosen), fixing.bit_count()
 
-    return extend(0, list(range(len(perms))))
+    return extend(0, everything)
 
 
 def _fold(letters: list[tuple[int, bool]], chosen: list[int],

@@ -17,10 +17,12 @@ from typing import NamedTuple, Sequence
 from .words import Word
 
 # Enumeration beyond this degree is refused before anything is allocated.
-# The per-degree tables hold n!^2 entries each: 518k at 6 (built in under a
-# second), 25M at 7, which no longer fits a laptop-scale job.  The numpy
-# recount (oracle.brute_force_classes) has the same limit, so raising it
-# needs a second method at the new index first.
+# The composition and conjugation tables hold n!^2 entries each: 518k at 6
+# (built in about half a second), 25M at 7, which no longer fits a
+# laptop-scale job.  The search's bitsets are n! ints of n! bits per table,
+# under 100 kB each at 6.  The numpy recount (oracle.brute_force_classes)
+# has the same limit, so raising it needs a second method at the new index
+# first.
 MAX_DEGREE = 6
 
 
@@ -159,7 +161,9 @@ class PermTables(NamedTuple):
 
     Index 0 is the identity.  comp[a][b] is the index of a * b, inv[a] of
     a's inverse, order[a] is a's order, and conj[s][p] is the index of
-    s * p * s^-1.
+    s * p * s^-1.  The search's bitsets over the same indices are
+    orbit_masks and order_masks, built apart on the first search at a
+    degree.
     """
 
     comp: tuple[tuple[int, ...], ...]
@@ -180,6 +184,40 @@ def perm_tables(n: int) -> PermTables:
     order = tuple(p.order() for p in perms)
     conj = tuple(tuple(comp[x][inv[s]] for x in comp[s]) for s in range(len(perms)))
     return PermTables(comp, inv, order, conj)
+
+
+class OrbitMasks(NamedTuple):
+    """Bitsets of relabelings for the orderly search: bit s stands for the
+    relabeling all_perms(n)[s].
+
+    below[i] holds the s with s * i * s^-1 earlier than i in all_perms(n),
+    and cent[i] those with s * i * s^-1 == i, the centralizer of i.
+    """
+
+    below: tuple[int, ...]
+    cent: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def orbit_masks(n: int) -> OrbitMasks:
+    """The masks for degree n, built on first use (n!^2 bits each)."""
+    columns = list(enumerate(zip(*perm_tables(n).conj)))  # column i: i's conjugates
+    return OrbitMasks(
+        tuple(sum(1 << s for s, c in enumerate(col) if c < i) for i, col in columns),
+        tuple(sum(1 << s for s, c in enumerate(col) if c == i) for i, col in columns))
+
+
+@lru_cache(maxsize=None)
+def order_masks(n: int, exp: int) -> tuple[int, ...]:
+    """Row w holds bit i when the order of w * i divides exp.
+
+    Row w is the set w^-1 * A for A the elements whose order divides exp,
+    so row 0, the identity's, is A itself.
+    """
+    comp, inv, order, _ = perm_tables(n)
+    allowed = [j for j, o in enumerate(order) if exp % o == 0]
+    return tuple(sum(1 << row[j] for j in allowed)
+                 for row in (comp[inv[w]] for w in range(len(order))))
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,8 @@ class Presentation:
     Each relator is stored as (base word, exponent): (PQ)^3 is (PQ, 3).
     Satisfying it is exactly requiring the order of the base's image to
     divide the exponent.  A base must be non-empty and use only the named
-    generators, and an exponent is an int >= 1.
+    generators, and an exponent is an int >= 1.  There is at least one
+    generator name, and no name is repeated.
     """
 
     kind: str  # "full" or "kleinian"
@@ -93,7 +94,14 @@ class Presentation:
     relator_powers: tuple[tuple[Word, int], ...]
 
     def __post_init__(self) -> None:
-        k = len(self.generator_names)
+        names = self.generator_names
+        if not names:
+            raise ValueError("a presentation needs at least one generator name")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"generator names must be distinct, repeated: "
+                             f"{', '.join(map(repr, repeated))}")
+        k = len(names)
         for base, exp in self.relator_powers:
             if (base.is_empty() or any(g >= k for g, _ in base)
                     or type(exp) is not int or exp < 1):

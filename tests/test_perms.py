@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from tetgroups import (MAX_DEGREE, Assignment, Perm, Word, all_perms,
                        conjugate_assignment, evaluate_word, is_transitive,
                        parse_cycles, word_order)
-from tetgroups.perms import perm_tables
+from tetgroups.perms import orbit_masks, order_masks, perm_tables
 
 perms4 = st.sampled_from(all_perms(4))
 words4 = st.lists(
@@ -118,6 +120,47 @@ def test_perm_tables_agree_with_perm_arithmetic(n):
         for b, q in enumerate(ps):
             assert comp[a][b] == at[p * q]
             assert conj[a][b] == at[p * q * p.inverse()]
+
+
+def raw_orders(ps):
+    """Order of each 0-based one-line tuple, by repeated composition."""
+    orders = []
+    for p in ps:
+        q, k = p, 1
+        while q != tuple(range(len(p))):
+            q, k = tuple(p[x] for x in q), k + 1
+        orders.append(k)
+    return orders
+
+
+def bitset(bits):
+    return sum(1 << b for b in bits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_search_masks_match_their_definitions(n):
+    # rebuilt from itertools.permutations, whose order is all_perms(n)'s,
+    # with composition (a * b)(x) = a(b(x)) and no code from perms.py
+    ps = list(itertools.permutations(range(n)))
+    at = {p: i for i, p in enumerate(ps)}
+
+    def mul(a, b):
+        return tuple(a[x] for x in b)
+
+    def conj(s, i):
+        s_inv = tuple(sorted(range(n), key=s.__getitem__))
+        return at[mul(mul(s, ps[i]), s_inv)]
+
+    orders = raw_orders(ps)
+    below, cent = orbit_masks(n)
+    assert below == tuple(bitset(s for s, sp in enumerate(ps) if conj(sp, i) < i)
+                          for i in range(len(ps)))
+    assert cent == tuple(bitset(s for s, sp in enumerate(ps) if conj(sp, i) == i)
+                         for i in range(len(ps)))
+    for exp in range(1, 7):
+        assert order_masks(n, exp) == tuple(
+            bitset(i for i, ip in enumerate(ps) if exp % orders[at[mul(wp, ip)]] == 0)
+            for wp in ps)
 
 
 def test_assignment_validation():

@@ -92,6 +92,19 @@ def test_malformed_relators_rejected():
             Presentation("t", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b"), (relator,))
 
 
+def test_presentation_without_generators_rejected():
+    # with no generator both counters raised IndexError at index 1
+    with pytest.raises(ValueError, match="at least one generator name"):
+        Presentation("x", parse_symbol("3,3,3,3,3,3"), (), ())
+
+
+def test_repeated_generator_names_rejected():
+    # with ("a", "a") Assignment.image_of("a") returned the first image
+    a, b = Word.gen(0), Word.gen(1)
+    with pytest.raises(ValueError, match="distinct, repeated: 'a'"):
+        Presentation("x", T10, ("a", "a"), ((a, 2), (b, 3)))
+
+
 def test_kleinian_involutions_from_order_two_entries():
     # with r = 2 the generator c itself squares to the identity
     pres = kleinian_presentation(CoxeterSymbol(3, 5, 2, 3, 2, 2))

@@ -1,5 +1,7 @@
 import hashlib
 import importlib.util
+import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -113,3 +115,27 @@ def test_full_sweep_fails_on_a_class_unconfirmed_at_the_top_index(monkeypatch, c
     summary = out.splitlines()[-1]
     assert summary.startswith("1 symbols, 2 groups, indices 1..6: ")
     assert "2 disagreements, 2 unverified" in summary
+
+
+def test_full_sweep_prints_each_index_time_split_before_the_summary(monkeypatch, capsys):
+    script = load_script("run_full_sweep")
+    entry = script.catalog()[0]
+    monkeypatch.setattr(script, "catalog", lambda: (entry,))
+    brute_force_classes = script.brute_force_classes
+
+    def slow_at_3(pres, n):
+        if n == 3:
+            time.sleep(0.05)
+        return brute_force_classes(pres, n)
+
+    monkeypatch.setattr(script, "brute_force_classes", slow_at_3)
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("1 symbols, 2 groups, indices 1..6: ")
+    split = [re.fullmatch(rf"index {n}: enumerate_classes (\d+\.\d\d)s, "
+                          r"brute_force_classes (\d+\.\d\d)s, verify_class (\d+\.\d\d)s",
+                          line)
+             for n, line in enumerate(lines[:-1], start=1)]
+    assert len(split) == script.MAX_DEGREE and all(split)
+    # both groups sleep at index 3, and the sleep lands in its oracle column
+    assert float(split[2].group(2)) >= 0.1
