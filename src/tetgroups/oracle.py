@@ -13,13 +13,13 @@ search except the convention (rightmost letter acts first).
 
 todd_coxeter independently confirms that a claimed stabilizer really has
 the claimed index, by coset enumeration over the presentation; verify_class
-runs it on a class's raw Schreier words.
+runs its enumeration on a class's raw Schreier words, given as scans.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -28,7 +28,7 @@ import numpy as np
 from .enumerator import TransitiveRep
 from .perms import MAX_DEGREE, Assignment, Perm
 from .presentations import Presentation
-from .stabilizer import build_coset_table, schreier_words
+from .stabilizer import build_coset_table, schreier_scans
 from .words import Word
 
 
@@ -214,16 +214,34 @@ def todd_coxeter(presentation: Presentation, subgroup_words: list[Word] | tuple[
 
     Deterministic: cosets are numbered by first definition, and merging
     keeps the smaller number.  max_cosets bounds the live cosets.  Words
-    act on the left, so scans walk letters right to left.
+    act on the left, so scans walk letters right to left.  The
+    enumeration itself is _enumerate, on the words' scans.
     """
     k = len(presentation.generator_names)
     for w in subgroup_words:
         for gen, _ in w:
             if not 0 <= gen < k:
                 raise ValueError(f"subgroup word uses generator index {gen}")
+    of_letter = presentation.coset_columns.of_letter
+    result, table, live = _enumerate(
+        presentation, [tuple(of_letter[letter] for letter in reversed(w.letters))
+                       for w in subgroup_words], max_cosets)
+    if result.status == "overflow":
+        return result
+    renumber = {root: i + 1 for i, root in enumerate(live)}
+    images = tuple(Perm(tuple(renumber[table[root][of_letter[(g, 1)]]] for root in live))
+                   for g in range(k))
+    return replace(result, action=Assignment(presentation.generator_names, images))
+
+
+def _enumerate(presentation: Presentation, scans: list[tuple[int, ...]], max_cosets: int,
+               ) -> tuple[TCResult, list[list[int]], list[int]]:
+    """todd_coxeter's enumeration, on the subgroup words' scans: their
+    columns (Presentation.coset_columns), rightmost letter first.  Returns
+    the result without its action, the table and its live cosets."""
     if max_cosets < 1:
-        return TCResult("overflow")
-    of_letter, inverse, relators = presentation.coset_columns
+        return TCResult("overflow"), [], []
+    _, inverse, relators, _ = presentation.coset_columns
     width = len(inverse)
     # table[c][x]: coset c acted on by column x, or -1 while undefined.
     # parent is a union-find forest over the cosets; a live coset is a root.
@@ -306,8 +324,8 @@ def todd_coxeter(presentation: Presentation, subgroup_words: list[Word] | tuple[
             define(f, word[i])
 
     try:
-        for w in subgroup_words:
-            scan_and_fill(0, tuple(of_letter[letter] for letter in reversed(w.letters)))
+        for scan in scans:
+            scan_and_fill(0, scan)
         c = 0
         while c < len(table):
             for rel in relators:
@@ -320,17 +338,9 @@ def todd_coxeter(presentation: Presentation, subgroup_words: list[Word] | tuple[
                         define(c, x)
             c += 1
     except _Overflow:
-        return TCResult("overflow", defined=len(table), peak_live=peak_live,
-                        coincidences=coincidences)
-
-    roots = [c for c in range(len(table)) if parent[c] == c]
-    renumber = {root: i + 1 for i, root in enumerate(roots)}
-    images = []
-    for g in range(k):
-        x = of_letter[(g, 1)]
-        images.append(Perm(tuple(renumber[table[root][x]] for root in roots)))
-    action = Assignment(presentation.generator_names, tuple(images))
-    return TCResult("closed", len(roots), action, len(table), peak_live, coincidences)
+        return TCResult("overflow", None, None, len(table), peak_live, coincidences), table, []
+    live = [c for c in range(len(table)) if parent[c] == c]
+    return TCResult("closed", len(live), None, len(table), peak_live, coincidences), table, live
 
 
 def default_coset_budget(index: int, presentation: Presentation) -> int:
@@ -340,10 +350,11 @@ def default_coset_budget(index: int, presentation: Presentation) -> int:
 def verify_class(rep: TransitiveRep, max_cosets: int | None = None) -> bool | None:
     """Confirm a class's stabilizer has the class's index, by coset count.
 
-    The subgroup is given by its Schreier words (schreier_words), not the
-    simplified ones: both generate it, and each raw word walks out along
-    the transversal and back.  On every catalog class at indices 1-6 the
-    enumeration then defines exactly rep.degree cosets with no
+    The subgroup is given by its Schreier words as scans (schreier_scans),
+    not the simplified words: both generate it, and each raw word walks
+    out along the transversal and back.  The scans go straight to the
+    enumeration, with no Word and no action built.  On every catalog class
+    at indices 1-6 it then defines exactly rep.degree cosets with no
     coincidence, so a budget of rep.degree closes it.
 
     Returns True when the enumeration closes at the rep's degree, False
@@ -351,9 +362,8 @@ def verify_class(rep: TransitiveRep, max_cosets: int | None = None) -> bool | No
     is inconclusive, not a failure).
     """
     pres = rep.presentation
-    gens = schreier_words(build_coset_table(rep))
     budget = max_cosets if max_cosets is not None else default_coset_budget(rep.degree, pres)
-    result = todd_coxeter(pres, gens, budget)
+    result = _enumerate(pres, schreier_scans(build_coset_table(rep)), budget)[0]
     if result.status == "overflow":
         return None
     return result.index == rep.degree

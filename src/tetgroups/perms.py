@@ -18,7 +18,7 @@ from .words import Word
 
 # Enumeration beyond this degree is refused before anything is allocated.
 # The composition and conjugation tables hold n!^2 entries each: 518k at 6
-# (built in about half a second), 25M at 7, which no longer fits a
+# (built in about 0.1 s), 25M at 7, which no longer fits a
 # laptop-scale job.  The search's bitsets are n! ints of n! bits per table,
 # under 100 kB each at 6.  The numpy recount (oracle.brute_force_classes)
 # has the same limit, so raising it needs a second method at the new index
@@ -174,15 +174,33 @@ class PermTables(NamedTuple):
 
 @lru_cache(maxsize=None)
 def perm_tables(n: int) -> PermTables:
-    """The tables for degree n, built on first use (n!^2 entries each)."""
+    """The tables for degree n, built on first use (n!^2 entries each).
+
+    Only the rows of S_n's generators, the transposition (1 2) and the
+    n-cycle, are looked up; every other row of comp is a product's,
+    comp[t * a][b] = comp[t][comp[a][b]], one map over a known row.
+    """
     perms = all_perms(n)
     index = {p.images: i for i, p in enumerate(perms)}
     zero_based = [tuple(j - 1 for j in p.images) for p in perms]
-    comp = tuple(tuple(index[tuple(map(a.images.__getitem__, b))] for b in zero_based)
-                 for a in perms)
+    cycle = (*range(2, n + 1), 1)
+    swap = (2, 1, *range(3, n + 1)) if n > 1 else cycle
+    gen_rows = [tuple(index[tuple(map(t.__getitem__, b))] for b in zero_based)
+                for t in {cycle, swap}]
+    rows: list[tuple[int, ...] | None] = [None] * len(perms)
+    rows[0] = tuple(range(len(perms)))
+    reached = [0]
+    for a in reached:  # grows until every element is reached
+        for t in gen_rows:
+            ta = t[a]
+            if rows[ta] is None:
+                rows[ta] = tuple(map(t.__getitem__, rows[a]))
+                reached.append(ta)
+    comp = tuple(rows)
     inv = tuple(row.index(0) for row in comp)
     order = tuple(p.order() for p in perms)
-    conj = tuple(tuple(comp[x][inv[s]] for x in comp[s]) for s in range(len(perms)))
+    columns = tuple(zip(*comp))  # columns[x][y] = comp[y][x]
+    conj = tuple(tuple(map(columns[inv[s]].__getitem__, comp[s])) for s in range(len(perms)))
     return PermTables(comp, inv, order, conj)
 
 

@@ -69,12 +69,14 @@ class CosetColumns(NamedTuple):
     of_letter maps each letter (g, +1 or -1) to its column; inverse[x] is
     the column of x's inverse letter (x itself for an involution).  Each
     relator is listed as the columns of its letters in the order they act,
-    rightmost letter first.
+    rightmost letter first.  letter_of[x] is column x's letter in reduced
+    form, (g, +1) for an involution's column.
     """
 
     of_letter: dict[Letter, int]
     inverse: tuple[int, ...]
     relators: tuple[tuple[int, ...], ...]
+    letter_of: tuple[Letter, ...]
 
 
 @dataclass(frozen=True)
@@ -135,19 +137,22 @@ class Presentation:
         place a relator is expanded."""
         of_letter: dict[Letter, int] = {}
         inverse: list[int] = []
+        letter_of: list[Letter] = []
         for g in range(len(self.generator_names)):
             col = len(inverse)
             if g in self.involutions:
                 of_letter[(g, 1)] = of_letter[(g, -1)] = col
                 inverse.append(col)
+                letter_of.append((g, 1))
             else:
                 of_letter[(g, 1)], of_letter[(g, -1)] = col, col + 1
                 inverse += [col + 1, col]
+                letter_of += [(g, 1), (g, -1)]
         # An involution's g^2 holds in every table, so it is never scanned.
         relators = tuple(
             tuple(of_letter[letter] for letter in reversed(base.letters * k))
             for base, k in self.relator_powers if not (len(base) == 1 and k == 2))
-        return CosetColumns(of_letter, tuple(inverse), relators)
+        return CosetColumns(of_letter, tuple(inverse), relators, tuple(letter_of))
 
     @cached_property
     def pair_bases(self) -> tuple[Word, ...]:

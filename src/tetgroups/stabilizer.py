@@ -13,7 +13,7 @@ transversal give the trivial word.  These words generate L.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .enumerator import TransitiveRep
 from .perms import evaluate_word
@@ -90,24 +90,16 @@ class StabilizerGens:
     simplified: tuple[Word, ...]
 
 
-def _schreier_letters(table: CosetTable, involutions: frozenset[int] = frozenset(),
-                      ) -> Iterator[tuple[Letter, ...]]:
-    """Yield the letters of each t_i^-1 g^-1 t_{g(i)}, in (i, g) order,
-    reduced by reduce_letters with the given involutions."""
-    perms = table.rep.assignment.perms
-    for i, t_i in enumerate(table.transversal, start=1):
-        t_i_inverse = (~t_i).letters
-        for g, perm in enumerate(perms):
-            t_j = table.transversal[perm.apply(i) - 1]
-            yield reduce_letters(t_i_inverse + ((g, -1),) + t_j.letters, involutions)
-
-
 def raw_schreier_words(table: CosetTable) -> list[Word]:
     """All n*k formal words t_i^-1 g^-1 t_{g(i)}, freely reduced only.
 
     Exactly n-1 of them are trivial: the tree edges of the transversal.
     """
-    return [Word._unchecked(letters) for letters in _schreier_letters(table)]
+    perms = table.rep.assignment.perms
+    return [Word._unchecked(reduce_letters((~t_i).letters + ((g, -1),)
+                                           + table.transversal[perm.apply(i) - 1].letters))
+            for i, t_i in enumerate(table.transversal, start=1)
+            for g, perm in enumerate(perms)]
 
 
 def _dedup(words: Iterable[tuple[Letter, ...]],
@@ -130,12 +122,43 @@ def _dedup(words: Iterable[tuple[Letter, ...]],
     return tuple(kept)
 
 
+def schreier_scans(table: CosetTable) -> list[tuple[int, ...]]:
+    """The Schreier words t_i^-1 g^-1 t_{g(i)} as Todd-Coxeter scans: the
+    columns (Presentation.coset_columns) of their letters, rightmost
+    first, in (i, g) order, without the empty ones and later repeats of a
+    scan or its inverse.  Adjacent columns x and inverse[x] cancel: free
+    reduction that also cancels g g for an involution g, whose one column
+    is its own inverse.
+    """
+    of_letter, inverse, _, _ = table.rep.presentation.coset_columns
+    forward = [tuple(of_letter[letter] for letter in reversed(t.letters))
+               for t in table.transversal]
+    scans: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for i, t_i in enumerate(forward):
+        t_i_inverse = tuple(map(inverse.__getitem__, t_i[::-1]))
+        for g, perm in enumerate(table.rep.assignment.perms):
+            reduced: list[int] = []
+            for x in forward[perm.images[i] - 1] + (of_letter[(g, -1)],) + t_i_inverse:
+                if reduced and reduced[-1] == inverse[x]:
+                    reduced.pop()
+                else:
+                    reduced.append(x)
+            scan = tuple(reduced)
+            if scan and scan not in seen:
+                scans.append(scan)
+                seen.add(scan)
+                seen.add(tuple(map(inverse.__getitem__, scan[::-1])))
+    return scans
+
+
 def schreier_words(table: CosetTable) -> tuple[Word, ...]:
-    """The words t_i^-1 g^-1 t_{g(i)}, involution-normalized, without the
-    empty ones and later repeats of a word or its inverse.  They generate
-    the stabilizer of point 1."""
-    involutions = table.rep.presentation.involutions
-    return _dedup(_schreier_letters(table, involutions), involutions)
+    """The letter view of schreier_scans: each scan read back left to
+    right as letters, an involution's with sign +1.  They generate the
+    stabilizer of point 1."""
+    letter_of = table.rep.presentation.coset_columns.letter_of
+    return tuple(Word._unchecked(tuple(letter_of[x] for x in reversed(scan)))
+                 for scan in schreier_scans(table))
 
 
 def schreier_generators(table: CosetTable) -> StabilizerGens:

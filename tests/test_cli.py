@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -99,6 +101,17 @@ def test_verify_fails_a_class_that_closes_elsewhere(monkeypatch, capsys):
     assert code == 1
     assert "class 1: FAILED (coset enumeration closed at a different index)" in out
     assert out.endswith("1 classes: 0 closed, 0 inconclusive, 1 failed\n")
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    # python -m tetgroups, as CI runs it: index 5 is past the pinned
+    # digests, and a budget of exactly 5 cosets closes every class
+    monkeypatch.setattr(sys, "argv", ["tetgroups", "verify", "--id", "t31", "--group",
+                                      "kleinian", "--index", "5", "--max-cosets", "5"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("tetgroups", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.endswith("12 classes: 12 closed, 0 inconclusive, 0 failed\n")
 
 
 def test_verify_rejects_a_coset_budget_below_one(capsys):

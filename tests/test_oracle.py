@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from math import factorial
 
 import numpy as np
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from tetgroups import (CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
                        brute_force_classes, build_coset_table, canonical_form,
-                       catalog_by_id, count_distinct_subgroups,
+                       catalog, catalog_by_id, count_distinct_subgroups,
                        default_coset_budget, enumerate_candidates,
                        enumerate_classes, presentation_for, same_subgroup,
                        schreier_generators, schreier_words, todd_coxeter,
                        verify_class)
-from tetgroups.oracle import _symmetric_tables
+from tetgroups import oracle
+from tetgroups.oracle import _enumerate, _symmetric_tables
+from tetgroups.stabilizer import schreier_scans
 
 S1 = CoxeterSymbol(3, 3, 3, 2, 2, 2)
 
@@ -251,22 +254,68 @@ def test_verify_class_outcomes(t10_kleinian):
     assert verify_class(cls.rep, max_cosets=1) is None
 
 
+def test_verify_class_fails_a_class_whose_enumeration_closes_elsewhere(monkeypatch):
+    # With no subgroup scans the enumeration counts the cosets of the
+    # trivial subgroup: all 120 elements of s1's full group, not 2.
+    cls = enumerate_classes(presentation_for(S1, "full"), 2)[0]
+    assert verify_class(cls.rep, max_cosets=400) is True
+    monkeypatch.setattr(oracle, "schreier_scans", lambda table: [])
+    assert verify_class(cls.rep, max_cosets=400) is False
+    assert verify_class(cls.rep, max_cosets=119) is None
+
+
+def test_schreier_scans_are_the_words_in_columns(catalog_table):
+    # verify_class hands the scans straight to the enumeration: they are
+    # schreier_words in columns, rightmost letter first, and give the same
+    # enumeration, counter for counter, as todd_coxeter on the words.
+    for cell in catalog_table.cells:
+        pres = cell.presentation
+        of_letter = pres.coset_columns.of_letter
+        budget = default_coset_budget(cell.n, pres)
+        for cls in cell.classes:
+            table = build_coset_table(cls.rep)
+            words = schreier_words(table)
+            scans = schreier_scans(table)
+            where = (cell.id, cell.group, cell.n)
+            assert scans == [tuple(of_letter[letter] for letter in reversed(w.letters))
+                             for w in words], where
+            core = _enumerate(pres, scans, budget)[0]
+            res = todd_coxeter(pres, words, budget)
+            assert core == replace(res, action=None), where
+
+
+def assert_exactly_the_index_cosets(pres, cls, where):
+    n = cls.index
+    res = todd_coxeter(pres, schreier_words(build_coset_table(cls.rep)), 10 * n)
+    assert res.status == "closed", where
+    assert res.defined == res.peak_live == res.index == n, where
+    assert res.coincidences == 0, where
+    assert verify_class(cls.rep, max_cosets=n) is True, where
+    if n >= 2:
+        assert verify_class(cls.rep, max_cosets=n - 1) is None, where
+
+
 def test_schreier_words_define_exactly_the_index_cosets(catalog_table):
     # verify_class scans the raw Schreier words: on every catalog class at
     # indices 1-4 they define the n cosets and no more, so a budget of n
     # closes and a budget of n - 1 runs out.
     for cell in catalog_table.cells:
-        n = cell.n
         for cls in cell.classes:
-            words = schreier_words(build_coset_table(cls.rep))
-            res = todd_coxeter(cell.presentation, words, 10 * n)
-            where = (cell.id, cell.group, n)
-            assert res.status == "closed", where
-            assert res.defined == res.peak_live == res.index == n, where
-            assert res.coincidences == 0, where
-            assert verify_class(cls.rep, max_cosets=n) is True, where
-            if n >= 2:
-                assert verify_class(cls.rep, max_cosets=n - 1) is None, where
+            assert_exactly_the_index_cosets(cell.presentation, cls,
+                                            (cell.id, cell.group, cell.n))
+
+
+def test_schreier_words_define_exactly_the_index_cosets_at_indices_5_and_6():
+    # the same for the 80 catalog groups at indices 5 and 6
+    classes = 0
+    for entry in catalog():
+        for group in ("full", "kleinian"):
+            pres = presentation_for(entry.symbol, group)
+            for n in (5, 6):
+                for cls in enumerate_classes(pres, n):
+                    assert_exactly_the_index_cosets(pres, cls, (entry.id, group, n))
+                    classes += 1
+    assert classes == 1001
 
 
 @given(st.tuples(*[st.integers(min_value=2, max_value=8)] * 6),

@@ -122,6 +122,24 @@ def test_perm_tables_agree_with_perm_arithmetic(n):
             assert conj[a][b] == at[p * q * p.inverse()]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_perm_tables_match_a_rebuild_from_itertools(n):
+    # perm_tables builds most rows of comp from other rows; rebuilt here
+    # entry by entry from itertools.permutations, with no code from perms.py
+    ps = list(itertools.permutations(range(n)))
+    at = {p: i for i, p in enumerate(ps)}
+
+    def mul(a, b):
+        return tuple(a[x] for x in b)
+
+    inverse = [at[tuple(sorted(range(n), key=p.__getitem__))] for p in ps]
+    comp, inv, _, conj = perm_tables(n)
+    assert comp == tuple(tuple(at[mul(a, b)] for b in ps) for a in ps)
+    assert inv == tuple(inverse)
+    assert conj == tuple(tuple(at[mul(mul(s, p), ps[inverse[i]])] for p in ps)
+                         for i, s in enumerate(ps))
+
+
 def raw_orders(ps):
     """Order of each 0-based one-line tuple, by repeated composition."""
     orders = []

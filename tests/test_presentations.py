@@ -75,6 +75,9 @@ def test_coset_columns(t10_full, t10_kleinian):
     # a = PQ with p = 2 is an involution: one column, and a^2 is dropped
     mixed = kleinian_presentation(CoxeterSymbol(2, 3, 3, 2, 2, 2)).coset_columns
     assert mixed.inverse == (0, 2, 1, 4, 3)
+    # letter_of reads a column back, an involution's with sign +1
+    assert mixed.letter_of == ((0, 1), (1, 1), (1, -1), (2, 1), (2, -1))
+    assert all(mixed.of_letter[letter] == x for x, letter in enumerate(mixed.letter_of))
     assert len(mixed.relators) == 5
     inverted = Presentation("test", T10, ("x", "y"), ((Word.gen(0) * Word.gen(1, -1), 3),))
     assert inverted.coset_columns.relators == ((3, 0) * 3,)

@@ -8,8 +8,10 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
                        conjugate_assignment, enumerate_classes, evaluate_word,
                        full_presentation, kleinian_presentation,
                        parse_cycles, presentation_for, raw_schreier_words,
-                       same_subgroup, schreier_generators, simplify_word)
+                       same_subgroup, schreier_generators, schreier_words,
+                       simplify_word)
 from tetgroups.reference import DEGREE2_ROWS
+from tetgroups.stabilizer import schreier_scans
 
 ALL_TWOS = full_presentation(CoxeterSymbol(2, 2, 2, 2, 2, 2))
 T10_FULL = full_presentation(CoxeterSymbol(3, 3, 6, 2, 2, 2))
@@ -69,6 +71,23 @@ def test_raw_schreier_word_counts():
         raw = raw_schreier_words(table)
         assert len(raw) == 2 * 4
         assert sum(w.is_empty() for w in raw) == 1
+
+
+def test_schreier_scans_cancel_a_column_against_its_inverse():
+    # All generators are involutions, one column each: coset 2's S^-1 S^-1
+    # is a column followed by itself and cancels, though free reduction
+    # keeps it in the raw words.
+    table = build_coset_table(rep_with_moved(ALL_TWOS, ("S",)))
+    assert raw_schreier_words(table)[-1] == Word(((3, -1), (3, -1)))
+    assert schreier_scans(table) == [(0,), (1,), (2,), (3, 0, 3), (3, 1, 3), (3, 2, 3)]
+    # t10's rotations have columns c = 4 and c^-1 = 5: the tree edge
+    # c^-1 c cancels, and c^-1 c^-1 stays as (5, 5).
+    pres = kleinian_presentation(CoxeterSymbol(3, 3, 6, 2, 2, 2))
+    moved_c = Assignment(("a", "b", "c"), (Perm((1, 2)), Perm((1, 2)), Perm((2, 1))))
+    table = build_coset_table(TransitiveRep(pres, moved_c))
+    assert schreier_scans(table) == [(1,), (3,), (4, 1, 5), (4, 3, 5), (5, 5)]
+    assert [pres.render(w) for w in schreier_words(table)] == [
+        "a^-1", "b^-1", "c^-1a^-1c", "c^-1b^-1c", "c^-2"]
 
 
 def test_schreier_words_match_published_degree2_rows():
