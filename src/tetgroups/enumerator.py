@@ -15,9 +15,9 @@ from math import factorial
 from operator import attrgetter
 from typing import Iterator
 
-from .perms import (Assignment, all_perms, conjugate_assignment,
-                    images_transitive, is_transitive, orbit_masks, order_masks,
-                    perm_tables, word_order)
+from .perms import (Assignment, all_perms, conjugate_assignment, is_transitive,
+                    orbit_masks, order_masks, partition_joins, perm_tables,
+                    word_order)
 from .presentations import Presentation
 
 
@@ -74,6 +74,13 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     identity (a relator on x alone, such as P^2) it cuts them up front.
     Other bases are folded in full for each choice.
 
+    Transitivity is a mask on the last generator.  The orbits of the placed
+    generators are the join of their cycle partitions, carried down as part
+    (partition_joins(n)), so one AND with connecting[part] keeps exactly the
+    last choices that make the action transitive, and a leaf is never
+    tested.  A choice's orderly test below depends on that choice alone, so
+    the cut changes neither the combos nor their order.
+
     Orderly generation (Read 1978; McKay 1998): a choice i is dropped when a
     relabeling in stab, those fixing the prefix, maps it lower (stab &
     below[i]).  An orbit's least member passes (relabeling keeps relators
@@ -81,11 +88,11 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     it.  The next stab is stab & cent[i], so at a leaf stab is the combo's
     stabilizer.
     """
-    perms = all_perms(n)
     comp, inv, _, _ = perm_tables(n)
     below, cent = orbit_masks(n)
+    _, cycles, join, connecting = partition_joins(n)
     k = len(presentation.generator_names)
-    everything = (1 << len(perms)) - 1
+    everything = (1 << len(comp)) - 1
     ranges = [everything] * k
     checks: list[list] = [[] for _ in range(k)]  # (prefix, order_masks row table)
     folds: list[list] = [[] for _ in range(k)]  # (letters, allowed orders mask)
@@ -107,9 +114,10 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
             ranges[x] &= rows[0]
 
     chosen = [0] * k
+    last = k - 1
 
-    def extend(depth: int, stab: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        choices = ranges[depth]
+    def extend(depth: int, stab: int, part: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        choices = ranges[depth] if depth < last else ranges[depth] & connecting[part]
         for prefix, rows in checks[depth]:
             choices &= rows[_fold(prefix, chosen, comp, inv)]
         for letters, allowed in folds[depth]:
@@ -128,12 +136,12 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
                 continue
             fixing = stab & cent[i]
             chosen[depth] = i
-            if depth + 1 < k:
-                yield from extend(depth + 1, fixing)
-            elif images_transitive([perms[j].images for j in chosen], n):
+            if depth < last:
+                yield from extend(depth + 1, fixing, join[part][cycles[i]])
+            else:
                 yield tuple(chosen), fixing.bit_count()
 
-    return extend(0, everything)
+    return extend(0, everything, 0)
 
 
 def _fold(letters: list[tuple[int, bool]], chosen: list[int],

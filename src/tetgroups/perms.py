@@ -20,9 +20,11 @@ from .words import Word
 # The composition and conjugation tables hold n!^2 entries each: 518k at 6
 # (built in about 0.1 s), 25M at 7, which no longer fits a
 # laptop-scale job.  The search's bitsets are n! ints of n! bits per table,
-# under 100 kB each at 6.  The numpy recount (oracle.brute_force_classes)
-# has the same limit, so raising it needs a second method at the new index
-# first.
+# under 100 kB each at 6.  Its partition table (partition_joins) holds
+# Bell(n)^2 joins: 41k at 6 (Bell(6) = 203, built in about 0.01 s) and
+# 769k at 7 (Bell(7) = 877, about 0.2 s).  The numpy recount
+# (oracle.brute_force_classes) has the same limit, so raising it needs a
+# second method at the new index first.
 MAX_DEGREE = 6
 
 
@@ -162,8 +164,9 @@ class PermTables(NamedTuple):
     Index 0 is the identity.  comp[a][b] is the index of a * b, inv[a] of
     a's inverse, order[a] is a's order, and conj[s][p] is the index of
     s * p * s^-1.  The search's bitsets over the same indices are
-    orbit_masks and order_masks, built apart on the first search at a
-    degree.
+    orbit_masks and order_masks, and its transitivity masks come with the
+    set partitions of the points in partition_joins (Bell(n)^2 joins, 41k
+    at 6 and 769k at 7), all built apart on the first search at a degree.
     """
 
     comp: tuple[tuple[int, ...], ...]
@@ -223,6 +226,71 @@ def orbit_masks(n: int) -> OrbitMasks:
     return OrbitMasks(
         tuple(sum(1 << s for s, c in enumerate(col) if c < i) for i, col in columns),
         tuple(sum(1 << s for s, c in enumerate(col) if c == i) for i, col in columns))
+
+
+class PartitionJoins(NamedTuple):
+    """Set partitions of the points, for the search's transitivity mask.
+
+    partitions[p] labels points 0..n-1 by block, the blocks numbered in
+    order of their least point.  Index 0 is the finest partition and the
+    last the one-block partition.  cycles[i] is the index of the cycle
+    partition of all_perms(n)[i], join[p][c] that of the finest partition
+    coarser than both p and c, and connecting[p] the bitset of the
+    elements i for which join[p][cycles[i]] is the one-block partition.
+    The orbits of a group are the join of its generators' cycle partitions.
+    """
+
+    partitions: tuple[tuple[int, ...], ...]
+    cycles: tuple[int, ...]
+    join: tuple[tuple[int, ...], ...]
+    connecting: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def partition_joins(n: int) -> PartitionJoins:
+    """The table for degree n, built on first use (Bell(n)^2 joins).
+
+    The partitions are reached from the finest one breadth first, each by
+    merging the blocks of one pair of points in an earlier one, its parent.
+    merge[p][a * n + b] is p with the blocks of a and b merged, so a join
+    row is filled in that order: join(p, c) = merge(join(p, parent), pair).
+    """
+    perms = all_perms(n)  # refuses a degree outside 1..MAX_DEGREE
+    partitions = [tuple(range(n))]
+    index = {partitions[0]: 0}
+    parent = [(0, 0)]  # (parent, merged pair); pair 0 is (0, 0), a no-op
+    merge = []
+    for at, p in enumerate(partitions):  # grows until every partition is reached
+        row = [at] * (n * n)
+        for a, b in itertools.combinations(range(n), 2):
+            lo, hi = sorted((p[a], p[b]))
+            if lo == hi:
+                continue
+            q = tuple(lo if x == hi else x - (x > hi) for x in p)
+            if q not in index:
+                index[q] = len(partitions)
+                partitions.append(q)
+                parent.append((at, a * n + b))
+            row[a * n + b] = row[b * n + a] = index[q]
+        merge.append(row)
+    join = []
+    for p in range(len(partitions)):
+        row = [p]
+        for up, pair in parent[1:]:
+            row.append(merge[row[up]][pair])
+        join.append(tuple(row))
+    cycles = []
+    for perm in perms:
+        c = 0
+        for a, b in enumerate(perm.images):
+            c = merge[c][a * n + b - 1]
+        cycles.append(c)
+    masks = [0] * len(partitions)
+    for i, c in enumerate(cycles):
+        masks[c] |= 1 << i
+    top = len(partitions) - 1
+    connecting = tuple(sum(m for m, j in zip(masks, row) if j == top) for row in join)
+    return PartitionJoins(tuple(partitions), tuple(cycles), tuple(join), connecting)
 
 
 @lru_cache(maxsize=None)
@@ -322,31 +390,25 @@ def word_order(word: Word, assignment: Assignment) -> int:
 
 def is_transitive(assignment: Assignment) -> bool:
     """True when the generated group has a single orbit on {1..n}; degree 0
-    has no orbit."""
-    return assignment.degree > 0 and images_transitive(
-        [p.images for p in assignment.perms], assignment.degree)
-
-
-def images_transitive(images: Sequence[tuple[int, ...]], n: int) -> bool:
-    """is_transitive on one-line tuples of degree n.
+    has no orbit.
 
     Forward closure suffices: the reachable set from 1 is closed under each
     image, and an injective self-map of a finite set closed on it is a
     bijection of it, so it is closed under inverses too.
     """
-    seen = [False] * (n + 1)
-    seen[1] = True
+    n = assignment.degree
+    if n == 0:
+        return False
+    seen = {1}
     stack = [1]
-    count = 1
     while stack:
         x = stack.pop()
-        for img in images:
-            y = img[x - 1]
-            if not seen[y]:
-                seen[y] = True
-                count += 1
+        for p in assignment.perms:
+            y = p.images[x - 1]
+            if y not in seen:
+                seen.add(y)
                 stack.append(y)
-    return count == n
+    return len(seen) == n
 
 
 def conjugate_assignment(assignment: Assignment, sigma: Perm) -> Assignment:

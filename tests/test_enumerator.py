@@ -2,10 +2,11 @@ import hashlib
 import itertools
 import warnings
 from collections import Counter
+from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tetgroups import (Assignment, CoxeterSymbol, Perm, Presentation,
@@ -14,7 +15,7 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, Presentation,
                        conjugate_assignment, count_distinct_subgroups,
                        enumerate_candidates, enumerate_classes, evaluate_word,
                        is_transitive, kleinian_presentation,
-                       presentation_for)
+                       presentation_for, verify_class)
 from tetgroups.enumerator import _search
 
 
@@ -260,6 +261,37 @@ def test_counts_match_the_oracle_on_random_symbols(entries, group, n):
     counts = (len(enumerate_candidates(pres, n)), len(enumerate_classes(pres, n)),
               count_distinct_subgroups(pres, n))
     assert counts == tuple(brute_force_classes(pres, n))
+
+
+@st.composite
+def random_presentations(draw):
+    """1-3 generators and 1-4 relators, each a base of 1-4 signed letters
+    (freely reduced, not empty) with an exponent of 1-5."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    letter = st.tuples(st.integers(min_value=0, max_value=k - 1), st.sampled_from([1, -1]))
+    base = st.lists(letter, min_size=1, max_size=4).map(Word).filter(
+        lambda w: not w.is_empty())
+    relators = draw(st.lists(st.tuples(base, st.integers(min_value=1, max_value=5)),
+                             min_size=1, max_size=4))
+    return Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b", "c")[:k],
+                        tuple(relators))
+
+
+@given(random_presentations(), st.sampled_from([1, 2, 3, 4]))
+@example(Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a",),
+                      ((Word(((0, -1), (0, -1))), 2),)), 4)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_counts_match_the_oracle_on_random_presentations(pres, n):
+    # Past the catalog's shape (four generators, each once per base and
+    # never inverted): inverses, repeated generators, fewer generators.
+    # With one generator the transitivity mask is cut at depth 0, from the
+    # finest partition; the explicit example, a^-2 of order 2, keeps the
+    # six 4-cycles, one class.
+    classes = enumerate_classes(pres, n)
+    labeled = sum(c.labeled_orbit_size for c in classes)
+    assert ((labeled, len(classes), Fraction(labeled, factorial(n - 1)))
+            == tuple(brute_force_classes(pres, n)))
+    assert all(verify_class(c.rep) is not False for c in classes)
 
 
 # Generator pairs in symbol order: PQ=p, QR=q, RS=r, PR=s, PS=t, QS=u.

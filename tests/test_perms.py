@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from tetgroups import (MAX_DEGREE, Assignment, Perm, Word, all_perms,
                        conjugate_assignment, evaluate_word, is_transitive,
                        parse_cycles, word_order)
-from tetgroups.perms import orbit_masks, order_masks, perm_tables
+from tetgroups.perms import orbit_masks, order_masks, partition_joins, perm_tables
 
 perms4 = st.sampled_from(all_perms(4))
 words4 = st.lists(
@@ -179,6 +179,81 @@ def test_search_masks_match_their_definitions(n):
         assert order_masks(n, exp) == tuple(
             bitset(i for i, ip in enumerate(ps) if exp % orders[at[mul(wp, ip)]] == 0)
             for wp in ps)
+
+
+def set_partitions(points):
+    """Every set partition of a tuple of points, as a frozenset of blocks."""
+    if not points:
+        yield frozenset()
+        return
+    first, rest = points[0], points[1:]
+    for part in set_partitions(rest):
+        yield part | {frozenset({first})}
+        for block in part:
+            yield part - {block} | {block | {first}}
+
+
+def union_find(n, pairs):
+    """The blocks of points 0..n-1 left by joining each pair."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in pairs:
+        root[find(a)] = find(b)
+    blocks = {}
+    for x in range(n):
+        blocks.setdefault(find(x), set()).add(x)
+    return frozenset(map(frozenset, blocks.values()))
+
+
+def spanning_pairs(blocks):
+    return [(min(block), x) for block in blocks for x in block]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_partition_joins_match_a_union_find(n):
+    # rebuilt from itertools.permutations and a plain union-find, with no
+    # code from perms.py; partitions[p] labels each point by its block
+    ps = list(itertools.permutations(range(n)))
+    table = partition_joins(n)
+    parts = [frozenset(frozenset(x for x in range(n) if labels[x] == label)
+                       for label in set(labels)) for labels in table.partitions]
+    assert len(set(parts)) == len(parts)
+    assert set(parts) == set(set_partitions(tuple(range(n))))
+    assert parts[0] == union_find(n, []) and len(parts[-1]) == 1
+    assert [parts[c] for c in table.cycles] == [union_find(n, enumerate(p)) for p in ps]
+    for p, row in enumerate(table.join):
+        assert [parts[j] for j in row] == [
+            union_find(n, spanning_pairs(parts[p]) + spanning_pairs(c)) for c in parts]
+        assert table.connecting[p] == bitset(
+            i for i, ip in enumerate(ps)
+            if len(union_find(n, spanning_pairs(parts[p]) + list(enumerate(ip)))) == 1)
+
+
+def test_partition_joins_refuse_a_degree_past_the_limit():
+    with pytest.raises(ValueError):
+        partition_joins(MAX_DEGREE + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_connecting_bit_is_transitivity_of_a_pair(n):
+    # a prefix of one element and a last element generate a transitive
+    # group exactly when the last one's bit is set for the prefix's cycles
+    ps = list(itertools.permutations(range(n)))
+    _, cycles, _, connecting = partition_joins(n)
+    for a, b in itertools.product(range(len(ps)), repeat=2):
+        orbit, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for y in (ps[a][x], ps[b][x]):
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        assert (len(orbit) == n) == bool(connecting[cycles[a]] >> b & 1)
 
 
 def test_assignment_validation():
