@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import factorial
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .perms import (Assignment, all_perms, conjugate_assignment, is_transitive,
+from .perms import (THREE_CYCLE, TRANSPOSITION, Assignment, all_perms,
+                    conjugate_assignment, is_transitive, jordan_table,
                     orbit_masks, order_masks, partition_joins, perm_tables,
                     word_order)
 from .presentations import Presentation
@@ -23,7 +25,12 @@ from .presentations import Presentation
 
 @dataclass(frozen=True)
 class TransitiveRep:
-    """A transitive assignment that satisfies every relator (checked)."""
+    """A transitive assignment that satisfies every relator (checked).
+
+    enumerate_classes checks its reps on the search's index tables and
+    builds them through _unchecked, as words are built through
+    Word._unchecked.
+    """
 
     presentation: Presentation
     assignment: Assignment
@@ -38,6 +45,14 @@ class TransitiveRep:
             raise ValueError(f"relators violated (base words: {shown})")
         if not is_transitive(self.assignment):
             raise ValueError("assignment is not transitive")
+
+    @classmethod
+    def _unchecked(cls, presentation: Presentation, assignment: Assignment) -> "TransitiveRep":
+        """A rep whose names, relators and transitivity are checked already."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "presentation", presentation)
+        object.__setattr__(rep, "assignment", assignment)
+        return rep
 
     @property
     def degree(self) -> int:
@@ -144,7 +159,7 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     return extend(0, everything, 0)
 
 
-def _fold(letters: list[tuple[int, bool]], chosen: list[int],
+def _fold(letters: list[tuple[int, bool]], chosen: Sequence[int],
           comp: tuple[tuple[int, ...], ...], inv: tuple[int, ...]) -> int:
     """Index of a word's image, the rightmost letter acting first."""
     res = 0
@@ -172,22 +187,57 @@ def canonical_form(assignment: Assignment) -> Assignment:
                 for sigma in all_perms(assignment.degree)), key=Assignment.key)
 
 
-def classify_image(assignment: Assignment) -> str:
-    """Name the subgroup of S_n generated by the images.
+def _is_transitive(combo: Sequence[int], n: int) -> bool:
+    """Do the elements combo indexes have one orbit?  Their orbits are the
+    join of their cycle partitions (partition_joins)."""
+    _, cycles, join, _ = partition_joins(n)
+    part = 0
+    for i in combo:
+        part = join[part][cycles[i]]
+    return part == len(join) - 1
 
-    Degrees up to 4 get the usual names (1, S2, Z3, S3, V, Z4, D4, A4, S4);
-    past that the label just records the order.
+
+def _jordan_order(combo: Sequence[int], n: int) -> int | None:
+    """The order of the transitive group combo generates, by Jordan's
+    theorem, or None where the theorem does not settle it.
+
+    The group is primitive when no generator keeps the blocks of a block
+    system, which every generator must keep (jordan_table(n)).  A primitive
+    group with a transposition is S_n, and one with a 3-cycle contains A_n,
+    all of S_n exactly when a generator is odd (Dixon-Mortimer, *Permutation
+    Groups*, 1996, sec. 3.3).  The elements searched for such a power are
+    the generators and their pairwise products.
     """
-    n = assignment.degree
-    tables = perm_tables(n)
-    perms = all_perms(n)  # sorted by one-line tuple, as bisect needs
-    gens = [bisect_left(perms, p.images, key=attrgetter("images"))
-            for p in assignment.perms]
-    elements, frontier = {0}, {0}
-    while frontier:
-        frontier = {tables.comp[g][x] for g in frontier for x in gens} - elements
-        elements |= frontier
-    size = len(elements)
+    _, blocks, power, odd = jordan_table(n)
+    kept = -1
+    for i in combo:
+        kept &= blocks[i]
+    if kept:
+        return None
+    comp = perm_tables(n).comp
+    kind = max(power[x] for x in chain(combo, (comp[a][b] for a, b in combinations(combo, 2))))
+    if kind == TRANSPOSITION:
+        return factorial(n)
+    if kind == THREE_CYCLE:
+        return factorial(n) // (1 if any(odd[i] for i in combo) else 2)
+    return None
+
+
+def _image_type(combo: Sequence[int], n: int) -> str:
+    """classify_image on indices of all_perms(n).
+
+    At degree 5 and up a transitive image is named by _jordan_order where it
+    applies.  Otherwise the image is closed breadth first from the
+    generators, and at degrees up to 4 its elements tell Z4 from V.
+    """
+    size = _jordan_order(combo, n) if n >= 5 and _is_transitive(combo, n) else None
+    if size is None:
+        comp, _, order, _ = perm_tables(n)
+        elements, frontier = {0}, {0}
+        while frontier:
+            frontier = {comp[g][x] for g in frontier for x in combo} - elements
+            elements |= frontier
+        size = len(elements)
     if size == 1:
         return "1"
     if n == 2:
@@ -196,26 +246,53 @@ def classify_image(assignment: Assignment) -> str:
         return {3: "Z3", 6: "S3"}.get(size, f"G{size}")
     if n == 4:
         if size == 4:
-            has_4cycle = any(tables.order[g] == 4 for g in elements)
+            has_4cycle = any(order[g] == 4 for g in elements)
             return "Z4" if has_4cycle else "V"
         return {8: "D4", 12: "A4", 24: "S4"}.get(size, f"G{size}")
     return f"G{size}"
+
+
+def classify_image(assignment: Assignment) -> str:
+    """Name the subgroup of S_n generated by the images.
+
+    Degrees up to 4 get the usual names (1, S2, Z3, S3, V, Z4, D4, A4, S4);
+    past that the label just records the order.  Any assignment is named:
+    Jordan's theorem, which names most transitive images of degree 5 and up
+    without listing them, is only tried on a transitive one, and every
+    other image is listed element by element.
+    """
+    perms = all_perms(assignment.degree)  # sorted by one-line tuple, as bisect needs
+    return _image_type([bisect_left(perms, p.images, key=attrgetter("images"))
+                        for p in assignment.perms], assignment.degree)
 
 
 def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]:
     """Conjugacy classes of index-n subgroups, sorted by canonical rep.
 
     The search yields each S_n-orbit once, at its least member, with the
-    member's stabilizer, so the orbit has n!/|Stab| labeled members.
+    member's stabilizer, so the orbit has n!/|Stab| labeled members.  Each
+    combo is checked on the search's tables before its rep is built: every
+    relator's base folds to an element whose order divides the exponent,
+    and the generators' cycle partitions join to one block.  A combo that
+    fails raises RuntimeError.  The image type comes from the same indices
+    (_image_type), by Jordan's theorem where it applies.
     """
     perms = all_perms(n)  # refuses an index outside 1..MAX_DEGREE
+    comp, inv, order, _ = perm_tables(n)
     names = presentation.generator_names
+    relators = [([(gen, sign < 0) for gen, sign in base], exp)
+                for base, exp in presentation.relator_powers]
     classes = []
     for combo, stab in _search(presentation, n):
-        canon = Assignment(names, tuple(perms[i] for i in combo))
-        classes.append(SubgroupClass(rep=TransitiveRep(presentation, canon),
-                                     index=n,
-                                     image_type=classify_image(canon),
+        if (not _is_transitive(combo, n)
+                or any(exp % order[_fold(letters, combo, comp, inv)]
+                       for letters, exp in relators)):
+            raise RuntimeError(f"the search yielded {combo}, not a transitive rep of "
+                               f"the {presentation.kind} group {presentation.symbol} "
+                               f"at index {n}")
+        rep = TransitiveRep._unchecked(presentation,
+                                       Assignment(names, tuple(perms[i] for i in combo)))
+        classes.append(SubgroupClass(rep=rep, index=n, image_type=_image_type(combo, n),
                                      labeled_orbit_size=factorial(n) // stab))
     return classes
 

@@ -28,7 +28,7 @@ import numpy as np
 from .enumerator import TransitiveRep
 from .perms import MAX_DEGREE, Assignment, Perm
 from .presentations import Presentation
-from .stabilizer import build_coset_table, schreier_scans
+from .stabilizer import schreier_scans
 from .words import Word
 
 
@@ -352,8 +352,9 @@ def verify_class(rep: TransitiveRep, max_cosets: int | None = None) -> bool | No
 
     The subgroup is given by its Schreier words as scans (schreier_scans),
     not the simplified words: both generate it, and each raw word walks
-    out along the transversal and back.  The scans go straight to the
-    enumeration, with no Word and no action built.  On every catalog class
+    out along the transversal and back.  schreier_scans writes them from
+    the rep's one-line images, and they go straight to the enumeration,
+    with no coset table, Word or action built.  On every catalog class
     at indices 1-6 it then defines exactly rep.degree cosets with no
     coincidence, so a budget of rep.degree closes it.
 
@@ -363,7 +364,7 @@ def verify_class(rep: TransitiveRep, max_cosets: int | None = None) -> bool | No
     """
     pres = rep.presentation
     budget = max_cosets if max_cosets is not None else default_coset_budget(rep.degree, pres)
-    result = _enumerate(pres, schreier_scans(build_coset_table(rep)), budget)[0]
+    result = _enumerate(pres, schreier_scans(rep), budget)[0]
     if result.status == "overflow":
         return None
     return result.index == rep.degree

@@ -22,7 +22,11 @@ from .words import Word
 # laptop-scale job.  The search's bitsets are n! ints of n! bits per table,
 # under 100 kB each at 6.  Its partition table (partition_joins) holds
 # Bell(n)^2 joins: 41k at 6 (Bell(6) = 203, built in about 0.01 s) and
-# 769k at 7 (Bell(7) = 877, about 0.2 s).  The numpy recount
+# 769k at 7 (Bell(7) = 877, about 0.2 s).  The image types' Jordan table
+# (jordan_table) holds three entries per element and one bit per block
+# system: 120 elements at 5 (no block system, about 0.5 ms), 720 at 6 (25
+# systems, about 0.03 s) and 5040 at 7 (none, about 0.04 s, the partition
+# table built beforehand).  The numpy recount
 # (oracle.brute_force_classes) has the same limit, so raising it needs a
 # second method at the new index first.
 MAX_DEGREE = 6
@@ -71,20 +75,18 @@ class Perm:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles of length >= 2, each starting at its least point."""
-        seen = [False] * self.degree
+        images = self.images
+        seen = [False] * (len(images) + 1)
         out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
+        for start, j in enumerate(images, start=1):
+            if seen[start] or j == start:
                 continue
             cyc = [start]
-            seen[start - 1] = True
-            j = self.apply(start)
             while j != start:
                 cyc.append(j)
-                seen[j - 1] = True
-                j = self.apply(j)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
+                seen[j] = True
+                j = images[j - 1]
+            out.append(tuple(cyc))
         return out
 
     def order(self) -> int:
@@ -291,6 +293,58 @@ def partition_joins(n: int) -> PartitionJoins:
     top = len(partitions) - 1
     connecting = tuple(sum(m for m, j in zip(masks, row) if j == top) for row in join)
     return PartitionJoins(tuple(partitions), tuple(cycles), tuple(join), connecting)
+
+
+# JordanTable.power's values; a power that is a transposition outranks one
+# that is a 3-cycle, so the strongest of several elements is their max.
+THREE_CYCLE = 1
+TRANSPOSITION = 2
+
+
+class JordanTable(NamedTuple):
+    """What Jordan's theorem needs of each element of all_perms(n).
+
+    systems are the block systems a transitive group of degree n can
+    preserve: the uniform partitions into 2..n-1 blocks, as block labels
+    taken from partition_joins(n).partitions (none at a prime degree).
+    blocks[i] has bit b when element i maps each block of systems[b] onto a
+    block.  power[i] is TRANSPOSITION when some power of i is a
+    transposition (one 2-cycle, every other cycle odd), else THREE_CYCLE
+    when some power is a 3-cycle (one 3-cycle, every other cycle length
+    prime to 3), else 0; odd[i] is i's parity.
+    """
+
+    systems: tuple[tuple[int, ...], ...]
+    blocks: tuple[int, ...]
+    power: tuple[int, ...]
+    odd: tuple[bool, ...]
+
+
+@lru_cache(maxsize=None)
+def jordan_table(n: int) -> JordanTable:
+    """The table for degree n, built on first use (n! entries each).
+
+    An element keeps a partition's blocks exactly when the pairs (block of
+    x, block of its image) number the blocks, each block going to one.
+    """
+    perms = all_perms(n)
+    systems = tuple(p for p in partition_joins(n).partitions
+                    if 1 < max(p) + 1 < n and len(set(map(p.count, p))) == 1)
+    counts = [max(p) + 1 for p in systems]
+    blocks, power, odd = [], [], []
+    for perm in perms:
+        moves = list(enumerate(y - 1 for y in perm.images))
+        blocks.append(sum(1 << b for b, (p, count) in enumerate(zip(systems, counts))
+                          if len({(p[x], p[y]) for x, y in moves}) == count))
+        lengths = [len(c) for c in perm.cycles()]
+        if lengths.count(2) == 1 and all(length % 2 for length in lengths if length != 2):
+            power.append(TRANSPOSITION)
+        elif lengths.count(3) == 1 and all(length % 3 for length in lengths if length != 3):
+            power.append(THREE_CYCLE)
+        else:
+            power.append(0)
+        odd.append(sum(length - 1 for length in lengths) % 2 == 1)
+    return JordanTable(systems, tuple(blocks), tuple(power), tuple(odd))
 
 
 @lru_cache(maxsize=None)

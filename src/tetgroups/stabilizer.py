@@ -13,10 +13,10 @@ transversal give the trivial word.  These words generate L.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .enumerator import TransitiveRep
-from .perms import evaluate_word
+from .perms import Perm, evaluate_word
 from .presentations import Presentation
 from .words import Letter, Word, reduce_letters
 
@@ -50,29 +50,41 @@ class CosetTable:
                 for color in range(1, self.rep.degree + 1)]
 
 
-def build_coset_table(rep: TransitiveRep) -> CosetTable:
-    """Transversal words use positive generator letters only; for groups
-    whose generators are involutions that loses nothing."""
-    n = rep.degree
-    perms = rep.assignment.perms
+def _spanning_tree(perms: Sequence[Perm]) -> list[tuple[int, int, int]]:
+    """The transversal's tree edges (j, i, g), meaning t_j = g t_i, each
+    point j after its parent i.
 
-    # Breadth-first, new words by prepending a generator: t_j = g t_i gives
-    # evaluate(t_j)(1) = g(t_i(1)) = g(i) = j.  Scanning generators in the
-    # outer loop makes each level come out in word order, so the first word
-    # reaching a point is its lexicographic minimum among shortest words.
-    # Positive words never cancel, so prepending needs no reduction.
-    transversal: dict[int, Word] = {1: Word.empty()}
+    Breadth-first, new words by prepending a generator: t_j = g t_i gives
+    evaluate(t_j)(1) = g(t_i(1)) = g(i) = j.  Scanning generators in the
+    outer loop makes each level come out in word order, so the first word
+    reaching a point is its lexicographic minimum among shortest positive
+    words.
+    """
+    reached = {1}
+    edges = []
     frontier = [1]
-    while len(transversal) < n:
+    while frontier:
         next_frontier = []
         for g, perm in enumerate(perms):
+            images = perm.images
             for i in frontier:
-                j = perm.apply(i)
-                if j not in transversal:
-                    transversal[j] = Word._unchecked(((g, 1),) + transversal[i].letters)
+                j = images[i - 1]
+                if j not in reached:
+                    reached.add(j)
+                    edges.append((j, i, g))
                     next_frontier.append(j)
         frontier = next_frontier
-    return CosetTable(rep, tuple(transversal[i] for i in range(1, n + 1)))
+    return edges
+
+
+def build_coset_table(rep: TransitiveRep) -> CosetTable:
+    """Transversal words use positive generator letters only; for groups
+    whose generators are involutions that loses nothing.  Positive words
+    never cancel, so prepending a letter needs no reduction."""
+    transversal = [Word.empty()] * (rep.degree + 1)  # by point; 0 is unused
+    for j, i, g in _spanning_tree(rep.assignment.perms):
+        transversal[j] = Word._unchecked(((g, 1),) + transversal[i].letters)
+    return CosetTable(rep, tuple(transversal[1:]))
 
 
 @dataclass(frozen=True)
@@ -122,22 +134,28 @@ def _dedup(words: Iterable[tuple[Letter, ...]],
     return tuple(kept)
 
 
-def schreier_scans(table: CosetTable) -> list[tuple[int, ...]]:
+def schreier_scans(rep: TransitiveRep) -> list[tuple[int, ...]]:
     """The Schreier words t_i^-1 g^-1 t_{g(i)} as Todd-Coxeter scans: the
     columns (Presentation.coset_columns) of their letters, rightmost
     first, in (i, g) order, without the empty ones and later repeats of a
     scan or its inverse.  Adjacent columns x and inverse[x] cancel: free
     reduction that also cancels g g for an involution g, whose one column
     is its own inverse.
+
+    The transversal is build_coset_table's, walked on the one-line images
+    (_spanning_tree) and written in columns as it goes, t_j = g t_i being
+    t_i's columns and then g's, so no Word is built.
     """
-    of_letter, inverse, _, _ = table.rep.presentation.coset_columns
-    forward = [tuple(of_letter[letter] for letter in reversed(t.letters))
-               for t in table.transversal]
+    of_letter, inverse, _, _ = rep.presentation.coset_columns
+    perms = rep.assignment.perms
+    forward: list[tuple[int, ...]] = [()] * rep.degree  # t_i's columns at i - 1
+    for j, i, g in _spanning_tree(perms):
+        forward[j - 1] = forward[i - 1] + (of_letter[(g, 1)],)
     scans: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for i, t_i in enumerate(forward):
         t_i_inverse = tuple(map(inverse.__getitem__, t_i[::-1]))
-        for g, perm in enumerate(table.rep.assignment.perms):
+        for g, perm in enumerate(perms):
             reduced: list[int] = []
             for x in forward[perm.images[i] - 1] + (of_letter[(g, -1)],) + t_i_inverse:
                 if reduced and reduced[-1] == inverse[x]:
@@ -158,7 +176,7 @@ def schreier_words(table: CosetTable) -> tuple[Word, ...]:
     stabilizer of point 1."""
     letter_of = table.rep.presentation.coset_columns.letter_of
     return tuple(Word._unchecked(tuple(letter_of[x] for x in reversed(scan)))
-                 for scan in schreier_scans(table))
+                 for scan in schreier_scans(table.rep))
 
 
 def schreier_generators(table: CosetTable) -> StabilizerGens:

@@ -16,7 +16,9 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, Presentation,
                        enumerate_candidates, enumerate_classes, evaluate_word,
                        is_transitive, kleinian_presentation,
                        presentation_for, verify_class)
-from tetgroups.enumerator import _search
+from tetgroups import enumerator
+from tetgroups.enumerator import _jordan_order, _search
+from tetgroups.perms import perm_tables
 
 
 def asg(names, *cycle_maps):
@@ -356,6 +358,67 @@ def test_classify_image_names():
     assert classify_image(asg("gh", [(1, 2, 3)], [(1, 2), (3, 4)])) == "A4"
     assert classify_image(asg("gh", [(1, 2, 3, 4)], [(1, 2)])) == "S4"
     assert classify_image(asg("g", [(1, 2, 3, 4, 5)])) == "G5"
+    assert classify_image(asg("gh", [(1, 2, 3, 4, 5)], [(1, 2)])) == "G120"
+    assert classify_image(asg("gh", [(1, 2, 3, 4, 5)], [(1, 2, 3)])) == "G60"
+    assert classify_image(asg("gh", [(1, 2, 3, 4, 5, 6)], [(1, 2)])) == "G720"
+
+
+def test_classify_image_tries_jordan_only_on_a_transitive_image():
+    # <(12), (345)> holds a transposition and a 3-cycle, but has two orbits:
+    # read as primitive it would be S_5
+    assert classify_image(asg("gh", [(1, 2)], [(3, 4, 5)])) == "G6"
+    assert classify_image(asg("gh", [(1, 2)], [(3, 4, 5, 6)])) == "G8"
+
+
+def closure_order(combo, n):
+    """The order of the group the indices generate, listed breadth first."""
+    comp = perm_tables(n).comp
+    elements, frontier = {0}, [0]
+    while frontier:
+        frontier = [y for y in {comp[g][x] for x in frontier for g in combo}
+                    if y not in elements]
+        elements.update(frontier)
+    return len(elements)
+
+
+@pytest.mark.parametrize("n, fired, classes", [(5, 62, 70), (6, 92, 931)])
+def test_jordan_names_the_image_the_closure_lists(n, fired, classes):
+    # Every catalog class at the index; Jordan's theorem must settle the
+    # counted number of them (a path that never fires fails) and agree with
+    # the listed group wherever it does.
+    at = {p.images: i for i, p in enumerate(all_perms(n))}
+    seen = settled = 0
+    for entry in catalog():
+        for group in ("full", "kleinian"):
+            for c in enumerate_classes(presentation_for(entry.symbol, group), n):
+                seen += 1
+                combo = [at[p.images] for p in c.rep.assignment.perms]
+                order = _jordan_order(combo, n)
+                if order is not None:
+                    settled += 1
+                    assert order == closure_order(combo, n), c
+                    assert c.image_type == f"G{order}"
+    assert (settled, seen) == (fired, classes)
+
+
+@pytest.mark.parametrize("combo", [(1, 0, 0, 1), (0, 0, 0, 0)])
+def test_enumerate_classes_checks_what_the_search_yields(t10_full, monkeypatch, combo):
+    # P = S = (12) with Q = 1 gives PQ the order 2, which (PQ)^3 forbids;
+    # all four trivial satisfy every relator but leave two orbits
+    monkeypatch.setattr(enumerator, "_search", lambda pres, n: iter([(combo, 1)]))
+    with pytest.raises(RuntimeError, match=r"full group \[3,3,6,2,2,2\] at index 2"):
+        enumerate_classes(t10_full, 2)
+
+
+def test_stress_cell_image_types():
+    # Kleinian [6,6,6,6,6,6] at index 6: the histogram was recorded by
+    # listing every image; Jordan's theorem now names most of the S_6 ones
+    classes = enumerate_classes(kleinian_presentation(CoxeterSymbol(6, 6, 6, 6, 6, 6)), 6)
+    assert len(classes) == 14274
+    assert sum(c.labeled_orbit_size for c in classes) == 9737400
+    assert Counter(c.image_type for c in classes) == {
+        "G6": 119, "G12": 233, "G18": 364, "G24": 487, "G36": 336, "G48": 96,
+        "G60": 25, "G120": 202, "G720": 12412}
 
 
 canonical_seeds = st.tuples(st.sampled_from(all_perms(3)),

@@ -11,12 +11,12 @@ from tetgroups import (CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
                        brute_force_classes, build_coset_table, canonical_form,
                        catalog, catalog_by_id, count_distinct_subgroups,
                        default_coset_budget, enumerate_candidates,
-                       enumerate_classes, presentation_for, same_subgroup,
-                       schreier_generators, schreier_words, todd_coxeter,
-                       verify_class)
+                       enumerate_classes, presentation_for, raw_schreier_words,
+                       same_subgroup, schreier_generators, schreier_words,
+                       todd_coxeter, verify_class)
 from tetgroups import oracle
 from tetgroups.oracle import _enumerate, _symmetric_tables
-from tetgroups.stabilizer import schreier_scans
+from tetgroups.stabilizer import _dedup, schreier_scans
 
 S1 = CoxeterSymbol(3, 3, 3, 2, 2, 2)
 
@@ -267,7 +267,10 @@ def test_verify_class_fails_a_class_whose_enumeration_closes_elsewhere(monkeypat
 def test_schreier_scans_are_the_words_in_columns(catalog_table):
     # verify_class hands the scans straight to the enumeration: they are
     # schreier_words in columns, rightmost letter first, and give the same
-    # enumeration, counter for counter, as todd_coxeter on the words.
+    # enumeration, counter for counter, as todd_coxeter on the words.  The
+    # scans write the transversal in columns from the one-line images, so
+    # their words must also be the raw words on build_coset_table's Word
+    # transversal, reduced by the presentation and deduplicated.
     for cell in catalog_table.cells:
         pres = cell.presentation
         of_letter = pres.coset_columns.of_letter
@@ -275,8 +278,10 @@ def test_schreier_scans_are_the_words_in_columns(catalog_table):
         for cls in cell.classes:
             table = build_coset_table(cls.rep)
             words = schreier_words(table)
-            scans = schreier_scans(table)
+            scans = schreier_scans(cls.rep)
             where = (cell.id, cell.group, cell.n)
+            assert words == _dedup((pres.reduce(w).letters for w in raw_schreier_words(table)),
+                                   pres.involutions), where
             assert scans == [tuple(of_letter[letter] for letter in reversed(w.letters))
                              for w in words], where
             core = _enumerate(pres, scans, budget)[0]

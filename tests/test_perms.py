@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from tetgroups import (MAX_DEGREE, Assignment, Perm, Word, all_perms,
                        conjugate_assignment, evaluate_word, is_transitive,
                        parse_cycles, word_order)
-from tetgroups.perms import orbit_masks, order_masks, partition_joins, perm_tables
+from tetgroups.perms import (THREE_CYCLE, TRANSPOSITION, jordan_table, orbit_masks,
+                             order_masks, partition_joins, perm_tables)
 
 perms4 = st.sampled_from(all_perms(4))
 words4 = st.lists(
@@ -237,6 +238,41 @@ def test_partition_joins_match_a_union_find(n):
 def test_partition_joins_refuse_a_degree_past_the_limit():
     with pytest.raises(ValueError):
         partition_joins(MAX_DEGREE + 1)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_jordan_table_matches_a_rebuild_from_itertools(n):
+    # rebuilt from itertools.permutations with no code from perms.py: the
+    # block systems are the uniform partitions into 2..n-1 blocks, an
+    # element keeps one when it maps every block onto a block, a power that
+    # moves exactly two points is a transposition and one that moves exactly
+    # three a 3-cycle, and the parity is that of the inversions
+    ps = list(itertools.permutations(range(n)))
+    identity = tuple(range(n))
+    table = jordan_table(n)
+    systems = [frozenset(frozenset(x for x in range(n) if labels[x] == label)
+                         for label in set(labels)) for labels in table.systems]
+    assert len(set(systems)) == len(systems)
+    assert set(systems) == {part for part in set_partitions(identity)
+                            if 1 < len(part) < n and len({len(b) for b in part}) == 1}
+    assert len(ps) == len(table.blocks) == len(table.power) == len(table.odd)
+    for i, p in enumerate(ps):
+        assert table.blocks[i] == bitset(
+            b for b, part in enumerate(systems)
+            if all(frozenset(p[x] for x in block) in part for block in part))
+        moved, q = set(), p
+        while q != identity:
+            moved.add(sum(q[x] != x for x in range(n)))
+            q = tuple(p[x] for x in q)
+        kind = TRANSPOSITION if 2 in moved else THREE_CYCLE if 3 in moved else 0
+        assert table.power[i] == kind
+        assert table.odd[i] == (sum(p[a] > p[b] for a, b in
+                                    itertools.combinations(range(n), 2)) % 2 == 1)
+
+
+def test_jordan_table_refuses_a_degree_past_the_limit():
+    with pytest.raises(ValueError):
+        jordan_table(MAX_DEGREE + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
