@@ -5,8 +5,10 @@ Runs every catalog symbol, both groups, every index 1 through MAX_DEGREE,
 and compares labeled / class / subgroup counts from the two independent
 implementations, then confirms each class with coset enumeration.  Before
 the summary line it prints, per index, the seconds spent in
-enumerate_classes, brute_force_classes and verify_class.  Exits nonzero on
-any disagreement or any class not confirmed.
+enumerate_classes, brute_force_classes and verify_class; the enumerator's
+tables for each degree are built once before the first cell, and the
+summary line ends with their build time.  Exits nonzero on any
+disagreement or any class not confirmed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from math import factorial
 
 from tetgroups import (brute_force_classes, catalog, enumerate_classes,
                        presentation_for, verify_class)
-from tetgroups.perms import MAX_DEGREE
+from tetgroups.perms import (MAX_DEGREE, jordan_table, orbit_masks, order_masks,
+                             partition_joins, perm_tables)
 
 
 def unconfirmed(classes, cell) -> list[tuple]:
@@ -28,36 +31,53 @@ def unconfirmed(classes, cell) -> list[tuple]:
             if verdict is not True]
 
 
+def build_search_tables(presentations) -> float:
+    """Build the enumerator's cached tables for every degree and every
+    relator exponent, so that no cell's enumerate_classes time includes
+    them; returns the seconds spent."""
+    t0 = time.perf_counter()
+    exponents = {exp for pres in presentations for _, exp in pres.relator_powers}
+    for n in range(1, MAX_DEGREE + 1):
+        perm_tables(n)
+        orbit_masks(n)
+        partition_joins(n)
+        jordan_table(n)
+        for exp in exponents:
+            order_masks(n, exp)
+    return time.perf_counter() - t0
+
+
 def main() -> int:
     t0 = time.perf_counter()
+    cells = [(entry.id, group, presentation_for(entry.symbol, group))
+             for entry in catalog() for group in ("full", "kleinian")]
+    tables_s = build_search_tables([pres for _, _, pres in cells])
     bad = []
     total_classes = 0
     unverified = 0
     stages = ("enumerate_classes", "brute_force_classes", "verify_class")
     spent = {n: [0.0] * len(stages) for n in range(1, MAX_DEGREE + 1)}
-    for entry in catalog():
-        for group in ("full", "kleinian"):
-            pres = presentation_for(entry.symbol, group)
-            for n in range(1, MAX_DEGREE + 1):
-                clock = [time.perf_counter()]
-                classes = enumerate_classes(pres, n)
-                clock.append(time.perf_counter())
-                oracle = brute_force_classes(pres, n)
-                clock.append(time.perf_counter())
-                rows = unconfirmed(classes, (entry.id, group, n))
-                clock.append(time.perf_counter())
-                spent[n] = [s + b - a for s, a, b in zip(spent[n], clock, clock[1:])]
-                # The (n-1)! relabelings fixing point 1 act freely on the
-                # labeled reps, with one orbit per subgroup; a remainder
-                # stays in the row as a fraction, which matches no count.
-                labeled = sum(cls.labeled_orbit_size for cls in classes)
-                subgroups, rest = divmod(labeled, factorial(n - 1))
-                mine = (labeled, len(classes), f"{labeled}/{n - 1}!" if rest else subgroups)
-                if mine != tuple(oracle):
-                    bad.append((entry.id, group, n, mine, tuple(oracle)))
-                total_classes += len(classes)
-                unverified += len(rows)
-                bad += rows
+    for entry_id, group, pres in cells:
+        for n in range(1, MAX_DEGREE + 1):
+            clock = [time.perf_counter()]
+            classes = enumerate_classes(pres, n)
+            clock.append(time.perf_counter())
+            oracle = brute_force_classes(pres, n)
+            clock.append(time.perf_counter())
+            rows = unconfirmed(classes, (entry_id, group, n))
+            clock.append(time.perf_counter())
+            spent[n] = [s + b - a for s, a, b in zip(spent[n], clock, clock[1:])]
+            # The (n-1)! relabelings fixing point 1 act freely on the
+            # labeled reps, with one orbit per subgroup; a remainder
+            # stays in the row as a fraction, which matches no count.
+            labeled = sum(cls.labeled_orbit_size for cls in classes)
+            subgroups, rest = divmod(labeled, factorial(n - 1))
+            mine = (labeled, len(classes), f"{labeled}/{n - 1}!" if rest else subgroups)
+            if mine != tuple(oracle):
+                bad.append((entry_id, group, n, mine, tuple(oracle)))
+            total_classes += len(classes)
+            unverified += len(rows)
+            bad += rows
     dt = time.perf_counter() - t0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     for row in bad:
@@ -67,7 +87,8 @@ def main() -> int:
                                          for stage, s in zip(stages, seconds)))
     print(f"{len(catalog())} symbols, 2 groups, indices 1..{MAX_DEGREE}: "
           f"{total_classes} classes, {len(bad)} disagreements, "
-          f"{unverified} unverified, {dt:.1f}s, peak RSS {peak_mb:.0f} MB")
+          f"{unverified} unverified, {dt:.1f}s, peak RSS {peak_mb:.0f} MB, "
+          f"search tables {tables_s:.2f}s")
     return 1 if bad else 0
 
 

@@ -238,7 +238,11 @@ def _enumerate(presentation: Presentation, scans: list[tuple[int, ...]], max_cos
                ) -> tuple[TCResult, list[list[int]], list[int]]:
     """todd_coxeter's enumeration, on the subgroup words' scans: their
     columns (Presentation.coset_columns), rightmost letter first.  Returns
-    the result without its action, the table and its live cosets."""
+    the result without its action, the table and its live cosets.
+
+    A relator is walked on the table from coset c before it is scanned
+    there; a walk on defined entries back to c is skipped, since
+    scan_and_fill would repeat it and change nothing."""
     if max_cosets < 1:
         return TCResult("overflow"), [], []
     _, inverse, relators, _ = presentation.coset_columns
@@ -331,8 +335,14 @@ def _enumerate(presentation: Presentation, scans: list[tuple[int, ...]], max_cos
             for rel in relators:
                 if parent[c] != c:
                     break
-                scan_and_fill(c, rel)
-            if parent[c] == c:
+                f = c
+                for x in rel:
+                    f = table[f][x]
+                    if f < 0:
+                        break
+                if f != c:
+                    scan_and_fill(c, rel)
+            if parent[c] == c and -1 in table[c]:
                 for x in range(width):
                     if table[c][x] < 0:
                         define(c, x)

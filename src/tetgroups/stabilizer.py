@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .enumerator import TransitiveRep
-from .perms import Perm, evaluate_word
+from .perms import Perm
 from .presentations import Presentation
 from .words import Letter, Word, reduce_letters
 
@@ -138,35 +138,40 @@ def schreier_scans(rep: TransitiveRep) -> list[tuple[int, ...]]:
     """The Schreier words t_i^-1 g^-1 t_{g(i)} as Todd-Coxeter scans: the
     columns (Presentation.coset_columns) of their letters, rightmost
     first, in (i, g) order, without the empty ones and later repeats of a
-    scan or its inverse.  Adjacent columns x and inverse[x] cancel: free
+    scan or its inverse.  No column x sits next to inverse[x]: free
     reduction that also cancels g g for an involution g, whose one column
     is its own inverse.
 
-    The transversal is build_coset_table's, walked on the one-line images
-    (_spanning_tree) and written in columns as it goes, t_j = g t_i being
-    t_i's columns and then g's, so no Word is built.
+    The transversal is build_coset_table's, written in columns along
+    _spanning_tree: forward[j] is forward[i] then g's column for the tree
+    edge t_j = g t_i, and backward[i] holds t_i^-1's columns.  A scan is
+    forward[g(i)], x = g^-1's column and backward[i], joined as they are.
+    forward[i] is reduced (positive columns, and an involution's column
+    twice in a row would make a point its own grandparent), so a scan can
+    only cancel at a join, and a join cancels only when (i, g) is a tree
+    edge, or the reverse of one through a self-inverse column: then the
+    whole scan cancels.  Any other scan walks from coset 1 to g(i), across
+    one edge outside the tree to i and home, so two scans are equal or
+    mutually inverse only when they cross the same edge: an involution's
+    (i, g) and (g(i), g), of which the one with g(i) < i comes second.
     """
     of_letter, inverse, _, _ = rep.presentation.coset_columns
     perms = rep.assignment.perms
     forward: list[tuple[int, ...]] = [()] * rep.degree  # t_i's columns at i - 1
     for j, i, g in _spanning_tree(perms):
         forward[j - 1] = forward[i - 1] + (of_letter[(g, 1)],)
+    backward = [tuple(map(inverse.__getitem__, t_i[::-1])) for t_i in forward]
+    steps = [(of_letter[(g, -1)], perm.images) for g, perm in enumerate(perms)]
     scans: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for i, t_i in enumerate(forward):
-        t_i_inverse = tuple(map(inverse.__getitem__, t_i[::-1]))
-        for g, perm in enumerate(perms):
-            reduced: list[int] = []
-            for x in forward[perm.images[i] - 1] + (of_letter[(g, -1)],) + t_i_inverse:
-                if reduced and reduced[-1] == inverse[x]:
-                    reduced.pop()
-                else:
-                    reduced.append(x)
-            scan = tuple(reduced)
-            if scan and scan not in seen:
-                scans.append(scan)
-                seen.add(scan)
-                seen.add(tuple(map(inverse.__getitem__, scan[::-1])))
+    for i, t_i_inverse in enumerate(backward):
+        for x, images in steps:
+            t_gi = forward[images[i] - 1]
+            x_inverse = inverse[x]
+            if ((t_gi and t_gi[-1] == x_inverse)
+                    or (t_i_inverse and t_i_inverse[0] == x_inverse)
+                    or (x == x_inverse and images[i] - 1 < i)):
+                continue
+            scans.append(t_gi + (x,) + t_i_inverse)
     return scans
 
 
@@ -180,9 +185,12 @@ def schreier_words(table: CosetTable) -> tuple[Word, ...]:
 
 
 def schreier_generators(table: CosetTable) -> StabilizerGens:
+    """schreier_words and their simplified forms.  The words are read off
+    the scans, so they are reduced with the involutions already and go
+    straight to simplify_word's braid rewriting."""
     pres = table.rep.presentation
     words = schreier_words(table)
-    simplified = _dedup((simplify_word(w, pres).letters for w in words),
+    simplified = _dedup((_braid_rewrite(w.letters, pres) for w in words),
                         pres.involutions)
     return StabilizerGens(words, simplified)
 
@@ -195,11 +203,21 @@ def simplify_word(word: Word, presentation: Presentation) -> Word:
     yxy -> x for each relator (xy)^2 with x, y involutions).  Never
     lengthens, and a second pass is a no-op.
     """
+    return Word._unchecked(_braid_rewrite(
+        reduce_letters(word.letters, presentation.involutions), presentation))
+
+
+def _braid_rewrite(letters: tuple[Letter, ...],
+                   presentation: Presentation) -> tuple[Letter, ...]:
+    """simplify_word on letters already reduced with the involutions: the
+    leftmost braid rule fires and the result is reduced again, until no
+    rule matches.  A presentation with no braid rules returns at once."""
     rules = presentation.braid_rules
+    if not rules:
+        return letters
     involutions = presentation.involutions
     # Reduction gives every involution letter the sign +1, so a window of
     # rule letters never needs its signs checked.
-    letters = reduce_letters(word.letters, involutions)
     while True:
         for pos in range(len(letters) - 2):
             replacement = rules.get((letters[pos][0], letters[pos + 1][0],
@@ -207,7 +225,7 @@ def simplify_word(word: Word, presentation: Presentation) -> Word:
             if replacement is not None:
                 break
         else:
-            return Word._unchecked(letters)
+            return letters
         letters = reduce_letters(letters[:pos] + ((replacement, 1),) + letters[pos + 3:],
                                  involutions)
 
@@ -218,9 +236,11 @@ def same_subgroup(rep1: TransitiveRep, rep2: TransitiveRep) -> bool:
     They do exactly when a relabeling sigma fixing point 1 carries rep1's
     action to rep2's, and only one sigma can: rep1's transversal word t_i
     carries 1 to i, so sigma(i) = sigma(t_i(1)) = t_i'(sigma(1)) = t_i'(1),
-    with t_i' the image of t_i under rep2.  So the answer is whether that
-    sigma commutes with every generator.  It is then a bijection for free:
-    its image is closed under rep2's generators, and rep2 is transitive.
+    with t_i' the image of t_i under rep2, read off rep1's spanning tree:
+    an edge t_j = g t_i gives sigma(j) = g'(sigma(i)), g' being rep2's g.
+    So the answer is whether that sigma commutes with every generator.  It
+    is then a bijection for free: its image is closed under rep2's
+    generators, and rep2 is transitive.
     Reps of different groups (other generators or relators) never match.
     """
     if rep1.degree != rep2.degree:
@@ -229,9 +249,10 @@ def same_subgroup(rep1: TransitiveRep, rep2: TransitiveRep) -> bool:
     if (pres1.generator_names != pres2.generator_names
             or pres1.relator_powers != pres2.relator_powers):
         return False
-    a2 = rep2.assignment
-    sigma = [evaluate_word(t, a2).apply(1)
-             for t in build_coset_table(rep1).transversal]
+    perms1, perms2 = rep1.assignment.perms, rep2.assignment.perms
+    sigma = [1] * rep1.degree  # sigma(i) at i - 1
+    for j, i, g in _spanning_tree(perms1):
+        sigma[j - 1] = perms2[g].apply(sigma[i - 1])
     return all(sigma[g1.apply(i) - 1] == g2.apply(sigma_i)
-               for g1, g2 in zip(rep1.assignment.perms, a2.perms)
+               for g1, g2 in zip(perms1, perms2)
                for i, sigma_i in enumerate(sigma, start=1))

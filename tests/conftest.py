@@ -2,9 +2,10 @@ import time
 from typing import NamedTuple
 
 import pytest
+from hypothesis import strategies as st
 
 from tetgroups import (Assignment, CoxeterSymbol, Presentation, SubgroupClass,
-                       catalog, enumerate_candidates, enumerate_classes,
+                       Word, catalog, enumerate_candidates, enumerate_classes,
                        full_presentation, kleinian_presentation,
                        presentation_for)
 
@@ -49,3 +50,17 @@ def catalog_table():
                                   enumerate_classes(pres, n),
                                   enumerate_candidates(pres, n)))
     return CatalogTable(cells, time.perf_counter() - t0)
+
+
+@st.composite
+def random_presentations(draw):
+    """1-3 generators and 1-4 relators, each a base of 1-4 signed letters
+    (freely reduced, not empty) with an exponent of 1-5."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    letter = st.tuples(st.integers(min_value=0, max_value=k - 1), st.sampled_from([1, -1]))
+    base = st.lists(letter, min_size=1, max_size=4).map(Word).filter(
+        lambda w: not w.is_empty())
+    relators = draw(st.lists(st.tuples(base, st.integers(min_value=1, max_value=5)),
+                             min_size=1, max_size=4))
+    return Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b", "c")[:k],
+                        tuple(relators))

@@ -20,6 +20,8 @@ from tetgroups import enumerator
 from tetgroups.enumerator import _jordan_order, _search
 from tetgroups.perms import perm_tables
 
+from conftest import random_presentations
+
 
 def asg(names, *cycle_maps):
     n = max((max(pt for cyc in cycles for pt in cyc) for cycles in cycle_maps
@@ -263,20 +265,6 @@ def test_counts_match_the_oracle_on_random_symbols(entries, group, n):
     counts = (len(enumerate_candidates(pres, n)), len(enumerate_classes(pres, n)),
               count_distinct_subgroups(pres, n))
     assert counts == tuple(brute_force_classes(pres, n))
-
-
-@st.composite
-def random_presentations(draw):
-    """1-3 generators and 1-4 relators, each a base of 1-4 signed letters
-    (freely reduced, not empty) with an exponent of 1-5."""
-    k = draw(st.sampled_from([1, 2, 3]))
-    letter = st.tuples(st.integers(min_value=0, max_value=k - 1), st.sampled_from([1, -1]))
-    base = st.lists(letter, min_size=1, max_size=4).map(Word).filter(
-        lambda w: not w.is_empty())
-    relators = draw(st.lists(st.tuples(base, st.integers(min_value=1, max_value=5)),
-                             min_size=1, max_size=4))
-    return Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b", "c")[:k],
-                        tuple(relators))
 
 
 @given(random_presentations(), st.sampled_from([1, 2, 3, 4]))

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import random
+from collections import Counter
 from dataclasses import replace
 from math import factorial
 
@@ -17,6 +20,7 @@ from tetgroups import (CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
 from tetgroups import oracle
 from tetgroups.oracle import _enumerate, _symmetric_tables
 from tetgroups.stabilizer import _dedup, schreier_scans
+from tetgroups.words import reduce_letters
 
 S1 = CoxeterSymbol(3, 3, 3, 2, 2, 2)
 
@@ -321,6 +325,83 @@ def test_schreier_words_define_exactly_the_index_cosets_at_indices_5_and_6():
                     assert_exactly_the_index_cosets(pres, cls, (entry.id, group, n))
                     classes += 1
     assert classes == 1001
+
+
+# sha256 of the Schreier path of all 2012 catalog classes at indices 1-6
+# (catalog order, full before kleinian, classes in enumerate_classes order):
+# each class's raw and simplified Schreier words, rendered, then _enumerate's
+# counters on its scans at the default budget, at n and at n - 1; recorded
+# from the path that reduced every scan column by column
+SCHREIER_SHA256 = "3a45a42e6a3b30cb87d8365ac73f28b82831c546282e320e81c6727899c12809"
+
+
+def test_schreier_path_is_pinned():
+    digest = hashlib.sha256()
+    classes = 0
+    for entry in catalog():
+        for group in ("full", "kleinian"):
+            pres = presentation_for(entry.symbol, group)
+            for n in range(1, 7):
+                budgets = (default_coset_budget(n, pres), n, n - 1)
+                for cls in enumerate_classes(pres, n):
+                    gens = schreier_generators(build_coset_table(cls.rep))
+                    scans = schreier_scans(cls.rep)
+                    results = [_enumerate(pres, scans, b)[0] for b in budgets]
+                    digest.update(repr((
+                        [pres.render(w) for w in gens.words],
+                        [pres.render(w) for w in gens.simplified],
+                        [(r.status, r.index, r.defined, r.peak_live, r.coincidences)
+                         for r in results])).encode())
+                    classes += 1
+    assert classes == 2012
+    assert digest.hexdigest() == SCHREIER_SHA256
+
+
+def random_enumeration(rng):
+    """A (presentation, subgroup words, budget) triple.  The presentation
+    is drawn as conftest.random_presentations draws it (1-3 generators,
+    1-4 relators, each a nonempty freely reduced base of 1-4 signed
+    letters with an exponent of 1-5), then 0-3 subgroup words of 0-6
+    letters and a budget of 1-40 cosets."""
+    k = rng.randint(1, 3)
+
+    def letters(low, high):
+        return reduce_letters((rng.randrange(k), rng.choice((1, -1)))
+                              for _ in range(rng.randint(low, high)))
+
+    relators = []
+    count = rng.randint(1, 4)
+    while len(relators) < count:
+        base = letters(1, 4)
+        if base:
+            relators.append((Word(base), rng.randint(1, 5)))
+    pres = Presentation("test", S1, ("a", "b", "c")[:k], tuple(relators))
+    words = [Word(letters(0, 6)) for _ in range(rng.randint(0, 3))]
+    return pres, words, rng.randint(1, 40)
+
+
+# sha256 of todd_coxeter's results on the first 3000 random_enumeration
+# triples of random.Random(18), recorded from the enumeration that scanned
+# every relator at every live coset
+RANDOM_TC_SHA256 = "488e1c8b8e7602eafdf65a824b53fcc212e84cb4c41c609f3c904d620dde8507"
+
+
+def test_todd_coxeter_is_pinned_on_random_presentations():
+    # The catalog's classes never coincide; of these triples 896 close
+    # after a coincidence and 1474 overflow.
+    rng = random.Random(18)
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for _ in range(3000):
+        pres, words, budget = random_enumeration(rng)
+        res = todd_coxeter(pres, words, budget)
+        key = res.action.key() if res.action is not None else None
+        digest.update(repr((res.status, res.index, res.defined, res.peak_live,
+                            res.coincidences, key)).encode())
+        outcomes[res.status, res.coincidences > 0] += 1
+    assert outcomes["closed", True] == 896
+    assert outcomes["overflow", False] + outcomes["overflow", True] == 1474
+    assert digest.hexdigest() == RANDOM_TC_SHA256
 
 
 @given(st.tuples(*[st.integers(min_value=2, max_value=8)] * 6),

@@ -79,6 +79,33 @@ def test_full_sweep_searches_once_per_cell(monkeypatch, capsys):
     assert "0 disagreements, 0 unverified" in capsys.readouterr().out
 
 
+def test_full_sweep_builds_the_search_tables_before_the_first_cell(monkeypatch, capsys):
+    # The one-time table builds are timed on their own, at the end of the
+    # summary line, and not in the first index-6 enumerate_classes column.
+    script = load_script("run_full_sweep")
+    entry = script.catalog()[0]
+    monkeypatch.setattr(script, "catalog", lambda: (entry,))
+    calls = []
+    build_search_tables = script.build_search_tables
+    enumerate_classes = script.enumerate_classes
+
+    def building(presentations):
+        calls.append(("tables", tuple(pres.kind for pres in presentations)))
+        return build_search_tables(presentations)
+
+    def enumerating(pres, n):
+        calls.append(("classes", n))
+        return enumerate_classes(pres, n)
+
+    monkeypatch.setattr(script, "build_search_tables", building)
+    monkeypatch.setattr(script, "enumerate_classes", enumerating)
+    assert script.main() == 0
+    assert calls[0] == ("tables", ("full", "kleinian"))
+    assert [call for call, _ in calls].count("tables") == 1
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert re.search(r", peak RSS \d+ MB, search tables \d+\.\d\ds$", summary)
+
+
 def test_full_sweep_reports_a_labeled_count_that_is_not_a_subgroup_count(
         monkeypatch, capsys):
     script = load_script("run_full_sweep")

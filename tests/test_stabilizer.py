@@ -11,7 +11,9 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
                        same_subgroup, schreier_generators, schreier_words,
                        simplify_word)
 from tetgroups.reference import DEGREE2_ROWS
-from tetgroups.stabilizer import schreier_scans
+from tetgroups.stabilizer import _dedup, schreier_scans
+
+from conftest import random_presentations
 
 ALL_TWOS = full_presentation(CoxeterSymbol(2, 2, 2, 2, 2, 2))
 T10_FULL = full_presentation(CoxeterSymbol(3, 3, 6, 2, 2, 2))
@@ -139,6 +141,21 @@ def test_schreier_generators_match_reduction_after_free_reduction(entries, group
         assert gens.words == words
         assert gens.simplified == reference_dedup(
             [simplify_word(w, pres) for w in words], pres)
+
+
+@given(random_presentations(), st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_schreier_scans_are_the_reduced_raw_words_on_random_presentations(pres, n):
+    # The scans are written from the spanning tree with no reduction and
+    # no check for repeats, so on inverted letters, repeated generators
+    # and any mix of involutions they must still be the raw words reduced
+    # with the involutions and deduplicated up to inverses, in columns.
+    of_letter = pres.coset_columns.of_letter
+    for cls in enumerate_classes(pres, n):
+        raw = raw_schreier_words(build_coset_table(cls.rep))
+        words = _dedup((pres.reduce(w).letters for w in raw), pres.involutions)
+        assert schreier_scans(cls.rep) == [
+            tuple(of_letter[letter] for letter in reversed(w.letters)) for w in words]
 
 
 def test_simplify_word_golden_rewrites(t10_full):
