@@ -7,8 +7,9 @@ implementations, then confirms each class with coset enumeration.  Before
 the summary line it prints, per index, the seconds spent in
 enumerate_classes, brute_force_classes and verify_class; the enumerator's
 tables for each degree are built once before the first cell, and the
-summary line ends with their build time.  Exits nonzero on any
-disagreement or any class not confirmed.
+summary line ends with their build time.  The summary counts
+disagreements (cells whose counts differ from the oracle's) apart from
+unverified classes, and the script exits nonzero on either.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from math import factorial
 
 from tetgroups import (brute_force_classes, catalog, enumerate_classes,
                        presentation_for, verify_class)
-from tetgroups.perms import (MAX_DEGREE, jordan_table, orbit_masks, order_masks,
-                             partition_joins, perm_tables)
+from tetgroups.perms import MAX_DEGREE, order_masks, perm_tables
 
 
 def unconfirmed(classes, cell) -> list[tuple]:
@@ -39,9 +39,6 @@ def build_search_tables(presentations) -> float:
     exponents = {exp for pres in presentations for _, exp in pres.relator_powers}
     for n in range(1, MAX_DEGREE + 1):
         perm_tables(n)
-        orbit_masks(n)
-        partition_joins(n)
-        jordan_table(n)
         for exp in exponents:
             order_masks(n, exp)
     return time.perf_counter() - t0
@@ -52,9 +49,8 @@ def main() -> int:
     cells = [(entry.id, group, presentation_for(entry.symbol, group))
              for entry in catalog() for group in ("full", "kleinian")]
     tables_s = build_search_tables([pres for _, _, pres in cells])
-    bad = []
+    bad, unverified = [], []
     total_classes = 0
-    unverified = 0
     stages = ("enumerate_classes", "brute_force_classes", "verify_class")
     spent = {n: [0.0] * len(stages) for n in range(1, MAX_DEGREE + 1)}
     for entry_id, group, pres in cells:
@@ -64,7 +60,7 @@ def main() -> int:
             clock.append(time.perf_counter())
             oracle = brute_force_classes(pres, n)
             clock.append(time.perf_counter())
-            rows = unconfirmed(classes, (entry_id, group, n))
+            unverified += unconfirmed(classes, (entry_id, group, n))
             clock.append(time.perf_counter())
             spent[n] = [s + b - a for s, a, b in zip(spent[n], clock, clock[1:])]
             # The (n-1)! relabelings fixing point 1 act freely on the
@@ -76,20 +72,18 @@ def main() -> int:
             if mine != tuple(oracle):
                 bad.append((entry_id, group, n, mine, tuple(oracle)))
             total_classes += len(classes)
-            unverified += len(rows)
-            bad += rows
     dt = time.perf_counter() - t0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    for row in bad:
+    for row in bad + unverified:
         print("DISAGREE", *row)
     for n, seconds in spent.items():
         print(f"index {n}: " + ", ".join(f"{stage} {s:.2f}s"
                                          for stage, s in zip(stages, seconds)))
     print(f"{len(catalog())} symbols, 2 groups, indices 1..{MAX_DEGREE}: "
           f"{total_classes} classes, {len(bad)} disagreements, "
-          f"{unverified} unverified, {dt:.1f}s, peak RSS {peak_mb:.0f} MB, "
+          f"{len(unverified)} unverified, {dt:.1f}s, peak RSS {peak_mb:.0f} MB, "
           f"search tables {tables_s:.2f}s")
-    return 1 if bad else 0
+    return 1 if bad or unverified else 0
 
 
 if __name__ == "__main__":

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from math import factorial
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .perms import (THREE_CYCLE, TRANSPOSITION, Assignment, all_perms,
-                    conjugate_assignment, is_transitive, jordan_table,
-                    orbit_masks, order_masks, partition_joins, perm_tables,
+                    conjugate_assignment, is_transitive, order_masks, perm_tables,
                     word_order)
 from .presentations import Presentation
+from .words import Letter
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
 
     Transitivity is a mask on the last generator.  The orbits of the placed
     generators are the join of their cycle partitions, carried down as part
-    (partition_joins(n)), so one AND with connecting[part] keeps exactly the
+    (perm_tables(n).join), so one AND with connecting[part] keeps exactly the
     last choices that make the action transitive, and a leaf is never
     tested.  A choice's orderly test below depends on that choice alone, so
     the cut changes neither the combos nor their order.
@@ -103,16 +103,16 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     it.  The next stab is stab & cent[i], so at a leaf stab is the combo's
     stabilizer.
     """
-    comp, inv, _, _ = perm_tables(n)
-    below, cent = orbit_masks(n)
-    _, cycles, join, connecting = partition_joins(n)
+    tables = perm_tables(n)
+    comp, inv, below, cent = tables.comp, tables.inv, tables.below, tables.cent
+    cycles, join, connecting = tables.cycles, tables.join, tables.connecting
     k = len(presentation.generator_names)
     everything = (1 << len(comp)) - 1
     ranges = [everything] * k
     checks: list[list] = [[] for _ in range(k)]  # (prefix, order_masks row table)
     folds: list[list] = [[] for _ in range(k)]  # (letters, allowed orders mask)
     for base, exp in presentation.relator_powers:
-        letters = [(gen, sign < 0) for gen, sign in base]
+        letters = base.letters
         rows = order_masks(n, exp)
         x = max(gen for gen, _ in letters)
         at = [j for j, (gen, _) in enumerate(letters) if gen == x]
@@ -121,8 +121,8 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
             continue
         j = at[0]
         prefix = letters[j + 1:] + letters[:j]
-        if letters[j][1]:
-            prefix = [(gen, not inverted) for gen, inverted in reversed(prefix)]
+        if letters[j][1] < 0:
+            prefix = tuple((gen, -sign) for gen, sign in reversed(prefix))
         if prefix:
             checks[x].append((prefix, rows))
         else:
@@ -159,13 +159,13 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     return extend(0, everything, 0)
 
 
-def _fold(letters: list[tuple[int, bool]], chosen: Sequence[int],
+def _fold(letters: Iterable[Letter], chosen: Sequence[int],
           comp: tuple[tuple[int, ...], ...], inv: tuple[int, ...]) -> int:
-    """Index of a word's image, the rightmost letter acting first."""
+    """Index of the image of a word's letters, the rightmost acting first."""
     res = 0
-    for gen, inverted in letters:
+    for gen, sign in letters:
         img = chosen[gen]
-        res = comp[res][inv[img] if inverted else img]
+        res = comp[res][inv[img] if sign < 0 else img]
     return res
 
 
@@ -189,12 +189,12 @@ def canonical_form(assignment: Assignment) -> Assignment:
 
 def _is_transitive(combo: Sequence[int], n: int) -> bool:
     """Do the elements combo indexes have one orbit?  Their orbits are the
-    join of their cycle partitions (partition_joins)."""
-    _, cycles, join, _ = partition_joins(n)
+    join of their cycle partitions (perm_tables(n).join)."""
+    tables = perm_tables(n)
     part = 0
     for i in combo:
-        part = join[part][cycles[i]]
-    return part == len(join) - 1
+        part = tables.join[part][tables.cycles[i]]
+    return part == len(tables.join) - 1
 
 
 def _jordan_order(combo: Sequence[int], n: int) -> int | None:
@@ -202,19 +202,19 @@ def _jordan_order(combo: Sequence[int], n: int) -> int | None:
     theorem, or None where the theorem does not settle it.
 
     The group is primitive when no generator keeps the blocks of a block
-    system, which every generator must keep (jordan_table(n)).  A primitive
+    system, which every generator must keep (perm_tables(n).blocks).  A primitive
     group with a transposition is S_n, and one with a 3-cycle contains A_n,
     all of S_n exactly when a generator is odd (Dixon-Mortimer, *Permutation
     Groups*, 1996, sec. 3.3).  The elements searched for such a power are
     the generators and their pairwise products.
     """
-    _, blocks, power, odd = jordan_table(n)
+    tables = perm_tables(n)
     kept = -1
     for i in combo:
-        kept &= blocks[i]
+        kept &= tables.blocks[i]
     if kept:
         return None
-    comp = perm_tables(n).comp
+    comp, power, odd = tables.comp, tables.power, tables.odd
     kind = max(power[x] for x in chain(combo, (comp[a][b] for a, b in combinations(combo, 2))))
     if kind == TRANSPOSITION:
         return factorial(n)
@@ -232,7 +232,8 @@ def _image_type(combo: Sequence[int], n: int) -> str:
     """
     size = _jordan_order(combo, n) if n >= 5 and _is_transitive(combo, n) else None
     if size is None:
-        comp, _, order, _ = perm_tables(n)
+        tables = perm_tables(n)
+        comp, order = tables.comp, tables.order
         elements, frontier = {0}, {0}
         while frontier:
             frontier = {comp[g][x] for g in frontier for x in combo} - elements
@@ -278,15 +279,14 @@ def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]
     (_image_type), by Jordan's theorem where it applies.
     """
     perms = all_perms(n)  # refuses an index outside 1..MAX_DEGREE
-    comp, inv, order, _ = perm_tables(n)
+    tables = perm_tables(n)
+    comp, inv, order = tables.comp, tables.inv, tables.order
     names = presentation.generator_names
-    relators = [([(gen, sign < 0) for gen, sign in base], exp)
-                for base, exp in presentation.relator_powers]
     classes = []
     for combo, stab in _search(presentation, n):
         if (not _is_transitive(combo, n)
-                or any(exp % order[_fold(letters, combo, comp, inv)]
-                       for letters, exp in relators)):
+                or any(exp % order[_fold(base.letters, combo, comp, inv)]
+                       for base, exp in presentation.relator_powers)):
             raise RuntimeError(f"the search yielded {combo}, not a transitive rep of "
                                f"the {presentation.kind} group {presentation.symbol} "
                                f"at index {n}")

@@ -17,16 +17,12 @@ from typing import NamedTuple, Sequence
 from .words import Word
 
 # Enumeration beyond this degree is refused before anything is allocated.
-# The composition and conjugation tables hold n!^2 entries each: 518k at 6
-# (built in about 0.1 s), 25M at 7, which no longer fits a
-# laptop-scale job.  The search's bitsets are n! ints of n! bits per table,
-# under 100 kB each at 6.  Its partition table (partition_joins) holds
-# Bell(n)^2 joins: 41k at 6 (Bell(6) = 203, built in about 0.01 s) and
-# 769k at 7 (Bell(7) = 877, about 0.2 s).  The image types' Jordan table
-# (jordan_table) holds three entries per element and one bit per block
-# system: 120 elements at 5 (no block system, about 0.5 ms), 720 at 6 (25
-# systems, about 0.03 s) and 5040 at 7 (none, about 0.04 s, the partition
-# table built beforehand).  The numpy recount
+# perm_tables(n) holds two tables of n!^2 entries, the composition and the
+# conjugation table: 518k each at 6, where the whole table builds in
+# 0.2-0.3 s, and 25M at 7, which no longer fits a laptop-scale job.  Its
+# other parts are smaller: the search's bitsets are n! ints of n! bits
+# each, under 100 kB at 6, and the partition joins number Bell(n)^2, 41k
+# at 6 (Bell(6) = 203) and 769k at 7 (Bell(7) = 877).  The numpy recount
 # (oracle.brute_force_classes) has the same limit, so raising it needs a
 # second method at the new index first.
 MAX_DEGREE = 6
@@ -160,32 +156,77 @@ def all_perms(n: int) -> tuple[Perm, ...]:
     return tuple(Perm(p) for p in itertools.permutations(range(1, n + 1)))
 
 
+# PermTables.power's values; a power that is a transposition outranks one
+# that is a 3-cycle, so the strongest of several elements is their max.
+THREE_CYCLE = 1
+TRANSPOSITION = 2
+
+
 class PermTables(NamedTuple):
-    """Lookup tables of S_n over the indices of all_perms(n).
+    """The enumerator's tables of S_n over the indices of all_perms(n).
 
     Index 0 is the identity.  comp[a][b] is the index of a * b, inv[a] of
     a's inverse, order[a] is a's order, and conj[s][p] is the index of
-    s * p * s^-1.  The search's bitsets over the same indices are
-    orbit_masks and order_masks, and its transitivity masks come with the
-    set partitions of the points in partition_joins (Bell(n)^2 joins, 41k
-    at 6 and 769k at 7), all built apart on the first search at a degree.
+    s * p * s^-1.
+
+    The orderly search's bitsets, bit s standing for the relabeling
+    all_perms(n)[s]: below[i] holds the s with s * i * s^-1 earlier than i,
+    and cent[i] those with s * i * s^-1 == i, the centralizer of i.
+
+    Set partitions of the points, for the transitivity mask: partitions[p]
+    labels points 0..n-1 by block, the blocks numbered in order of their
+    least point.  Index 0 is the finest partition and the last the
+    one-block partition.  cycles[i] is the index of element i's cycle
+    partition, join[p][c] that of the finest partition coarser than both p
+    and c, and connecting[p] the bitset of the elements i for which
+    join[p][cycles[i]] is the one-block partition.  The orbits of a group
+    are the join of its generators' cycle partitions.
+
+    What Jordan's theorem needs: systems are the block systems a transitive
+    group of degree n can preserve, the uniform partitions into 2..n-1
+    blocks, as labels from partitions (none at a prime degree).  blocks[i]
+    has bit b when element i maps each block of systems[b] onto a block.
+    power[i] is TRANSPOSITION when some power of i is a transposition (one
+    2-cycle, every other cycle odd), else THREE_CYCLE when some power is a
+    3-cycle (one 3-cycle, every other cycle length prime to 3), else 0;
+    odd[i] is i's parity.
     """
 
     comp: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     order: tuple[int, ...]
     conj: tuple[tuple[int, ...], ...]
+    below: tuple[int, ...]
+    cent: tuple[int, ...]
+    partitions: tuple[tuple[int, ...], ...]
+    cycles: tuple[int, ...]
+    join: tuple[tuple[int, ...], ...]
+    connecting: tuple[int, ...]
+    systems: tuple[tuple[int, ...], ...]
+    blocks: tuple[int, ...]
+    power: tuple[int, ...]
+    odd: tuple[bool, ...]
 
 
 @lru_cache(maxsize=None)
 def perm_tables(n: int) -> PermTables:
-    """The tables for degree n, built on first use (n!^2 entries each).
+    """The table for degree n, built on first use.  The transposed tables
+    each part reads are deleted before the next part is built, so the
+    build peaks at comp and conj plus one transposed table.
 
     Only the rows of S_n's generators, the transposition (1 2) and the
     n-cycle, are looked up; every other row of comp is a product's,
     comp[t * a][b] = comp[t][comp[a][b]], one map over a known row.
+
+    The partitions are reached from the finest one breadth first, each by
+    merging the blocks of one pair of points in an earlier one, its parent.
+    merge[p][a * n + b] is p with the blocks of a and b merged, so a join
+    row is filled in that order: join(p, c) = merge(join(p, parent), pair).
+
+    An element keeps a partition's blocks exactly when the pairs (block of
+    x, block of its image) number the blocks, each block going to one.
     """
-    perms = all_perms(n)
+    perms = all_perms(n)  # refuses a degree outside 1..MAX_DEGREE
     index = {p.images: i for i, p in enumerate(perms)}
     zero_based = [tuple(j - 1 for j in p.images) for p in perms]
     cycle = (*range(2, n + 1), 1)
@@ -203,61 +244,15 @@ def perm_tables(n: int) -> PermTables:
                 reached.append(ta)
     comp = tuple(rows)
     inv = tuple(row.index(0) for row in comp)
-    order = tuple(p.order() for p in perms)
     columns = tuple(zip(*comp))  # columns[x][y] = comp[y][x]
     conj = tuple(tuple(map(columns[inv[s]].__getitem__, comp[s])) for s in range(len(perms)))
-    return PermTables(comp, inv, order, conj)
+    del index, zero_based, gen_rows, rows, columns
 
+    conjugates = list(enumerate(zip(*conj)))  # column i: i's conjugates
+    below = tuple(sum(1 << s for s, c in enumerate(col) if c < i) for i, col in conjugates)
+    cent = tuple(sum(1 << s for s, c in enumerate(col) if c == i) for i, col in conjugates)
+    del conjugates
 
-class OrbitMasks(NamedTuple):
-    """Bitsets of relabelings for the orderly search: bit s stands for the
-    relabeling all_perms(n)[s].
-
-    below[i] holds the s with s * i * s^-1 earlier than i in all_perms(n),
-    and cent[i] those with s * i * s^-1 == i, the centralizer of i.
-    """
-
-    below: tuple[int, ...]
-    cent: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def orbit_masks(n: int) -> OrbitMasks:
-    """The masks for degree n, built on first use (n!^2 bits each)."""
-    columns = list(enumerate(zip(*perm_tables(n).conj)))  # column i: i's conjugates
-    return OrbitMasks(
-        tuple(sum(1 << s for s, c in enumerate(col) if c < i) for i, col in columns),
-        tuple(sum(1 << s for s, c in enumerate(col) if c == i) for i, col in columns))
-
-
-class PartitionJoins(NamedTuple):
-    """Set partitions of the points, for the search's transitivity mask.
-
-    partitions[p] labels points 0..n-1 by block, the blocks numbered in
-    order of their least point.  Index 0 is the finest partition and the
-    last the one-block partition.  cycles[i] is the index of the cycle
-    partition of all_perms(n)[i], join[p][c] that of the finest partition
-    coarser than both p and c, and connecting[p] the bitset of the
-    elements i for which join[p][cycles[i]] is the one-block partition.
-    The orbits of a group are the join of its generators' cycle partitions.
-    """
-
-    partitions: tuple[tuple[int, ...], ...]
-    cycles: tuple[int, ...]
-    join: tuple[tuple[int, ...], ...]
-    connecting: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def partition_joins(n: int) -> PartitionJoins:
-    """The table for degree n, built on first use (Bell(n)^2 joins).
-
-    The partitions are reached from the finest one breadth first, each by
-    merging the blocks of one pair of points in an earlier one, its parent.
-    merge[p][a * n + b] is p with the blocks of a and b merged, so a join
-    row is filled in that order: join(p, c) = merge(join(p, parent), pair).
-    """
-    perms = all_perms(n)  # refuses a degree outside 1..MAX_DEGREE
     partitions = [tuple(range(n))]
     index = {partitions[0]: 0}
     parent = [(0, 0)]  # (parent, merged pair); pair 0 is (0, 0), a no-op
@@ -292,51 +287,17 @@ def partition_joins(n: int) -> PartitionJoins:
         masks[c] |= 1 << i
     top = len(partitions) - 1
     connecting = tuple(sum(m for m, j in zip(masks, row) if j == top) for row in join)
-    return PartitionJoins(tuple(partitions), tuple(cycles), tuple(join), connecting)
 
-
-# JordanTable.power's values; a power that is a transposition outranks one
-# that is a 3-cycle, so the strongest of several elements is their max.
-THREE_CYCLE = 1
-TRANSPOSITION = 2
-
-
-class JordanTable(NamedTuple):
-    """What Jordan's theorem needs of each element of all_perms(n).
-
-    systems are the block systems a transitive group of degree n can
-    preserve: the uniform partitions into 2..n-1 blocks, as block labels
-    taken from partition_joins(n).partitions (none at a prime degree).
-    blocks[i] has bit b when element i maps each block of systems[b] onto a
-    block.  power[i] is TRANSPOSITION when some power of i is a
-    transposition (one 2-cycle, every other cycle odd), else THREE_CYCLE
-    when some power is a 3-cycle (one 3-cycle, every other cycle length
-    prime to 3), else 0; odd[i] is i's parity.
-    """
-
-    systems: tuple[tuple[int, ...], ...]
-    blocks: tuple[int, ...]
-    power: tuple[int, ...]
-    odd: tuple[bool, ...]
-
-
-@lru_cache(maxsize=None)
-def jordan_table(n: int) -> JordanTable:
-    """The table for degree n, built on first use (n! entries each).
-
-    An element keeps a partition's blocks exactly when the pairs (block of
-    x, block of its image) number the blocks, each block going to one.
-    """
-    perms = all_perms(n)
-    systems = tuple(p for p in partition_joins(n).partitions
+    systems = tuple(p for p in partitions
                     if 1 < max(p) + 1 < n and len(set(map(p.count, p))) == 1)
     counts = [max(p) + 1 for p in systems]
-    blocks, power, odd = [], [], []
-    for perm in perms:
+    order, blocks, power, odd = [], [], [], []
+    for perm in perms:  # each element's cycles are read once
         moves = list(enumerate(y - 1 for y in perm.images))
         blocks.append(sum(1 << b for b, (p, count) in enumerate(zip(systems, counts))
                           if len({(p[x], p[y]) for x, y in moves}) == count))
         lengths = [len(c) for c in perm.cycles()]
+        order.append(lcm(1, *lengths))
         if lengths.count(2) == 1 and all(length % 2 for length in lengths if length != 2):
             power.append(TRANSPOSITION)
         elif lengths.count(3) == 1 and all(length % 3 for length in lengths if length != 3):
@@ -344,7 +305,9 @@ def jordan_table(n: int) -> JordanTable:
         else:
             power.append(0)
         odd.append(sum(length - 1 for length in lengths) % 2 == 1)
-    return JordanTable(systems, tuple(blocks), tuple(power), tuple(odd))
+    return PermTables(comp, inv, tuple(order), conj, below, cent, tuple(partitions),
+                      tuple(cycles), tuple(join), connecting, systems, tuple(blocks),
+                      tuple(power), tuple(odd))
 
 
 @lru_cache(maxsize=None)
@@ -354,7 +317,8 @@ def order_masks(n: int, exp: int) -> tuple[int, ...]:
     Row w is the set w^-1 * A for A the elements whose order divides exp,
     so row 0, the identity's, is A itself.
     """
-    comp, inv, order, _ = perm_tables(n)
+    tables = perm_tables(n)
+    comp, inv, order = tables.comp, tables.inv, tables.order
     allowed = [j for j, o in enumerate(order) if exp % o == 0]
     return tuple(sum(1 << row[j] for j in allowed)
                  for row in (comp[inv[w]] for w in range(len(order))))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -7,8 +8,7 @@ from hypothesis import strategies as st
 from tetgroups import (MAX_DEGREE, Assignment, Perm, Word, all_perms,
                        conjugate_assignment, evaluate_word, is_transitive,
                        parse_cycles, word_order)
-from tetgroups.perms import (THREE_CYCLE, TRANSPOSITION, jordan_table, orbit_masks,
-                             order_masks, partition_joins, perm_tables)
+from tetgroups.perms import THREE_CYCLE, TRANSPOSITION, order_masks, perm_tables
 
 perms4 = st.sampled_from(all_perms(4))
 words4 = st.lists(
@@ -113,14 +113,14 @@ def test_all_perms_ordering_and_bounds():
 def test_perm_tables_agree_with_perm_arithmetic(n):
     ps = all_perms(n)
     at = {p: i for i, p in enumerate(ps)}
-    comp, inv, order, conj = perm_tables(n)
+    table = perm_tables(n)
     assert ps[0].is_identity()
     for a, p in enumerate(ps):
-        assert inv[a] == at[p.inverse()]
-        assert order[a] == p.order()
+        assert table.inv[a] == at[p.inverse()]
+        assert table.order[a] == p.order()
         for b, q in enumerate(ps):
-            assert comp[a][b] == at[p * q]
-            assert conj[a][b] == at[p * q * p.inverse()]
+            assert table.comp[a][b] == at[p * q]
+            assert table.conj[a][b] == at[p * q * p.inverse()]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -134,10 +134,10 @@ def test_perm_tables_match_a_rebuild_from_itertools(n):
         return tuple(a[x] for x in b)
 
     inverse = [at[tuple(sorted(range(n), key=p.__getitem__))] for p in ps]
-    comp, inv, _, conj = perm_tables(n)
-    assert comp == tuple(tuple(at[mul(a, b)] for b in ps) for a in ps)
-    assert inv == tuple(inverse)
-    assert conj == tuple(tuple(at[mul(mul(s, p), ps[inverse[i]])] for p in ps)
+    table = perm_tables(n)
+    assert table.comp == tuple(tuple(at[mul(a, b)] for b in ps) for a in ps)
+    assert table.inv == tuple(inverse)
+    assert table.conj == tuple(tuple(at[mul(mul(s, p), ps[inverse[i]])] for p in ps)
                          for i, s in enumerate(ps))
 
 
@@ -171,10 +171,10 @@ def test_search_masks_match_their_definitions(n):
         return at[mul(mul(s, ps[i]), s_inv)]
 
     orders = raw_orders(ps)
-    below, cent = orbit_masks(n)
-    assert below == tuple(bitset(s for s, sp in enumerate(ps) if conj(sp, i) < i)
+    table = perm_tables(n)
+    assert table.below == tuple(bitset(s for s, sp in enumerate(ps) if conj(sp, i) < i)
                           for i in range(len(ps)))
-    assert cent == tuple(bitset(s for s, sp in enumerate(ps) if conj(sp, i) == i)
+    assert table.cent == tuple(bitset(s for s, sp in enumerate(ps) if conj(sp, i) == i)
                          for i in range(len(ps)))
     for exp in range(1, 7):
         assert order_masks(n, exp) == tuple(
@@ -220,7 +220,7 @@ def test_partition_joins_match_a_union_find(n):
     # rebuilt from itertools.permutations and a plain union-find, with no
     # code from perms.py; partitions[p] labels each point by its block
     ps = list(itertools.permutations(range(n)))
-    table = partition_joins(n)
+    table = perm_tables(n)
     parts = [frozenset(frozenset(x for x in range(n) if labels[x] == label)
                        for label in set(labels)) for labels in table.partitions]
     assert len(set(parts)) == len(parts)
@@ -235,11 +235,6 @@ def test_partition_joins_match_a_union_find(n):
             if len(union_find(n, spanning_pairs(parts[p]) + list(enumerate(ip)))) == 1)
 
 
-def test_partition_joins_refuse_a_degree_past_the_limit():
-    with pytest.raises(ValueError):
-        partition_joins(MAX_DEGREE + 1)
-
-
 @pytest.mark.parametrize("n", [5, 6])
 def test_jordan_table_matches_a_rebuild_from_itertools(n):
     # rebuilt from itertools.permutations with no code from perms.py: the
@@ -249,7 +244,7 @@ def test_jordan_table_matches_a_rebuild_from_itertools(n):
     # three a 3-cycle, and the parity is that of the inversions
     ps = list(itertools.permutations(range(n)))
     identity = tuple(range(n))
-    table = jordan_table(n)
+    table = perm_tables(n)
     systems = [frozenset(frozenset(x for x in range(n) if labels[x] == label)
                          for label in set(labels)) for labels in table.systems]
     assert len(set(systems)) == len(systems)
@@ -270,9 +265,27 @@ def test_jordan_table_matches_a_rebuild_from_itertools(n):
                                     itertools.combinations(range(n), 2)) % 2 == 1)
 
 
-def test_jordan_table_refuses_a_degree_past_the_limit():
+def test_perm_tables_refuse_a_degree_past_the_limit():
     with pytest.raises(ValueError):
-        jordan_table(MAX_DEGREE + 1)
+        perm_tables(MAX_DEGREE + 1)
+
+
+# sha256 of the repr of each named field of perm_tables(n) and then of
+# order_masks(n, e) for e = 1..6, chained over n = 1..6; recorded from the
+# separate per-degree builders that perm_tables took over
+TABLES_SHA256 = "b1fbf5cc6e518281f7f69a0531811ba61add52fef3fa67290dd7b79b1bd651fc"
+
+
+def test_tables_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        table = perm_tables(n)
+        for name in ("comp", "inv", "order", "conj", "below", "cent", "partitions",
+                     "cycles", "join", "connecting", "systems", "blocks", "power", "odd"):
+            digest.update(repr(getattr(table, name)).encode())
+        for exp in range(1, 7):
+            digest.update(repr(order_masks(n, exp)).encode())
+    assert digest.hexdigest() == TABLES_SHA256
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -280,7 +293,7 @@ def test_connecting_bit_is_transitivity_of_a_pair(n):
     # a prefix of one element and a last element generate a transitive
     # group exactly when the last one's bit is set for the prefix's cycles
     ps = list(itertools.permutations(range(n)))
-    _, cycles, _, connecting = partition_joins(n)
+    table = perm_tables(n)
     for a, b in itertools.product(range(len(ps)), repeat=2):
         orbit, frontier = {0}, [0]
         while frontier:
@@ -289,7 +302,7 @@ def test_connecting_bit_is_transitivity_of_a_pair(n):
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
-        assert (len(orbit) == n) == bool(connecting[cycles[a]] >> b & 1)
+        assert (len(orbit) == n) == bool(table.connecting[table.cycles[a]] >> b & 1)
 
 
 def test_assignment_validation():
