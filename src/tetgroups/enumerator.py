@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from math import factorial
 from operator import attrgetter
@@ -169,15 +170,28 @@ def _fold(letters: Iterable[Letter], chosen: Sequence[int],
     return res
 
 
+@lru_cache(maxsize=None)
+def _conjugate_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """perm_tables(n).conj transposed: columns[i][s] is the index of
+    s * i * s^-1, so column i lists i's conjugates.  Only
+    enumerate_candidates reads it, so it is built on its first call."""
+    return tuple(zip(*perm_tables(n).conj))
+
+
 def enumerate_candidates(presentation: Presentation, n: int) -> list[Assignment]:
     """Transitive, relator-satisfying assignments in lexicographic order: the
-    union of the class reps' orbits."""
+    union of the class reps' orbits.
+
+    A rep's orbit is read off the columns of its elements, zipped: row s of
+    the zip is the rep conjugated by relabeling s.
+    """
     names = presentation.generator_names
-    perms = all_perms(n)
-    conj = perm_tables(n).conj
-    combos = {tuple(map(c.__getitem__, combo))
-              for combo, _ in _search(presentation, n) for c in conj}
-    return [Assignment(names, tuple(perms[i] for i in combo))
+    perms = all_perms(n)  # refuses an index outside 1..MAX_DEGREE
+    columns = _conjugate_columns(n)
+    combos: set[tuple[int, ...]] = set()
+    for combo, _ in _search(presentation, n):
+        combos.update(zip(*map(columns.__getitem__, combo)))
+    return [Assignment._unchecked(names, tuple(map(perms.__getitem__, combo)))
             for combo in sorted(combos)]
 
 
@@ -223,14 +237,15 @@ def _jordan_order(combo: Sequence[int], n: int) -> int | None:
     return None
 
 
-def _image_type(combo: Sequence[int], n: int) -> str:
-    """classify_image on indices of all_perms(n).
+def _image_type(combo: Sequence[int], n: int, transitive: bool) -> str:
+    """classify_image on indices of all_perms(n), told whether the image is
+    transitive.
 
     At degree 5 and up a transitive image is named by _jordan_order where it
     applies.  Otherwise the image is closed breadth first from the
     generators, and at degrees up to 4 its elements tell Z4 from V.
     """
-    size = _jordan_order(combo, n) if n >= 5 and _is_transitive(combo, n) else None
+    size = _jordan_order(combo, n) if n >= 5 and transitive else None
     if size is None:
         tables = perm_tables(n)
         comp, order = tables.comp, tables.order
@@ -262,9 +277,10 @@ def classify_image(assignment: Assignment) -> str:
     without listing them, is only tried on a transitive one, and every
     other image is listed element by element.
     """
-    perms = all_perms(assignment.degree)  # sorted by one-line tuple, as bisect needs
-    return _image_type([bisect_left(perms, p.images, key=attrgetter("images"))
-                        for p in assignment.perms], assignment.degree)
+    n = assignment.degree
+    perms = all_perms(n)  # sorted by one-line tuple, as bisect needs
+    combo = [bisect_left(perms, p.images, key=attrgetter("images")) for p in assignment.perms]
+    return _image_type(combo, n, _is_transitive(combo, n))
 
 
 def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]:
@@ -276,7 +292,8 @@ def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]
     relator's base folds to an element whose order divides the exponent,
     and the generators' cycle partitions join to one block.  A combo that
     fails raises RuntimeError.  The image type comes from the same indices
-    (_image_type), by Jordan's theorem where it applies.
+    (_image_type, told the combo is transitive), by Jordan's theorem where
+    it applies.
     """
     perms = all_perms(n)  # refuses an index outside 1..MAX_DEGREE
     tables = perm_tables(n)
@@ -290,9 +307,10 @@ def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]
             raise RuntimeError(f"the search yielded {combo}, not a transitive rep of "
                                f"the {presentation.kind} group {presentation.symbol} "
                                f"at index {n}")
-        rep = TransitiveRep._unchecked(presentation,
-                                       Assignment(names, tuple(perms[i] for i in combo)))
-        classes.append(SubgroupClass(rep=rep, index=n, image_type=_image_type(combo, n),
+        rep = TransitiveRep._unchecked(
+            presentation, Assignment._unchecked(names, tuple(map(perms.__getitem__, combo))))
+        classes.append(SubgroupClass(rep=rep, index=n,
+                                     image_type=_image_type(combo, n, transitive=True),
                                      labeled_orbit_size=factorial(n) // stab))
     return classes
 

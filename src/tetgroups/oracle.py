@@ -2,10 +2,11 @@
 
 brute_force_classes recounts subgroup classes from scratch with numpy.  It
 does not materialize the product space S_n^k: a relator holds when the
-order of its base divides its exponent, read from an order column; each
-relator on a single generator (P^2, a^p) first cuts that generator's range,
-then the generators are joined one at a time and every other relator
-keeps only the rows where it holds once its last generator is placed.
+order of its base divides its exponent, read from an order column that is
+computed once per (degree, exponent) and cached; each relator on a single
+generator (P^2, a^p) first cuts that generator's range, then the
+generators are joined one at a time and every other relator keeps only
+the rows where it holds once its last generator is placed.
 Transitivity is tested on the survivors, and the orbits are counted by
 Burnside's lemma, once per conjugacy class of S_n for both counts.  It
 builds its own permutation tables and shares nothing with the enumerator's
@@ -88,6 +89,15 @@ def _symmetric_tables(n: int) -> _SymmetricTables:
     return tables
 
 
+@lru_cache(maxsize=None)
+def _order_divides(n: int, exp: int) -> np.ndarray:
+    """The column over S_n (as _symmetric_tables(n) indexes it) that is True
+    where the element's order divides exp, read-only like the tables."""
+    column = exp % _symmetric_tables(n).order == 0
+    column.flags.writeable = False
+    return column
+
+
 def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     """Count (labeled reps, conjugacy classes, subgroups) at index n, up to
     MAX_DEGREE.
@@ -97,11 +107,16 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     point-1 stabilizer of S_n, i.e. index-n subgroups counted plainly.
 
     Nothing of size (n!)^k is built.  A relator (base, exp) holds when the
-    base's order divides exp.  A relator on one generator only restricts
-    that generator's range (P^2 leaves P 26 of the 120 elements of S_5).
-    The generators are then placed in order, each joined to the rows that
-    survive so far, and a relator is tested as soon as its last generator
-    is placed, so it only sees rows that every earlier relator kept.
+    base's order divides exp, which _order_divides(n, exp) holds as a
+    column over S_n, built on first use and then shared by every call.  A
+    relator on one generator only restricts that generator's range (P^2
+    leaves P 26 of the 120 elements of S_5); on a single letter the column
+    cuts it directly, since g and g^-1 have one order.  The generators are
+    then placed in order, each joined to the rows that survive so far, and
+    a relator is tested as soon as its last generator is placed, so it only
+    sees rows that every earlier relator kept.  Its fold starts from its
+    first letter's images, and the join's mask is the first such relator's
+    result, the later ones ANDed into it in place.
     Orbits are counted by Burnside's lemma over the conjugacy classes of
     S_n, so no survivor is conjugated by the whole group: the survivors
     each class fixes, weighted by the class sizes over n! for the classes
@@ -114,12 +129,14 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
 
     def holds(base: Word, exp: int, images) -> np.ndarray:
         # Fold the base letter by letter through the composition table
-        # (rightmost letter acts first); images[g] holds generator g's
-        # images, shaped to broadcast against the others.
-        res = 0  # the identity
+        # (rightmost letter acts first), starting from its first letter's
+        # images; images[g] holds generator g's images, shaped to
+        # broadcast against the others.
+        res = None
         for g, sign in base:
-            res = t.comp[res, images[g] if sign > 0 else t.inv[images[g]]]
-        return (exp % t.order == 0)[res]
+            image = images[g] if sign > 0 else t.inv[images[g]]
+            res = image if res is None else t.comp[res, image]
+        return _order_divides(n, exp)[res]
 
     placed_last = [[] for _ in range(k)]
     for base, exp in presentation.relator_powers:
@@ -131,15 +148,22 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
         choices = np.arange(len(t.inv))
         joint = []
         for base, exp in relators:
-            if all(h == g for h, _ in base):
+            if len(base) == 1:  # order(g^-1) = order(g)
+                choices = choices[_order_divides(n, exp)[choices]]
+            elif all(h == g for h, _ in base):
                 choices = choices[holds(base, exp, {g: choices})]
             else:
                 joint.append((base, exp))
-        # The join: one axis for the rows so far, one for g's choices.
+        # The join: one axis for the rows so far, one for g's choices.  Each
+        # joint relator uses g and an earlier generator, so its mask has the
+        # join's full shape.
         grid = [c[:, None] for c in columns] + [choices[None, :]]
-        mask = np.ones((rows, len(choices)), dtype=bool)
-        for base, exp in joint:
-            mask &= holds(base, exp, grid)
+        if joint:
+            mask = holds(*joint[0], grid)
+            for base, exp in joint[1:]:
+                mask &= holds(base, exp, grid)
+        else:
+            mask = np.ones((rows, len(choices)), dtype=bool)
         row, choice = np.divmod(np.flatnonzero(mask), len(choices))
         columns = [c[row] for c in columns] + [choices[choice]]
         rows = len(row)

@@ -326,7 +326,12 @@ def order_masks(n: int, exp: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Images of the generators, one permutation per generator name."""
+    """Images of the generators, one permutation per generator name.
+
+    The enumerator builds its outputs, one element of all_perms(n) per
+    generator name, through _unchecked, as words are built through
+    Word._unchecked.
+    """
 
     names: tuple[str, ...]
     perms: tuple[Perm, ...]
@@ -338,6 +343,14 @@ class Assignment:
             raise ValueError("assignment needs at least one generator")
         if len({p.degree for p in self.perms}) != 1:
             raise ValueError("all images must have the same degree")
+
+    @classmethod
+    def _unchecked(cls, names: tuple[str, ...], perms: tuple[Perm, ...]) -> "Assignment":
+        """An assignment of one image per name, all of one degree, known already."""
+        assignment = object.__new__(cls)
+        object.__setattr__(assignment, "names", names)
+        object.__setattr__(assignment, "perms", perms)
+        return assignment
 
     @property
     def degree(self) -> int:

@@ -116,6 +116,37 @@ def test_search_matches_the_product_space_on_a_general_presentation():
                 == [x.key() for x in expected if is_transitive(x)])
 
 
+def row_expansion(pres, n):
+    """enumerate_candidates' combos as first built: every rep conjugated by
+    every row of perm_tables(n).conj, collected in a set and sorted."""
+    conj = perm_tables(n).conj
+    return sorted({tuple(map(c.__getitem__, combo))
+                   for combo, _ in _search(pres, n) for c in conj})
+
+
+def test_candidates_match_the_row_expansion():
+    cells = [(presentation_for(entry.symbol, group), n) for entry in catalog()
+             for group in ("full", "kleinian") for n in (1, 2, 3, 4)]
+    cells += [(general_presentation(), n) for n in (3, 4)]
+    for pres, n in cells:
+        perms = all_perms(n)
+        candidates = enumerate_candidates(pres, n)
+        assert ([a.key() for a in candidates]
+                == [tuple(perms[i].images for i in combo) for combo in row_expansion(pres, n)])
+        # the trusted build gives what the checked constructor would
+        assert all(a.names == pres.generator_names and a == Assignment(a.names, a.perms)
+                   for a in candidates)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_conjugate_columns_are_the_transposed_conjugation_table(n):
+    columns = enumerator._conjugate_columns(n)
+    assert type(columns) is tuple and all(type(c) is tuple for c in columns)
+    conj = perm_tables(n).conj
+    assert all(columns[i][s] == conj[s][i]
+               for s in range(len(conj)) for i in range(len(conj)))
+
+
 # sha256 of repr(list(_search(p, n))), chained over all 80 catalog groups
 # (catalog order, full before kleinian) at indices 1-6 and then over
 # general_presentation() at indices 3-4, recorded from the list-based search
@@ -396,6 +427,22 @@ def test_enumerate_classes_checks_what_the_search_yields(t10_full, monkeypatch, 
     monkeypatch.setattr(enumerator, "_search", lambda pres, n: iter([(combo, 1)]))
     with pytest.raises(RuntimeError, match=r"full group \[3,3,6,2,2,2\] at index 2"):
         enumerate_classes(t10_full, 2)
+
+
+def test_enumerate_classes_tests_transitivity_once_per_class(monkeypatch):
+    # _image_type is told what enumerate_classes' own check found, so the
+    # Jordan path at index 5 does not test the combo again
+    calls = []
+    is_transitive_ = enumerator._is_transitive
+
+    def counting(combo, n):
+        calls.append(combo)
+        return is_transitive_(combo, n)
+
+    monkeypatch.setattr(enumerator, "_is_transitive", counting)
+    classes = enumerate_classes(presentation_for(catalog_by_id("t31").symbol, "kleinian"), 5)
+    assert len(classes) == 12
+    assert len(calls) == len(classes)
 
 
 def test_stress_cell_image_types():

@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import itertools
 import random
 from collections import Counter
 from dataclasses import replace
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from tetgroups import (CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
                        same_subgroup, schreier_generators, schreier_words,
                        todd_coxeter, verify_class)
 from tetgroups import oracle
-from tetgroups.oracle import _enumerate, _symmetric_tables
+from tetgroups.oracle import _enumerate, _order_divides, _symmetric_tables
 from tetgroups.stabilizer import _dedup, schreier_scans
 from tetgroups.words import reduce_letters
 
@@ -61,6 +63,51 @@ def test_conjugacy_classes_are_cycle_types(n, p_n, p_n_minus_1):
         by_type.setdefault(tuple(sorted(map(len, cycles))), []).append(p)
     assert (sorted(zip(t.class_sizes.tolist(), t.class_weights.tolist()))
             == sorted((len(ps), sum(p[0] == 0 for p in ps)) for ps in by_type.values()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cached_tables_are_read_only(n):
+    # every recount shares the cached arrays, so a write into one would
+    # change every later count without an error
+    arrays = [*_symmetric_tables(n), *(_order_divides(n, exp) for exp in range(1, 7))]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = array[(0,) * array.ndim]
+    assert all(_order_divides(n, exp).tolist()
+               == [exp % o == 0 for o in _symmetric_tables(n).order.tolist()]
+               for exp in range(1, 7))
+
+
+# What oracle.py imports: the recount builds its own tables, so nothing of
+# the enumerator's search (perm_tables, order_masks, _search, _fold) may be
+# added here.
+ORACLE_IMPORTS = {
+    "__future__": {"annotations"},
+    "itertools": {"itertools"},
+    "dataclasses": {"dataclass", "replace"},
+    "functools": {"lru_cache"},
+    "typing": {"NamedTuple"},
+    "numpy": {"numpy"},
+    ".enumerator": {"TransitiveRep"},
+    ".perms": {"MAX_DEGREE", "Assignment", "Perm"},
+    ".presentations": {"Presentation"},
+    ".stabilizer": {"schreier_scans"},
+    ".words": {"Word"},
+}
+
+
+def test_the_recount_imports_nothing_of_the_search():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, alias.name) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported |= {(module, alias.name) for alias in node.names}
+    allowed = {(module, name) for module, names in ORACLE_IMPORTS.items() for name in names}
+    assert imported <= allowed
+    assert not {name for _, name in imported} & {"perm_tables", "order_masks", "_search", "_fold"}
 
 
 @pytest.mark.parametrize("group", ["full", "kleinian"])
