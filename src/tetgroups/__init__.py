@@ -23,7 +23,7 @@ from .presentations import (CATALOG, CatalogEntry, CoxeterSymbol,
                             parse_symbol, presentation_for)
 from .stabilizer import (CosetTable, StabilizerGens, build_coset_table,
                          raw_schreier_words, same_subgroup,
-                         schreier_generators, schreier_words, simplify_word)
+                         schreier_generators, simplify_word)
 from .words import Word, parse_word
 
 __version__ = "0.1.0"
@@ -39,6 +39,5 @@ __all__ = [
     "full_presentation", "is_transitive", "kleinian_presentation",
     "parse_cycles", "parse_symbol", "parse_word", "presentation_for",
     "raw_schreier_words", "same_subgroup", "schreier_generators",
-    "schreier_words", "simplify_word", "todd_coxeter", "verify_class",
-    "word_order",
+    "simplify_word", "todd_coxeter", "verify_class", "word_order",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations
 from math import factorial
 from operator import attrgetter
@@ -170,27 +169,19 @@ def _fold(letters: Iterable[Letter], chosen: Sequence[int],
     return res
 
 
-@lru_cache(maxsize=None)
-def _conjugate_columns(n: int) -> tuple[tuple[int, ...], ...]:
-    """perm_tables(n).conj transposed: columns[i][s] is the index of
-    s * i * s^-1, so column i lists i's conjugates.  Only
-    enumerate_candidates reads it, so it is built on its first call."""
-    return tuple(zip(*perm_tables(n).conj))
-
-
 def enumerate_candidates(presentation: Presentation, n: int) -> list[Assignment]:
     """Transitive, relator-satisfying assignments in lexicographic order: the
     union of the class reps' orbits.
 
-    A rep's orbit is read off the columns of its elements, zipped: row s of
-    the zip is the rep conjugated by relabeling s.
+    A rep's orbit is read off its elements' columns of perm_tables(n).conj,
+    zipped: row s of the zip is the rep conjugated by relabeling s.
     """
     names = presentation.generator_names
     perms = all_perms(n)  # refuses an index outside 1..MAX_DEGREE
-    columns = _conjugate_columns(n)
+    conj = perm_tables(n).conj
     combos: set[tuple[int, ...]] = set()
     for combo, _ in _search(presentation, n):
-        combos.update(zip(*map(columns.__getitem__, combo)))
+        combos.update(zip(*map(conj.__getitem__, combo)))
     return [Assignment._unchecked(names, tuple(map(perms.__getitem__, combo)))
             for combo in sorted(combos)]
 

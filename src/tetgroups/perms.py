@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from operator import getitem
 from typing import NamedTuple, Sequence
 
 from .words import Word
@@ -166,8 +167,8 @@ class PermTables(NamedTuple):
     """The enumerator's tables of S_n over the indices of all_perms(n).
 
     Index 0 is the identity.  comp[a][b] is the index of a * b, inv[a] of
-    a's inverse, order[a] is a's order, and conj[s][p] is the index of
-    s * p * s^-1.
+    a's inverse, order[a] is a's order, and conj[i][s] is the index of
+    s * i * s^-1, so conj[i] lists i's conjugates.
 
     The orderly search's bitsets, bit s standing for the relabeling
     all_perms(n)[s]: below[i] holds the s with s * i * s^-1 earlier than i,
@@ -210,9 +211,9 @@ class PermTables(NamedTuple):
 
 @lru_cache(maxsize=None)
 def perm_tables(n: int) -> PermTables:
-    """The table for degree n, built on first use.  The transposed tables
-    each part reads are deleted before the next part is built, so the
-    build peaks at comp and conj plus one transposed table.
+    """The table for degree n, built on first use.  comp's columns, which
+    conj is read off, are deleted once conj is built, so the build peaks
+    at comp, its columns and conj.
 
     Only the rows of S_n's generators, the transposition (1 2) and the
     n-cycle, are looked up; every other row of comp is a product's,
@@ -245,13 +246,13 @@ def perm_tables(n: int) -> PermTables:
     comp = tuple(rows)
     inv = tuple(row.index(0) for row in comp)
     columns = tuple(zip(*comp))  # columns[x][y] = comp[y][x]
-    conj = tuple(tuple(map(columns[inv[s]].__getitem__, comp[s])) for s in range(len(perms)))
-    del index, zero_based, gen_rows, rows, columns
+    # conj[i][s] = (s * i) * s^-1 = columns[inv[s]][columns[i][s]]
+    inverse_columns = list(map(columns.__getitem__, inv))
+    conj = tuple(tuple(map(getitem, inverse_columns, column)) for column in columns)
+    del index, zero_based, gen_rows, rows, columns, inverse_columns
 
-    conjugates = list(enumerate(zip(*conj)))  # column i: i's conjugates
-    below = tuple(sum(1 << s for s, c in enumerate(col) if c < i) for i, col in conjugates)
-    cent = tuple(sum(1 << s for s, c in enumerate(col) if c == i) for i, col in conjugates)
-    del conjugates
+    below = tuple(sum(1 << s for s, c in enumerate(col) if c < i) for i, col in enumerate(conj))
+    cent = tuple(sum(1 << s for s, c in enumerate(col) if c == i) for i, col in enumerate(conj))
 
     partitions = [tuple(range(n))]
     index = {partitions[0]: 0}

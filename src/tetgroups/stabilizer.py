@@ -91,9 +91,9 @@ def build_coset_table(rep: TransitiveRep) -> CosetTable:
 class StabilizerGens:
     """Schreier generators before and after rewriting.
 
-    words: schreier_words, one word per non-tree table entry,
-    involution-normalized, with later duplicates of an earlier word or its
-    inverse dropped.
+    words: the letter view of schreier_scans, one word per non-tree table
+    entry, involution-normalized, with later duplicates of an earlier word
+    or its inverse dropped.
     simplified: the same list pushed through simplify_word and deduplicated
     again.  Both lists generate the stabilizer of point 1.
     """
@@ -140,7 +140,8 @@ def schreier_scans(rep: TransitiveRep) -> list[tuple[int, ...]]:
     first, in (i, g) order, without the empty ones and later repeats of a
     scan or its inverse.  No column x sits next to inverse[x]: free
     reduction that also cancels g g for an involution g, whose one column
-    is its own inverse.
+    is its own inverse.  Read back as letters they are
+    StabilizerGens.words.
 
     The transversal is build_coset_table's, written in columns along
     _spanning_tree: forward[j] is forward[i] then g's column for the tree
@@ -175,21 +176,15 @@ def schreier_scans(rep: TransitiveRep) -> list[tuple[int, ...]]:
     return scans
 
 
-def schreier_words(table: CosetTable) -> tuple[Word, ...]:
-    """The letter view of schreier_scans: each scan read back left to
-    right as letters, an involution's with sign +1.  They generate the
-    stabilizer of point 1."""
-    letter_of = table.rep.presentation.coset_columns.letter_of
-    return tuple(Word._unchecked(tuple(letter_of[x] for x in reversed(scan)))
-                 for scan in schreier_scans(table.rep))
-
-
 def schreier_generators(table: CosetTable) -> StabilizerGens:
-    """schreier_words and their simplified forms.  The words are read off
-    the scans, so they are reduced with the involutions already and go
+    """The Schreier words and their simplified forms.  The words are
+    schreier_scans read back left to right as letters, an involution's
+    with sign +1, so they are reduced with the involutions already and go
     straight to simplify_word's braid rewriting."""
     pres = table.rep.presentation
-    words = schreier_words(table)
+    letter_of = pres.coset_columns.letter_of
+    words = tuple(Word._unchecked(tuple(letter_of[x] for x in reversed(scan)))
+                  for scan in schreier_scans(table.rep))
     simplified = _dedup((_braid_rewrite(w.letters, pres) for w in words),
                         pres.involutions)
     return StabilizerGens(words, simplified)

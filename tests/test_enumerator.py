@@ -118,15 +118,17 @@ def test_search_matches_the_product_space_on_a_general_presentation():
 
 def row_expansion(pres, n):
     """enumerate_candidates' combos as first built: every rep conjugated by
-    every row of perm_tables(n).conj, collected in a set and sorted."""
-    conj = perm_tables(n).conj
-    return sorted({tuple(map(c.__getitem__, combo))
-                   for combo, _ in _search(pres, n) for c in conj})
+    every row of the conjugation table, collected in a set and sorted."""
+    combos = [combo for combo, _ in _search(pres, n)]
+    return sorted({tuple(map(row.__getitem__, combo))
+                   for row in zip(*perm_tables(n).conj) for combo in combos})
 
 
 def test_candidates_match_the_row_expansion():
     cells = [(presentation_for(entry.symbol, group), n) for entry in catalog()
              for group in ("full", "kleinian") for n in (1, 2, 3, 4)]
+    cells += [(presentation_for(catalog_by_id("t31").symbol, "kleinian"), 5),
+              (presentation_for(catalog_by_id("t10").symbol, "full"), 5)]
     cells += [(general_presentation(), n) for n in (3, 4)]
     for pres, n in cells:
         perms = all_perms(n)
@@ -136,15 +138,6 @@ def test_candidates_match_the_row_expansion():
         # the trusted build gives what the checked constructor would
         assert all(a.names == pres.generator_names and a == Assignment(a.names, a.perms)
                    for a in candidates)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_conjugate_columns_are_the_transposed_conjugation_table(n):
-    columns = enumerator._conjugate_columns(n)
-    assert type(columns) is tuple and all(type(c) is tuple for c in columns)
-    conj = perm_tables(n).conj
-    assert all(columns[i][s] == conj[s][i]
-               for s in range(len(conj)) for i in range(len(conj)))
 
 
 # sha256 of repr(list(_search(p, n))), chained over all 80 catalog groups

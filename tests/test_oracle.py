@@ -17,8 +17,8 @@ from tetgroups import (CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
                        catalog, catalog_by_id, count_distinct_subgroups,
                        default_coset_budget, enumerate_candidates,
                        enumerate_classes, presentation_for, raw_schreier_words,
-                       same_subgroup, schreier_generators, schreier_words,
-                       todd_coxeter, verify_class)
+                       same_subgroup, schreier_generators, todd_coxeter,
+                       verify_class)
 from tetgroups import oracle
 from tetgroups.oracle import _enumerate, _order_divides, _symmetric_tables
 from tetgroups.stabilizer import _dedup, schreier_scans
@@ -317,8 +317,8 @@ def test_verify_class_fails_a_class_whose_enumeration_closes_elsewhere(monkeypat
 
 def test_schreier_scans_are_the_words_in_columns(catalog_table):
     # verify_class hands the scans straight to the enumeration: they are
-    # schreier_words in columns, rightmost letter first, and give the same
-    # enumeration, counter for counter, as todd_coxeter on the words.  The
+    # StabilizerGens.words in columns, rightmost letter first, and give the
+    # same enumeration, counter for counter, as todd_coxeter on the words.  The
     # scans write the transversal in columns from the one-line images, so
     # their words must also be the raw words on build_coset_table's Word
     # transversal, reduced by the presentation and deduplicated.
@@ -328,7 +328,7 @@ def test_schreier_scans_are_the_words_in_columns(catalog_table):
         budget = default_coset_budget(cell.n, pres)
         for cls in cell.classes:
             table = build_coset_table(cls.rep)
-            words = schreier_words(table)
+            words = schreier_generators(table).words
             scans = schreier_scans(cls.rep)
             where = (cell.id, cell.group, cell.n)
             assert words == _dedup((pres.reduce(w).letters for w in raw_schreier_words(table)),
@@ -342,7 +342,7 @@ def test_schreier_scans_are_the_words_in_columns(catalog_table):
 
 def assert_exactly_the_index_cosets(pres, cls, where):
     n = cls.index
-    res = todd_coxeter(pres, schreier_words(build_coset_table(cls.rep)), 10 * n)
+    res = todd_coxeter(pres, schreier_generators(build_coset_table(cls.rep)).words, 10 * n)
     assert res.status == "closed", where
     assert res.defined == res.peak_live == res.index == n, where
     assert res.coincidences == 0, where

@@ -120,7 +120,7 @@ def test_perm_tables_agree_with_perm_arithmetic(n):
         assert table.order[a] == p.order()
         for b, q in enumerate(ps):
             assert table.comp[a][b] == at[p * q]
-            assert table.conj[a][b] == at[p * q * p.inverse()]
+            assert table.conj[b][a] == at[p * q * p.inverse()]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -137,8 +137,9 @@ def test_perm_tables_match_a_rebuild_from_itertools(n):
     table = perm_tables(n)
     assert table.comp == tuple(tuple(at[mul(a, b)] for b in ps) for a in ps)
     assert table.inv == tuple(inverse)
-    assert table.conj == tuple(tuple(at[mul(mul(s, p), ps[inverse[i]])] for p in ps)
-                         for i, s in enumerate(ps))
+    # conj by columns: conj[p] lists p's conjugates s * p * s^-1 over s
+    assert table.conj == tuple(tuple(at[mul(mul(s, p), ps[inverse[i]])] for i, s in enumerate(ps))
+                               for p in ps)
 
 
 def raw_orders(ps):
@@ -272,7 +273,8 @@ def test_perm_tables_refuse_a_degree_past_the_limit():
 
 # sha256 of the repr of each named field of perm_tables(n) and then of
 # order_masks(n, e) for e = 1..6, chained over n = 1..6; recorded from the
-# separate per-degree builders that perm_tables took over
+# separate per-degree builders that perm_tables took over, when conj was
+# stored by rows, so conj is hashed in that form
 TABLES_SHA256 = "b1fbf5cc6e518281f7f69a0531811ba61add52fef3fa67290dd7b79b1bd651fc"
 
 
@@ -282,7 +284,10 @@ def test_tables_are_pinned():
         table = perm_tables(n)
         for name in ("comp", "inv", "order", "conj", "below", "cent", "partitions",
                      "cycles", "join", "connecting", "systems", "blocks", "power", "odd"):
-            digest.update(repr(getattr(table, name)).encode())
+            field = getattr(table, name)
+            if name == "conj":
+                field = tuple(zip(*field))
+            digest.update(repr(field).encode())
         for exp in range(1, 7):
             digest.update(repr(order_masks(n, exp)).encode())
     assert digest.hexdigest() == TABLES_SHA256

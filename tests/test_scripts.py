@@ -80,30 +80,42 @@ def test_full_sweep_searches_once_per_cell(monkeypatch, capsys):
 
 
 def test_full_sweep_builds_the_search_tables_before_the_first_cell(monkeypatch, capsys):
-    # The one-time table builds are timed on their own, at the end of the
-    # summary line, and not in the first index-6 enumerate_classes column.
+    # The one-time table builds, the enumerator's and the recount's, are
+    # timed on their own, at the end of the summary line, and not in the
+    # first index-6 enumerate_classes or brute_force_classes column.
     script = load_script("run_full_sweep")
     entry = script.catalog()[0]
     monkeypatch.setattr(script, "catalog", lambda: (entry,))
+    exponents = {exp for group in ("full", "kleinian")
+                 for _, exp in script.presentation_for(entry.symbol, group).relator_powers}
+    oracle_caches = {script._symmetric_tables: script.MAX_DEGREE,
+                     script._order_divides: script.MAX_DEGREE * len(exponents)}
+    for cache in oracle_caches:
+        cache.cache_clear()
     calls = []
-    build_search_tables = script.build_search_tables
+    build_tables = script.build_tables
     enumerate_classes = script.enumerate_classes
 
     def building(presentations):
         calls.append(("tables", tuple(pres.kind for pres in presentations)))
-        return build_search_tables(presentations)
+        return build_tables(presentations)
 
     def enumerating(pres, n):
+        if len(calls) == 1:  # the first cell, after the one table build
+            assert all(cache.cache_info().currsize == size
+                       for cache, size in oracle_caches.items())
         calls.append(("classes", n))
         return enumerate_classes(pres, n)
 
-    monkeypatch.setattr(script, "build_search_tables", building)
+    monkeypatch.setattr(script, "build_tables", building)
     monkeypatch.setattr(script, "enumerate_classes", enumerating)
     assert script.main() == 0
     assert calls[0] == ("tables", ("full", "kleinian"))
     assert [call for call, _ in calls].count("tables") == 1
+    # and no cell built one of the recount's tables again
+    assert all(cache.cache_info().misses == size for cache, size in oracle_caches.items())
     summary = capsys.readouterr().out.splitlines()[-1]
-    assert re.search(r", peak RSS \d+ MB, search tables \d+\.\d\ds$", summary)
+    assert re.search(r", peak RSS \d+ MB, tables \d+\.\d\ds$", summary)
 
 
 def test_full_sweep_reports_a_labeled_count_that_is_not_a_subgroup_count(
