@@ -16,15 +16,15 @@ from .oracle import (BruteForceCounts, TCResult, brute_force_classes,
                      default_coset_budget, todd_coxeter, verify_class)
 from .perms import (MAX_DEGREE, Assignment, Perm, all_perms,
                     conjugate_assignment, evaluate_word, is_transitive,
-                    parse_cycles, word_order)
+                    word_order)
 from .presentations import (CATALOG, CatalogEntry, CoxeterSymbol,
                             Presentation, catalog, catalog_by_id,
                             full_presentation, kleinian_presentation,
                             parse_symbol, presentation_for)
 from .stabilizer import (CosetTable, StabilizerGens, build_coset_table,
-                         raw_schreier_words, same_subgroup,
-                         schreier_generators, simplify_word)
-from .words import Word, parse_word
+                         raw_schreier_words, schreier_generators,
+                         simplify_word)
+from .words import Word
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,7 @@ __all__ = [
     "count_distinct_subgroups", "default_coset_budget",
     "enumerate_candidates", "enumerate_classes", "evaluate_word",
     "full_presentation", "is_transitive", "kleinian_presentation",
-    "parse_cycles", "parse_symbol", "parse_word", "presentation_for",
-    "raw_schreier_words", "same_subgroup", "schreier_generators",
-    "simplify_word", "todd_coxeter", "verify_class", "word_order",
+    "parse_symbol", "presentation_for", "raw_schreier_words",
+    "schreier_generators", "simplify_word", "todd_coxeter", "verify_class",
+    "word_order",
 ]

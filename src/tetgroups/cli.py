@@ -6,13 +6,15 @@ reference), verify (coset-enumeration check per class), coloring (export
 one class as a coloring).  Exit codes: 0 success/consistent, 1 failed
 verification or internal inconsistency, 2 usage errors, 3 when verify
 confirms no class wrong but leaves some inconclusive (the coset budget ran
-out); a failed class makes verify exit 1 whatever else it found.
+out); a failed class makes verify exit 1 whatever else it found; 141
+(128 + SIGPIPE) when the reader closed stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coloring import coloring_of
@@ -248,10 +250,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout to devnull, so that the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

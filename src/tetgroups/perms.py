@@ -105,49 +105,6 @@ class Perm:
         return self.cycle_string()
 
 
-def parse_cycles(text: str, degree: int) -> Perm:
-    """Parse cycle notation, e.g. (12)(34), (1 10 2), (132).  (1) or () is
-    the identity.  Without separators each character is one point."""
-    text = text.strip()
-    mapping = dict()
-    depth = 0
-    chunks: list[str] = []
-    cur = ""
-    for ch in text:
-        if ch == "(":
-            if depth:
-                raise ValueError(f"nested parenthesis in {text!r}")
-            depth = 1
-            cur = ""
-        elif ch == ")":
-            if not depth:
-                raise ValueError(f"unbalanced parenthesis in {text!r}")
-            depth = 0
-            chunks.append(cur)
-        elif depth:
-            cur += ch
-        elif not ch.isspace():
-            raise ValueError(f"unexpected character {ch!r} in {text!r}")
-    if depth:
-        raise ValueError(f"unbalanced parenthesis in {text!r}")
-    for chunk in chunks:
-        if any(c in chunk for c in " ,"):
-            points = [int(tok) for tok in chunk.replace(",", " ").split()]
-        else:
-            points = [int(c) for c in chunk]
-        if not points:
-            continue
-        for p in points:
-            if not 1 <= p <= degree:
-                raise ValueError(f"point {p} out of range for degree {degree}")
-        for a, b in zip(points, points[1:] + points[:1]):
-            if a in mapping:
-                raise ValueError(f"point {a} repeated in {text!r}")
-            mapping[a] = b
-    images = tuple(mapping.get(i, i) for i in range(1, degree + 1))
-    return Perm(images)
-
-
 @lru_cache(maxsize=None)
 def all_perms(n: int) -> tuple[Perm, ...]:
     """All of S_n sorted by one-line notation; the identity comes first."""
@@ -356,12 +313,6 @@ class Assignment:
     @property
     def degree(self) -> int:
         return self.perms[0].degree
-
-    def image_of(self, name: str) -> Perm:
-        try:
-            return self.perms[self.names.index(name)]
-        except ValueError:
-            raise KeyError(f"unknown generator {name!r}") from None
 
     def key(self) -> tuple[tuple[int, ...], ...]:
         return tuple(p.images for p in self.perms)

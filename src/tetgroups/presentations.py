@@ -19,12 +19,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .words import Letter, Word, parse_word, reduce_letters
+from .words import Letter, Word, reduce_letters
+
+
+# Symbol entries above this are refused before anything is built: coset
+# enumeration writes each relator out exponent times (coset_columns), so
+# its time and memory grow linearly in an entry.
+MAX_ENTRY = 10_000
 
 
 @dataclass(frozen=True)
 class CoxeterSymbol:
-    """The six edge labels [p,q,r,s,t,u], each an integer >= 2."""
+    """The six edge labels [p,q,r,s,t,u], each an integer 2 to MAX_ENTRY."""
 
     p: int
     q: int
@@ -35,8 +41,8 @@ class CoxeterSymbol:
 
     def __post_init__(self) -> None:
         for value in self.as_tuple():
-            if not isinstance(value, int) or value < 2:
-                raise ValueError(f"symbol entries must be integers >= 2, got {value}")
+            if not isinstance(value, int) or not 2 <= value <= MAX_ENTRY:
+                raise ValueError(f"symbol entries must be integers 2 to {MAX_ENTRY}, got {value}")
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.p, self.q, self.r, self.s, self.t, self.u)
@@ -168,9 +174,6 @@ class Presentation:
 
     def render(self, word: Word) -> str:
         return word.render(self.generator_names)
-
-    def parse(self, text: str) -> Word:
-        return parse_word(text, self.generator_names)
 
 
 def full_presentation(symbol: CoxeterSymbol) -> Presentation:

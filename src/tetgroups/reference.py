@@ -131,9 +131,3 @@ T10_KLEINIAN_ROWS: tuple[KleinianRow, ...] = (
 
 T10_KLEINIAN_ROW4_REPAIRED: tuple[str, str, str] = ("(243)", "(143)", "(13)")
 
-
-def reference_counts_by_id(id_: str) -> ReferenceCounts:
-    for row in REFERENCE_COUNTS:
-        if row.id == id_:
-            return row
-    raise ValueError(f"no reference counts for id {id_!r}")

@@ -224,30 +224,3 @@ def _braid_rewrite(letters: tuple[Letter, ...],
         letters = reduce_letters(letters[:pos] + ((replacement, 1),) + letters[pos + 3:],
                                  involutions)
 
-
-def same_subgroup(rep1: TransitiveRep, rep2: TransitiveRep) -> bool:
-    """Do the two reps have the same point-1 stabilizer?
-
-    They do exactly when a relabeling sigma fixing point 1 carries rep1's
-    action to rep2's, and only one sigma can: rep1's transversal word t_i
-    carries 1 to i, so sigma(i) = sigma(t_i(1)) = t_i'(sigma(1)) = t_i'(1),
-    with t_i' the image of t_i under rep2, read off rep1's spanning tree:
-    an edge t_j = g t_i gives sigma(j) = g'(sigma(i)), g' being rep2's g.
-    So the answer is whether that sigma commutes with every generator.  It
-    is then a bijection for free: its image is closed under rep2's
-    generators, and rep2 is transitive.
-    Reps of different groups (other generators or relators) never match.
-    """
-    if rep1.degree != rep2.degree:
-        return False
-    pres1, pres2 = rep1.presentation, rep2.presentation
-    if (pres1.generator_names != pres2.generator_names
-            or pres1.relator_powers != pres2.relator_powers):
-        return False
-    perms1, perms2 = rep1.assignment.perms, rep2.assignment.perms
-    sigma = [1] * rep1.degree  # sigma(i) at i - 1
-    for j, i, g in _spanning_tree(perms1):
-        sigma[j - 1] = perms2[g].apply(sigma[i - 1])
-    return all(sigma[g1.apply(i) - 1] == g2.apply(sigma_i)
-               for g1, g2 in zip(perms1, perms2)
-               for i, sigma_i in enumerate(sigma, start=1))

@@ -100,34 +100,3 @@ class Word:
             i = j
         return "".join(parts)
 
-
-def parse_word(text: str, names: tuple[str, ...] | list[str]) -> Word:
-    """Parse ``SRS`` or ``a^-1b^2`` back into a Word (longest name match wins)."""
-    by_length = sorted(range(len(names)), key=lambda i: -len(names[i]))
-    text = text.strip()
-    letters: list[Letter] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        for i in by_length:
-            if text.startswith(names[i], pos):
-                pos += len(names[i])
-                exp = 1
-                if pos < len(text) and text[pos] == "^":
-                    pos += 1
-                    start = pos
-                    if pos < len(text) and text[pos] == "-":
-                        pos += 1
-                    while pos < len(text) and text[pos].isdigit():
-                        pos += 1
-                    if pos == start or text[start:pos] == "-":
-                        raise ValueError(f"bad exponent in word {text!r}")
-                    exp = int(text[start:pos])
-                sign = 1 if exp > 0 else -1
-                letters.extend([(i, sign)] * abs(exp))
-                break
-        else:
-            raise ValueError(f"unknown generator at {text[pos:]!r} in word {text!r}")
-    return Word(tuple(letters))

@@ -19,13 +19,15 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
                        canonical_form, catalog, conjugate_assignment,
                        count_distinct_subgroups, enumerate_classes,
                        evaluate_word, full_presentation, is_transitive,
-                       parse_cycles, presentation_for, raw_schreier_words,
-                       same_subgroup, schreier_generators, simplify_word,
-                       todd_coxeter, verify_class)
+                       presentation_for, raw_schreier_words,
+                       schreier_generators, simplify_word, todd_coxeter,
+                       verify_class)
 from tetgroups.cli import main as cli_main
 from tetgroups.reference import (CORROBORATED_IDS, DEGREE2_ROWS,
                                  T10_KLEINIAN_ROW4_REPAIRED,
                                  T10_KLEINIAN_ROWS)
+
+from conftest import parse_cycles, parse_word, same_subgroup
 
 T10 = CoxeterSymbol(3, 3, 6, 2, 2, 2)
 NAMES = ("P", "Q", "R", "S")
@@ -134,7 +136,8 @@ def test_criterion_2_published_degree2_table(capsys):
                   f"row 15 mechanical words {words}")
         # the printed words generate the row's subgroup: enumerating their
         # cosets returns exactly the row's action
-        parsed = [all2.parse(text) for text in row.stabilizer_words]
+        parsed = [parse_word(text, all2.generator_names)
+                  for text in row.stabilizer_words]
         res = todd_coxeter(all2, parsed, 64)
         check(failures, res.status == "closed" and res.index == 2,
               f"row {i}: printed words do not give an index-2 subgroup")

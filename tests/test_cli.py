@@ -1,12 +1,17 @@
 import json
+import os
 import runpy
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from tetgroups import MAX_DEGREE, BruteForceCounts
 from tetgroups.cli import main
 from tetgroups.perms import perm_tables
+from tetgroups.presentations import MAX_ENTRY
 
 
 def run(capsys, *argv):
@@ -112,6 +117,45 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
         runpy.run_module("tetgroups", run_name="__main__")
     assert exc.value.code == 0
     assert capsys.readouterr().out.endswith("12 classes: 12 closed, 0 inconclusive, 0 failed\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["list"],
+    ["enumerate", "--id", "t19", "--group", "full", "--index", "4", "--format", "json"],
+], ids=["list", "enumerate-json"])
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
+    # the pipe's read end is closed before the CLI starts, so its first
+    # write or flush of stdout fails, whatever the output's size
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tetgroups", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+def test_symbol_entries_past_the_bound_are_refused_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--symbol", f"2,2,2,2,{MAX_ENTRY + 1},2",
+                         "--group", "full", "--index", "4")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert f"integers 2 to {MAX_ENTRY}, got {MAX_ENTRY + 1}" in err
+    # at the bound, with (PS)^t written out MAX_ENTRY times, verify stays under 2 s
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--symbol", f"2,2,2,2,{MAX_ENTRY},2",
+                       "--group", "full", "--index", "4")
+    assert time.perf_counter() - t0 < 2
+    assert code == 0
+    assert out.endswith("43 classes: 43 closed, 0 inconclusive, 0 failed\n")
 
 
 def test_verify_rejects_a_coset_budget_below_one(capsys):

@@ -1,5 +1,7 @@
 from tetgroups import (Assignment, TransitiveRep, coloring_of,
-                       enumerate_classes, evaluate_word, parse_cycles)
+                       enumerate_classes, evaluate_word)
+
+from conftest import parse_cycles
 
 
 def test_coloring_of_index2_class(t10_full):
@@ -42,6 +44,7 @@ def test_csv_rows_cover_every_generator_color_pair(t10_kleinian):
     assert len(rows) == 3 * 4
     assert {(gen, color) for gen, color, _ in rows} == {
         (g, c) for g in "abc" for c in (1, 2, 3, 4)}
+    image_of = dict(zip(cls.rep.assignment.names, cls.rep.assignment.perms))
     for gen, color, image in rows:
-        assert image == cls.rep.assignment.image_of(gen).apply(color)
+        assert image == image_of[gen].apply(color)
 

@@ -17,12 +17,13 @@ from tetgroups import (CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
                        catalog, catalog_by_id, count_distinct_subgroups,
                        default_coset_budget, enumerate_candidates,
                        enumerate_classes, presentation_for, raw_schreier_words,
-                       same_subgroup, schreier_generators, todd_coxeter,
-                       verify_class)
+                       schreier_generators, todd_coxeter, verify_class)
 from tetgroups import oracle
 from tetgroups.oracle import _enumerate, _order_divides, _symmetric_tables
 from tetgroups.stabilizer import _dedup, schreier_scans
 from tetgroups.words import reduce_letters
+
+from conftest import parse_word, same_subgroup
 
 S1 = CoxeterSymbol(3, 3, 3, 2, 2, 2)
 
@@ -265,7 +266,7 @@ def test_coset_enumeration_rejects_foreign_generators(t10_kleinian):
 
 
 def test_coset_enumeration_is_deterministic(t10_full):
-    words = [t10_full.parse(w) for w in ("P", "Q", "R", "SRS")]
+    words = [parse_word(w, t10_full.generator_names) for w in ("P", "Q", "R", "SRS")]
     first = todd_coxeter(t10_full, words, 100)
     second = todd_coxeter(t10_full, words, 100)
     assert first.status == second.status == "closed"
@@ -292,7 +293,7 @@ def test_coset_enumeration_recovers_each_class(t10_full, t10_kleinian):
 def test_index_two_words_close_at_two_not_four(t10_full):
     # feeding a smaller subgroup's generators must close at that subgroup's
     # index; this is the disagreement verify_class watches for
-    words = [t10_full.parse(w) for w in ("P", "Q", "R", "SRS")]
+    words = [parse_word(w, t10_full.generator_names) for w in ("P", "Q", "R", "SRS")]
     res = todd_coxeter(t10_full, words, 200)
     assert res.index == 2
     four = enumerate_classes(t10_full, 4)[0]

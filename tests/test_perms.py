@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tetgroups import (MAX_DEGREE, Assignment, Perm, Word, all_perms,
                        conjugate_assignment, evaluate_word, is_transitive,
-                       parse_cycles, word_order)
+                       word_order)
 from tetgroups.perms import THREE_CYCLE, TRANSPOSITION, order_masks, perm_tables
 
 perms4 = st.sampled_from(all_perms(4))
@@ -76,26 +76,6 @@ def test_order_is_lcm_of_cycle_lengths():
     assert Perm.identity(5).order() == 1
     assert Perm((2, 3, 1, 4, 6, 5)).order() == 6
     assert Perm((2, 1, 3)).order() == 2
-
-
-def test_parse_cycles_forms():
-    assert parse_cycles("(12)(34)", 4) == Perm((2, 1, 4, 3))
-    assert parse_cycles("(132)", 3) == Perm((3, 1, 2))
-    assert parse_cycles("(1 10 2)", 10).apply(1) == 10
-    assert parse_cycles("(1, 3, 2)", 3) == Perm((3, 1, 2))
-    assert parse_cycles("(1)", 2) == Perm.identity(2)
-    assert parse_cycles("()", 3) == Perm.identity(3)
-
-
-def test_parse_cycles_errors():
-    for bad in ["((12))", "(12", "12", "(12)(21)", "(15)", "(1x)"]:
-        with pytest.raises(ValueError):
-            parse_cycles(bad, 4)
-    with pytest.raises(ValueError, match="unbalanced parenthesis"):
-        parse_cycles("(12))", 2)
-    # text outside the cycles is refused character by character
-    with pytest.raises(ValueError, match="unexpected character"):
-        parse_cycles("12", 2)
 
 
 def test_all_perms_ordering_and_bounds():
@@ -319,9 +299,6 @@ def test_assignment_validation():
         Assignment(("P", "Q"), (Perm((1, 2)), Perm((1, 2, 3))))
     a = Assignment(("P", "Q"), (Perm((2, 1)), Perm((1, 2))))
     assert a.degree == 2
-    assert a.image_of("P") == Perm((2, 1))
-    with pytest.raises(KeyError):
-        a.image_of("Z")
     assert a.as_dict() == {"P": "(12)", "Q": "(1)"}
 
 

@@ -3,6 +3,9 @@ import pytest
 from tetgroups import (CATALOG, CoxeterSymbol, Presentation, Word, catalog,
                        catalog_by_id, full_presentation, kleinian_presentation,
                        parse_symbol, presentation_for)
+from tetgroups.presentations import MAX_ENTRY
+
+from conftest import parse_word
 
 T10 = CoxeterSymbol(3, 3, 6, 2, 2, 2)
 
@@ -12,6 +15,11 @@ def test_symbol_validation():
         CoxeterSymbol(1, 3, 3, 2, 2, 2)
     with pytest.raises(ValueError):
         CoxeterSymbol(3, 3, 3, 2, 2, 2.0)
+    with pytest.raises(ValueError, match=f"integers 2 to {MAX_ENTRY}, got {MAX_ENTRY + 1}"):
+        CoxeterSymbol(3, 3, 3, 2, MAX_ENTRY + 1, 2)
+    for text in ["6,6,6,6,6,6", f"2,2,2,2,{MAX_ENTRY},2"] + [
+            e.symbol.as_text() for e in catalog()]:
+        assert parse_symbol(text).as_text() == text
     s = CoxeterSymbol(3, 3, 6, 2, 2, 2)
     assert s.as_tuple() == (3, 3, 6, 2, 2, 2)
     assert s.as_text() == "3,3,6,2,2,2"
@@ -102,7 +110,7 @@ def test_presentation_without_generators_rejected():
 
 
 def test_repeated_generator_names_rejected():
-    # with ("a", "a") Assignment.image_of("a") returned the first image
+    # with ("a", "a") Assignment.as_dict() kept only the second image
     a, b = Word.gen(0), Word.gen(1)
     with pytest.raises(ValueError, match="distinct, repeated: 'a'"):
         Presentation("x", T10, ("a", "a"), ((a, 2), (b, 3)))
@@ -125,7 +133,7 @@ def test_reduce_uses_involutions(t10_full, t10_kleinian):
 
 def test_parse_render_round_trip(t10_full):
     for text in ["SRS", "QP", "PQPQPQ", ""]:
-        assert t10_full.render(t10_full.parse(text)) == text
+        assert t10_full.render(parse_word(text, t10_full.generator_names)) == text
 
 
 def test_relator_powers_give_the_forced_orders(t10_full):

@@ -5,11 +5,13 @@ import pytest
 
 from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep,
                        canonical_form, catalog, enumerate_classes,
-                       evaluate_word, kleinian_presentation, parse_cycles,
+                       evaluate_word, kleinian_presentation,
                        presentation_for)
 from tetgroups.reference import (CORROBORATED_IDS, DEGREE2_ROWS,
                                  REFERENCE_COUNTS, T10_KLEINIAN_ROW4_REPAIRED,
-                                 T10_KLEINIAN_ROWS, reference_counts_by_id)
+                                 T10_KLEINIAN_ROWS)
+
+from conftest import parse_cycles
 
 T10 = CoxeterSymbol(3, 3, 6, 2, 2, 2)
 NAMES = ("P", "Q", "R", "S")
@@ -19,9 +21,6 @@ def test_reference_ids_match_the_hyperbolic_catalog():
     hyper = [e.id for e in catalog() if e.geometry.startswith("hyperbolic")]
     assert [row.id for row in REFERENCE_COUNTS] == hyper
     assert set(CORROBORATED_IDS) <= set(hyper)
-    assert reference_counts_by_id("t10").full == (3, 1, 2)
-    with pytest.raises(ValueError):
-        reference_counts_by_id("s1")
 
 
 def test_degree2_rows_cover_all_nontrivial_assignments():

@@ -7,12 +7,13 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
                        all_perms, build_coset_table, catalog, catalog_by_id,
                        conjugate_assignment, enumerate_classes, evaluate_word,
                        full_presentation, kleinian_presentation,
-                       parse_cycles, presentation_for, raw_schreier_words,
-                       same_subgroup, schreier_generators, simplify_word)
+                       presentation_for, raw_schreier_words,
+                       schreier_generators, simplify_word)
 from tetgroups.reference import DEGREE2_ROWS
 from tetgroups.stabilizer import _dedup, schreier_scans
 
-from conftest import random_presentations
+from conftest import (parse_cycles, parse_word, random_presentations,
+                      same_subgroup)
 
 ALL_TWOS = full_presentation(CoxeterSymbol(2, 2, 2, 2, 2, 2))
 T10_FULL = full_presentation(CoxeterSymbol(3, 3, 6, 2, 2, 2))
@@ -110,7 +111,7 @@ def test_last_degree2_row_is_the_same_subgroup_prettied():
     # the printed words generate the same point-1 stabilizer: each one
     # evaluates into it, and together they reach both mechanical generators
     for text in row.stabilizer_words:
-        word = ALL_TWOS.parse(text)
+        word = parse_word(text, NAMES)
         assert evaluate_word(word, rep.assignment).apply(1) == 1
 
 
@@ -161,7 +162,8 @@ def test_simplify_word_golden_rewrites(t10_full):
     cases = {"SPS": "P", "SQS": "Q", "SRS": "SRS", "PQP": "PQP",
              "RPR": "P", "PSP": "S", "QSQ": "S"}
     for text, expected in cases.items():
-        got = t10_full.render(simplify_word(t10_full.parse(text), t10_full))
+        word = parse_word(text, t10_full.generator_names)
+        got = t10_full.render(simplify_word(word, t10_full))
         assert got == expected, text
     # b and c are involutions with (bc)^2 here; written with negative signs
     # they must still rewrite, since reduce flattens involution signs first
@@ -169,7 +171,8 @@ def test_simplify_word_golden_rewrites(t10_full):
     cases = {"b^-1c^-1b^-1": "c", "a^-1b^-1c^-1b^-1a": "a^-1ca",
              "c^-1bc^-1": "b", "ab^-1a^-1": "aba^-1"}
     for text, expected in cases.items():
-        got = klein.render(simplify_word(klein.parse(text), klein))
+        word = parse_word(text, klein.generator_names)
+        got = klein.render(simplify_word(word, klein))
         assert got == expected, text
 
 

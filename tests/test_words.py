@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tetgroups import Word, parse_word
+from tetgroups import Word
 from tetgroups.words import reduce_letters
+
+from conftest import parse_word
 
 NAMES = ("P", "Q", "R", "S")
 
@@ -85,27 +87,6 @@ def test_render_folds_exponents():
     assert Word([(3, 1), (2, 1), (3, 1)]).render(NAMES) == "SRS"
     w = Word([(0, -1), (1, 1), (1, 1)])
     assert w.render(("a", "b", "c")) == "a^-1b^2"
-
-
-def test_parse_word_examples():
-    assert parse_word("SRS", NAMES).letters == ((3, 1), (2, 1), (3, 1))
-    assert parse_word("a^-1b^2", ("a", "b")).letters == ((0, -1), (1, 1), (1, 1))
-    assert parse_word("", NAMES).is_empty()
-    assert parse_word(" P Q ", NAMES).letters == ((0, 1), (1, 1))
-
-
-def test_parse_word_longest_name_wins():
-    # with names x and xy the two-letter name must be tried first
-    assert parse_word("xyx", ("x", "xy")).letters == ((1, 1), (0, 1))
-
-
-def test_parse_word_errors():
-    with pytest.raises(ValueError):
-        parse_word("PZ", NAMES)
-    with pytest.raises(ValueError):
-        parse_word("P^", NAMES)
-    with pytest.raises(ValueError):
-        parse_word("P^-", NAMES)
 
 
 @given(letters)
