@@ -21,7 +21,7 @@ from math import factorial
 
 from tetgroups import (brute_force_classes, catalog, enumerate_classes,
                        presentation_for, verify_class)
-from tetgroups.oracle import _order_divides, _symmetric_tables
+from tetgroups.oracle import _allowed_reps, _symmetric_tables
 from tetgroups.perms import MAX_DEGREE, order_masks, perm_tables
 
 
@@ -43,7 +43,7 @@ def build_tables(presentations) -> float:
         _symmetric_tables(n)
         for exp in exponents:
             order_masks(n, exp)
-            _order_divides(n, exp)
+            _allowed_reps(n, exp)  # builds _order_divides and _allowed too
     return time.perf_counter() - t0
 
 

@@ -6,11 +6,13 @@ order of its base divides its exponent, read from an order column that is
 computed once per (degree, exponent) and cached; each relator on a single
 generator (P^2, a^p) first cuts that generator's range, then the
 generators are joined one at a time and every other relator keeps only
-the rows where it holds once its last generator is placed.
-Transitivity is tested on the survivors, and the orbits are counted by
-Burnside's lemma, once per conjugacy class of S_n for both counts.  It
-builds its own permutation tables and shares nothing with the enumerator's
-search except the convention (rightmost letter acts first).
+the rows where it holds once its last generator is placed.  The first
+generator takes one element per conjugacy class of its range, each row
+standing for its class.  Transitivity is tested on the survivors, and the
+orbits are counted by Burnside's lemma over the semiregular elements of
+S_n, the only ones that can centralize a transitive group.  It builds its
+own permutation tables and shares nothing with the enumerator's search
+except the convention (rightmost letter acts first).
 
 todd_coxeter independently confirms that a claimed stabilizer really has
 the claimed index, by coset enumeration over the presentation; verify_class
@@ -22,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import factorial, gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -41,19 +44,18 @@ class BruteForceCounts(NamedTuple):
 
 class _SymmetricTables(NamedTuple):
     """S_n as indices into its 0-based one-line codes in lex order, so
-    index 0 is the identity, and one table of its conjugacy classes that
-    serves the Burnside sums over S_n and over its point-1 stabilizer."""
+    index 0 is the identity, with each element's conjugacy class and which
+    elements commute with each semiregular one."""
 
     comp: np.ndarray  # comp[a, b]: a after b
     inv: np.ndarray
     order: np.ndarray  # order[a]: the lcm of a's cycle lengths
     set_image: np.ndarray  # set_image[a, m]: a's image of the point-set bitmask m
-    # One row per conjugacy class (cycle type) of S_n: which elements commute
-    # with one element of the class, the class's size, and how many of its
-    # members fix point 1 (its weight in the point-1 stabilizer's sum).
-    class_centralizers: np.ndarray
-    class_sizes: np.ndarray
-    class_weights: np.ndarray
+    class_rep: np.ndarray  # class_rep[a]: a is the least index of its cycle type
+    class_size: np.ndarray  # class_size[a]: how many elements share a's cycle type
+    # commute[a, j]: a commutes with the j-th semiregular element (all its
+    # cycles of one length) in index order.
+    commute: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -76,14 +78,14 @@ def _symmetric_tables(n: int) -> _SymmetricTables:
     for m in range(1, n + 1):
         length[(length == 0) & (power == np.arange(n))] = m
         power = one_line[rows, power]
-    _, reps, sizes = np.unique(np.sort(length, axis=1), axis=0,
-                               return_index=True, return_counts=True)
-    # A class of size |C| whose members fix f points has |C| f / n members
-    # fixing point 1: conjugating by (1 x) swaps those fixing 1 and x.
-    weights = sizes * (length[reps] == 1).sum(axis=1) // n
+    class_rep = np.zeros(len(one_line), dtype=bool)
+    class_rep[np.unique(np.sort(length, axis=1), axis=0, return_index=True)[1]] = True
+    # A class's size is n! over one member's centralizer (orbit-stabilizer).
+    class_size = factorial(n) // np.count_nonzero(comp == comp.T, axis=1)
+    semiregular = np.flatnonzero((length == length[:, :1]).all(axis=1))
     tables = _SymmetricTables(comp, inv, np.lcm.reduce(length, axis=1), set_image,
-                              comp[reps] == comp[:, reps].T,  # s x == x s
-                              sizes, weights)
+                              class_rep, class_size,
+                              comp[:, semiregular] == comp[semiregular].T)  # a s == s a
     for table in tables:
         table.flags.writeable = False  # one cached copy serves every caller
     return tables
@@ -92,10 +94,29 @@ def _symmetric_tables(n: int) -> _SymmetricTables:
 @lru_cache(maxsize=None)
 def _order_divides(n: int, exp: int) -> np.ndarray:
     """The column over S_n (as _symmetric_tables(n) indexes it) that is True
-    where the element's order divides exp, read-only like the tables."""
+    where the element's order divides exp, read-only like the tables.
+    Exponent 0 allows every element, since every order divides 0."""
     column = exp % _symmetric_tables(n).order == 0
     column.flags.writeable = False
     return column
+
+
+@lru_cache(maxsize=None)
+def _allowed(n: int, exp: int) -> np.ndarray:
+    """The elements of S_n whose order divides exp, as ascending indices."""
+    elements = np.flatnonzero(_order_divides(n, exp))
+    elements.flags.writeable = False
+    return elements
+
+
+@lru_cache(maxsize=None)
+def _allowed_reps(n: int, exp: int) -> np.ndarray:
+    """_allowed(n, exp), one element per conjugacy class: order is a class
+    function, so the range is a union of classes."""
+    elements = _allowed(n, exp)
+    reps = elements[_symmetric_tables(n).class_rep[elements]]
+    reps.flags.writeable = False
+    return reps
 
 
 def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
@@ -109,18 +130,35 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     Nothing of size (n!)^k is built.  A relator (base, exp) holds when the
     base's order divides exp, which _order_divides(n, exp) holds as a
     column over S_n, built on first use and then shared by every call.  A
-    relator on one generator only restricts that generator's range (P^2
-    leaves P 26 of the 120 elements of S_5); on a single letter the column
-    cuts it directly, since g and g^-1 have one order.  The generators are
-    then placed in order, each joined to the rows that survive so far, and
-    a relator is tested as soon as its last generator is placed, so it only
-    sees rows that every earlier relator kept.  Its fold starts from its
-    first letter's images, and the join's mask is the first such relator's
-    result, the later ones ANDed into it in place.
-    Orbits are counted by Burnside's lemma over the conjugacy classes of
-    S_n, so no survivor is conjugated by the whole group: the survivors
-    each class fixes, weighted by the class sizes over n! for the classes
-    and by the members fixing point 1 over (n-1)! for the subgroups.
+    relator on one letter only restricts that generator's range (P^2 leaves
+    P 26 of the 120 elements of S_5; g and g^-1 have one order), and several
+    such relators restrict it to the gcd of their exponents, a range cached
+    as an index array by _allowed.  The generators are then placed in order,
+    each joined to the rows that survive so far, and a relator is tested as
+    soon as its last generator is placed, so it only sees rows that every
+    earlier relator kept.  Its fold starts from its first letter's images,
+    and the join's mask is the first such relator's result, the later ones
+    ANDed into it in place.
+
+    Generator 0 takes only the least element of each conjugacy class in its
+    range (_allowed_reps).  Every relator placed there is a word in
+    generator 0 alone, a power of it, so the range is a union of classes;
+    relabeling the points keeps the relators and transitivity, so the rows
+    with generator 0 = c stand for |class of c| times as many labeled reps,
+    and each surviving row is weighted by that size.
+
+    Orbits are counted by Burnside's lemma, so no survivor is conjugated by
+    the whole group: the classes number the sum over labeled reps x of
+    |Z(x)|, x's centralizer in S_n, over n!.  Conjugating x moves its first
+    image within its class and keeps |Z(x)|, so each row adds its weight
+    times |Z(x)|.  The centralizer of a transitive group is semiregular
+    (Dixon & Mortimer, *Permutation Groups*, 1996, Thm 4.2A): every element
+    of it has all its cycles of one length, so |Z(x)| counts only those
+    elements (10 of the 24 in S_4, 176 of the 720 in S_6) that commute with
+    every generator's image.  A semiregular group meets the point-1
+    stabilizer in the identity alone, so that stabilizer acts freely on the
+    labeled reps and the subgroups number labeled / (n-1)!.  Either
+    quotient leaving a remainder raises RuntimeError.
     """
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"oracle only runs for index 1..{MAX_DEGREE}, got {n}")
@@ -145,12 +183,14 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     columns: list[np.ndarray] = []
     rows = 1
     for g, relators in enumerate(placed_last):
-        choices = np.arange(len(t.inv))
+        # gcd() of no exponents is 0, which allows every element.
+        exp = gcd(*(exp for base, exp in relators if len(base) == 1))
+        choices = (_allowed_reps if g == 0 else _allowed)(n, exp)
         joint = []
         for base, exp in relators:
-            if len(base) == 1:  # order(g^-1) = order(g)
-                choices = choices[_order_divides(n, exp)[choices]]
-            elif all(h == g for h, _ in base):
+            if len(base) == 1:
+                continue
+            if all(h == g for h, _ in base):
                 choices = choices[holds(base, exp, {g: choices})]
             else:
                 joint.append((base, exp))
@@ -164,7 +204,7 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
                 mask &= holds(base, exp, grid)
         else:
             mask = np.ones((rows, len(choices)), dtype=bool)
-        row, choice = np.divmod(np.flatnonzero(mask), len(choices))
+        row, choice = np.nonzero(mask)
         columns = [c[row] for c in columns] + [choices[choice]]
         rows = len(row)
 
@@ -174,28 +214,26 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     for _ in range(n - 1):
         for c in columns:
             reach |= t.set_image[c, reach]
-    kept = np.flatnonzero(reach == (1 << n) - 1)
+    kept = reach == (1 << n) - 1
     columns = [c[kept] for c in columns]
 
-    # Burnside's lemma: the orbits number the mean, over the acting group,
-    # of the survivors each element fixes.  Conjugate elements fix equally
-    # many (relabeling keeps the relators and transitivity), so one element
-    # per class of S_n stands for the class in both sums, and it fixes a
-    # survivor when it commutes with every generator's image.
-    fixes = t.class_centralizers[:, columns[0]]
+    # A semiregular element is in Z(x) when it commutes with every image.
+    fixes = t.commute[columns[0]]
     for c in columns[1:]:
-        fixes &= t.class_centralizers[:, c]
-    fixed = np.count_nonzero(fixes, axis=1)
+        fixes &= t.commute[c]
+    weights = t.class_size[columns[0]]
+    labeled = int(weights.sum())
 
-    def orbits(weights: np.ndarray) -> int:
-        total, order = int(fixed @ weights), int(weights.sum())
+    def orbits(total: int, order: int) -> int:
         quotient, rest = divmod(total, order)
         if rest:
             raise RuntimeError(f"{total} fixed points at index {n} are not a "
                                f"multiple of the group order {order}")
         return quotient
 
-    return BruteForceCounts(len(kept), orbits(t.class_sizes), orbits(t.class_weights))
+    return BruteForceCounts(labeled,
+                            orbits(int(np.count_nonzero(fixes, axis=1) @ weights), factorial(n)),
+                            orbits(labeled, factorial(n - 1)))
 
 
 @dataclass(frozen=True)

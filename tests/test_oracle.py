@@ -19,7 +19,8 @@ from tetgroups import (CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
                        enumerate_classes, presentation_for, raw_schreier_words,
                        schreier_generators, todd_coxeter, verify_class)
 from tetgroups import oracle
-from tetgroups.oracle import _enumerate, _order_divides, _symmetric_tables
+from tetgroups.oracle import (_allowed, _allowed_reps, _enumerate, _order_divides,
+                              _symmetric_tables)
 from tetgroups.stabilizer import _dedup, schreier_scans
 from tetgroups.words import reduce_letters
 
@@ -47,36 +48,74 @@ def test_brute_force_index_bounds(t10_full):
 def test_conjugacy_classes_are_cycle_types(n, p_n, p_n_minus_1):
     # S_n has one class per partition of n (its cycle types).  Grouping by
     # element order instead would merge (12) with (12)(34).  Each class is
-    # kept as one member's centralizer, so a class's size times its
-    # centralizer's is the group order (orbit-stabilizer).
+    # flagged at its least member, and every member carries its class's size.
     t = _symmetric_tables(n)
-    assert len(t.class_centralizers) == len(t.class_sizes) == p_n
-    assert t.class_sizes.sum() == factorial(n)
-    assert all(t.class_centralizers.sum(axis=1) * t.class_sizes == factorial(n))
-    # A class's weight is the number of its members fixing point 1, so the
-    # weights add up to the point-1 stabilizer, a copy of S_(n-1), whose
-    # cycle types are the classes with a fixed point: p(n-1) of them.
-    assert t.class_weights.sum() == factorial(n - 1)
-    assert np.count_nonzero(t.class_weights) == p_n_minus_1
-    by_type = {}
-    for p in itertools.permutations(range(n)):
-        cycles = Perm(tuple(x + 1 for x in p)).cycles()
-        by_type.setdefault(tuple(sorted(map(len, cycles))), []).append(p)
-    assert (sorted(zip(t.class_sizes.tolist(), t.class_weights.tolist()))
-            == sorted((len(ps), sum(p[0] == 0 for p in ps)) for ps in by_type.values()))
+    perms = list(itertools.permutations(range(n)))  # in index order
+    types = []
+    for p in perms:
+        lengths = sorted(map(len, Perm(tuple(x + 1 for x in p)).cycles()))
+        types.append((1,) * (n - sum(lengths)) + tuple(lengths))
+    sizes = Counter(types)
+    assert len(sizes) == np.count_nonzero(t.class_rep) == p_n
+    assert t.class_size[t.class_rep].sum() == factorial(n)
+    assert t.class_size.tolist() == [sizes[c] for c in types]
+    assert np.flatnonzero(t.class_rep).tolist() == sorted(types.index(c) for c in sizes)
+    # The first (n-1)! indices fix point 1, a copy of S_(n-1); a class with
+    # a fixed point has its least member there, so p(n-1) flags fall there.
+    assert np.count_nonzero(t.class_rep[:factorial(n - 1)]) == p_n_minus_1
+    # The semiregular elements have all their cycles of one length; commute
+    # has a column for each, in index order, True where an element commutes
+    # with it.
+    regular = [s for s, c in zip(perms, types) if len(set(c)) == 1]
+    assert len(regular) == {1: 1, 2: 2, 3: 3, 4: 10, 5: 25, 6: 176}[n]
+
+    def after(a, b):
+        return tuple(a[x] for x in b)
+
+    assert t.commute.tolist() == [[after(a, s) == after(s, a) for s in regular]
+                                  for a in perms]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cached_tables_are_read_only(n):
     # every recount shares the cached arrays, so a write into one would
     # change every later count without an error
-    arrays = [*_symmetric_tables(n), *(_order_divides(n, exp) for exp in range(1, 7))]
+    arrays = [*_symmetric_tables(n),
+              *(cache(n, exp) for cache in (_order_divides, _allowed, _allowed_reps)
+                for exp in range(7))]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = array[(0,) * array.ndim]
-    assert all(_order_divides(n, exp).tolist()
-               == [exp % o == 0 for o in _symmetric_tables(n).order.tolist()]
-               for exp in range(1, 7))
+    t = _symmetric_tables(n)
+    for exp in range(7):  # 0 allows every element
+        divides = [exp % o == 0 for o in t.order.tolist()]
+        assert _order_divides(n, exp).tolist() == divides
+        assert _allowed(n, exp).tolist() == [a for a, d in enumerate(divides) if d]
+        assert _allowed_reps(n, exp).tolist() == [a for a, d in enumerate(divides)
+                                                  if d and t.class_rep[a]]
+
+
+# sha256 of the repr of each brute_force_classes triple, chained over the
+# catalog's entries, full then kleinian, and indices 1..6; recorded from the
+# recount that summed Burnside's lemma over one element per class of S_n
+RECOUNT_SHA256 = "58ead9fe2d270f54deae8a5d05e81f45d43198d3ccdb589f5c76261e3be51dd9"
+
+
+def test_recount_is_pinned():
+    digest = hashlib.sha256()
+    for entry in catalog():
+        for group in ("full", "kleinian"):
+            pres = presentation_for(entry.symbol, group)
+            for n in range(1, 7):
+                digest.update(repr(tuple(brute_force_classes(pres, n))).encode())
+    assert digest.hexdigest() == RECOUNT_SHA256
+
+
+def test_recount_of_the_index_6_stress_cell():
+    # [6,6,6,6,6,6] Kleinian at index 6 joins more rows than any catalog
+    # cell; CI also coset-verifies its 14274 classes.
+    pres = presentation_for(CoxeterSymbol(6, 6, 6, 6, 6, 6), "kleinian")
+    assert tuple(brute_force_classes(pres, 6)) == (9737400, 14274, 81145)
 
 
 # What oracle.py imports: the recount builds its own tables, so nothing of
@@ -87,6 +126,7 @@ ORACLE_IMPORTS = {
     "itertools": {"itertools"},
     "dataclasses": {"dataclass", "replace"},
     "functools": {"lru_cache"},
+    "math": {"factorial", "gcd"},
     "typing": {"NamedTuple"},
     "numpy": {"numpy"},
     ".enumerator": {"TransitiveRep"},

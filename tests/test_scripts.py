@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import tetgroups.enumerator
+from tetgroups import oracle
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -88,8 +89,10 @@ def test_full_sweep_builds_the_search_tables_before_the_first_cell(monkeypatch, 
     monkeypatch.setattr(script, "catalog", lambda: (entry,))
     exponents = {exp for group in ("full", "kleinian")
                  for _, exp in script.presentation_for(entry.symbol, group).relator_powers}
-    oracle_caches = {script._symmetric_tables: script.MAX_DEGREE,
-                     script._order_divides: script.MAX_DEGREE * len(exponents)}
+    oracle_caches = {oracle._symmetric_tables: script.MAX_DEGREE,
+                     **{cache: script.MAX_DEGREE * len(exponents)
+                        for cache in (oracle._order_divides, oracle._allowed,
+                                      oracle._allowed_reps)}}
     for cache in oracle_caches:
         cache.cache_clear()
     calls = []
