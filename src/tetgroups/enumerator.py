@@ -87,7 +87,9 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     order (order(u x v) = order(v u x) and order(g) = order(g^-1)), so one
     AND with the row order_masks(n, exp)[w] cuts x's choices; with w the
     identity (a relator on x alone, such as P^2) it cuts them up front.
-    Other bases are folded in full for each choice.
+    Other bases are folded in full for each choice.  That analysis holds no
+    degree, so it is made once per presentation (Presentation.search_plan),
+    and a call only looks up the rows of order_masks for its degree.
 
     Transitivity is a mask on the last generator.  The orbits of the placed
     generators are the join of their cycle partitions, carried down as part
@@ -106,30 +108,20 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     tables = perm_tables(n)
     comp, inv, below, cent = tables.comp, tables.inv, tables.below, tables.cent
     cycles, join, connecting = tables.cycles, tables.join, tables.connecting
-    k = len(presentation.generator_names)
     everything = (1 << len(comp)) - 1
-    ranges = [everything] * k
-    checks: list[list] = [[] for _ in range(k)]  # (prefix, order_masks row table)
-    folds: list[list] = [[] for _ in range(k)]  # (letters, allowed orders mask)
-    for base, exp in presentation.relator_powers:
-        letters = base.letters
-        rows = order_masks(n, exp)
-        x = max(gen for gen, _ in letters)
-        at = [j for j, (gen, _) in enumerate(letters) if gen == x]
-        if len(at) > 1:
-            folds[x].append((letters, rows[0]))
-            continue
-        j = at[0]
-        prefix = letters[j + 1:] + letters[:j]
-        if letters[j][1] < 0:
-            prefix = tuple((gen, -sign) for gen, sign in reversed(prefix))
-        if prefix:
-            checks[x].append((prefix, rows))
-        else:
-            ranges[x] &= rows[0]
+    ranges: list[int] = []
+    checks: list[list] = []  # (prefix, order_masks row table) per generator
+    folds: list[list] = []  # (letters, allowed orders mask) per generator
+    for cuts, at_checks, at_folds in presentation.search_plan:
+        allowed = everything
+        for exp in cuts:
+            allowed &= order_masks(n, exp)[0]
+        ranges.append(allowed)
+        checks.append([(prefix, order_masks(n, exp)) for prefix, exp in at_checks])
+        folds.append([(letters, order_masks(n, exp)[0]) for letters, exp in at_folds])
 
-    chosen = [0] * k
-    last = k - 1
+    chosen = [0] * len(ranges)
+    last = len(ranges) - 1
 
     def extend(depth: int, stab: int, part: int) -> Iterator[tuple[tuple[int, ...], int]]:
         choices = ranges[depth] if depth < last else ranges[depth] & connecting[part]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +33,7 @@ from .enumerator import TransitiveRep
 from .perms import MAX_DEGREE, Assignment, Perm
 from .presentations import Presentation
 from .stabilizer import schreier_scans
-from .words import Word
+from .words import Letter, Word
 
 
 class BruteForceCounts(NamedTuple):
@@ -138,7 +138,10 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     soon as its last generator is placed, so it only sees rows that every
     earlier relator kept.  Its fold starts from its first letter's images,
     and the join's mask is the first such relator's result, the later ones
-    ANDed into it in place.
+    ANDed into it in place.  Which relators are tested where, and each
+    generator's gcd, hold no degree: they are worked out once per
+    presentation (Presentation.recount_plan), and a call only looks up the
+    columns and ranges cached for its degree.
 
     Generator 0 takes only the least element of each conjugacy class in its
     range (_allowed_reps).  Every relator placed there is a word in
@@ -163,37 +166,25 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"oracle only runs for index 1..{MAX_DEGREE}, got {n}")
     t = _symmetric_tables(n)
-    k = len(presentation.generator_names)
 
-    def holds(base: Word, exp: int, images) -> np.ndarray:
+    def holds(letters: tuple[Letter, ...], exp: int, images) -> np.ndarray:
         # Fold the base letter by letter through the composition table
         # (rightmost letter acts first), starting from its first letter's
         # images; images[g] holds generator g's images, shaped to
         # broadcast against the others.
         res = None
-        for g, sign in base:
+        for g, sign in letters:
             image = images[g] if sign > 0 else t.inv[images[g]]
             res = image if res is None else t.comp[res, image]
         return _order_divides(n, exp)[res]
 
-    placed_last = [[] for _ in range(k)]
-    for base, exp in presentation.relator_powers:
-        placed_last[max(g for g, _ in base)].append((base, exp))
     # columns[g][row]: generator g's image in each surviving row.
     columns: list[np.ndarray] = []
     rows = 1
-    for g, relators in enumerate(placed_last):
-        # gcd() of no exponents is 0, which allows every element.
-        exp = gcd(*(exp for base, exp in relators if len(base) == 1))
+    for g, (exp, own, joint) in enumerate(presentation.recount_plan):
         choices = (_allowed_reps if g == 0 else _allowed)(n, exp)
-        joint = []
-        for base, exp in relators:
-            if len(base) == 1:
-                continue
-            if all(h == g for h, _ in base):
-                choices = choices[holds(base, exp, {g: choices})]
-            else:
-                joint.append((base, exp))
+        for letters, exp in own:
+            choices = choices[holds(letters, exp, {g: choices})]
         # The join: one axis for the rows so far, one for g's choices.  Each
         # joint relator uses g and an earlier generator, so its mask has the
         # join's full shape.

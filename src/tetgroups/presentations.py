@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import NamedTuple
 
 from .words import Letter, Word, reduce_letters
@@ -83,6 +84,35 @@ class CosetColumns(NamedTuple):
     inverse: tuple[int, ...]
     relators: tuple[tuple[int, ...], ...]
     letter_of: tuple[Letter, ...]
+
+
+class SearchStep(NamedTuple):
+    """What the search tests once generator x is placed: the relators
+    whose deepest generator is x, as exponents and letters, no degree.
+
+    cuts are the exponents of the relators on x alone, which cut x's
+    choices up front.  checks are (w, exp) for a base that uses x once,
+    rewritten as w * x with the same order.  folds are (letters, exp) for
+    a base that uses x more than once, folded in full for each choice.
+    """
+
+    cuts: tuple[int, ...]
+    checks: tuple[tuple[tuple[Letter, ...], int], ...]
+    folds: tuple[tuple[tuple[Letter, ...], int], ...]
+
+
+class RecountStep(NamedTuple):
+    """What the recount tests once generator g is joined: the relators
+    whose last generator is g, as exponents and letters, no degree.
+
+    exp is the gcd of the exponents of g's one-letter relators, 0 when
+    there are none (every order divides 0).  own are the other relators in
+    g alone, joint those that use an earlier generator too.
+    """
+
+    exp: int
+    own: tuple[tuple[tuple[Letter, ...], int], ...]
+    joint: tuple[tuple[tuple[Letter, ...], int], ...]
 
 
 @dataclass(frozen=True)
@@ -159,6 +189,53 @@ class Presentation:
             tuple(of_letter[letter] for letter in reversed(base.letters * k))
             for base, k in self.relator_powers if not (len(base) == 1 and k == 2))
         return CosetColumns(of_letter, tuple(inverse), relators, tuple(letter_of))
+
+    @cached_property
+    def search_plan(self) -> tuple[SearchStep, ...]:
+        """enumerator._search's relators, one SearchStep per generator.
+
+        A relator is placed at the deepest generator x of its base.  When
+        x occurs once, at j, the base is rotated to put x last, since
+        order(u x v) = order(v u x); when that x is inverted the rotation
+        is inverted too, since order(g) = order(g^-1).  That leaves w * x
+        with w free of x, and an empty w makes it a cut.
+        """
+        steps: list[tuple[list, list, list]] = [([], [], []) for _ in self.generator_names]
+        for base, exp in self.relator_powers:
+            letters = base.letters
+            x = max(gen for gen, _ in letters)
+            at = [j for j, (gen, _) in enumerate(letters) if gen == x]
+            cuts, checks, folds = steps[x]
+            if len(at) > 1:
+                folds.append((letters, exp))
+                continue
+            j = at[0]
+            prefix = letters[j + 1:] + letters[:j]
+            if letters[j][1] < 0:
+                prefix = tuple((gen, -sign) for gen, sign in reversed(prefix))
+            if prefix:
+                checks.append((prefix, exp))
+            else:
+                cuts.append(exp)
+        return tuple(SearchStep(*map(tuple, step)) for step in steps)
+
+    @cached_property
+    def recount_plan(self) -> tuple[RecountStep, ...]:
+        """oracle.brute_force_classes's relators, one RecountStep per
+        generator: each relator is tested once the last generator of its
+        base is joined.  Several one-letter relators on g keep the elements
+        whose order divides every exponent, which is their gcd."""
+        placed_last: list[list] = [[] for _ in self.generator_names]
+        for base, exp in self.relator_powers:
+            placed_last[max(g for g, _ in base)].append((base.letters, exp))
+        steps = []
+        for g, relators in enumerate(placed_last):
+            longer = [(letters, exp) for letters, exp in relators if len(letters) > 1]
+            steps.append(RecountStep(
+                gcd(*(exp for letters, exp in relators if len(letters) == 1)),
+                tuple(r for r in longer if all(h == g for h, _ in r[0])),
+                tuple(r for r in longer if any(h != g for h, _ in r[0]))))
+        return tuple(steps)
 
     @cached_property
     def pair_bases(self) -> tuple[Word, ...]:

@@ -9,18 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tetgroups import (Assignment, CoxeterSymbol, Perm, Presentation,
-                       TransitiveRep, Word, all_perms, brute_force_classes,
-                       canonical_form, catalog, catalog_by_id, classify_image,
-                       conjugate_assignment, count_distinct_subgroups,
-                       enumerate_candidates, enumerate_classes, evaluate_word,
-                       is_transitive, kleinian_presentation,
-                       presentation_for, verify_class)
+from tetgroups import (MAX_DEGREE, Assignment, CoxeterSymbol, Perm,
+                       Presentation, TransitiveRep, Word, all_perms,
+                       brute_force_classes, canonical_form, catalog,
+                       catalog_by_id, classify_image, conjugate_assignment,
+                       count_distinct_subgroups, enumerate_candidates,
+                       enumerate_classes, evaluate_word, is_transitive,
+                       kleinian_presentation, presentation_for, verify_class)
 from tetgroups import enumerator
 from tetgroups.enumerator import _jordan_order, _search
 from tetgroups.perms import perm_tables
 
-from conftest import random_presentations
+from conftest import T10, random_presentations
 
 
 def asg(names, *cycle_maps):
@@ -159,20 +159,77 @@ def test_search_output_is_pinned():
     assert digest.hexdigest() == SEARCH_SHA256
 
 
+def product_space_counts(reps, n):
+    """(labeled, classes, subgroups) of the reference's transitive reps:
+    grouping them by canonical form gives the classes, and by the least
+    conjugate under relabelings fixing 1 the subgroups."""
+    fix1 = [s for s in all_perms(n) if s.apply(1) == 1]
+    subgroups = {min(conjugate_assignment(x, s).key() for s in fix1) for x in reps}
+    classes = {canonical_form(x).key() for x in reps}
+    assert len(classes) < len(subgroups) < len(reps)
+    return len(reps), len(classes), len(subgroups)
+
+
 def test_oracle_matches_the_product_space_on_a_general_presentation():
-    # The oracle cuts b's range by its own relator b^-3 and leaves c's whole;
-    # grouping the reference by canonical form gives the classes, and by the
-    # least conjugate under relabelings fixing 1 the subgroups.
+    # The oracle cuts b's range by its own relator b^-3 and leaves c's whole.
     pres = general_presentation()
     for n in (3, 4):
         reps = [x for x in product_space(pres, n)
                 if satisfies_relators(pres, x) and is_transitive(x)]
-        fix1 = [s for s in all_perms(n) if s.apply(1) == 1]
-        subgroups = {min(conjugate_assignment(x, s).key() for s in fix1) for x in reps}
-        classes = {canonical_form(x).key() for x in reps}
-        assert len(classes) < len(subgroups) < len(reps)
-        assert (tuple(brute_force_classes(pres, n))
-                == (len(reps), len(classes), len(subgroups)))
+        assert tuple(brute_force_classes(pres, n)) == product_space_counts(reps, n)
+
+
+def two_cut_presentation():
+    """a carries two one-letter relators, a^4 and a^-6, so it ranges over
+    the elements whose order divides 2; c, the deepest generator of bc^-1a,
+    is inverted there; b has no relator of its own (none is placed at b)."""
+    a, b, c = (Word.gen(i) for i in range(3))
+    return Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b", "c"),
+                        ((a, 4), (~a, 6), (b * ~c * a, 3), (c * a * c * b, 2)))
+
+
+def test_two_cuts_on_one_generator_match_the_product_space():
+    pres = two_cut_presentation()
+    assert pres.search_plan[0].cuts == (4, 6) and pres.recount_plan[0].exp == 2
+    assert pres.search_plan[1] == ((), (), ()) and pres.recount_plan[1] == (0, (), ())
+    for n in (3, 4):
+        expected = [x for x in product_space(pres, n) if satisfies_relators(pres, x)]
+        assert {x.perms[0].order() for x in expected} == {1, 2}
+        reps = [x for x in expected if is_transitive(x)]
+        assert [x.key() for x in enumerate_candidates(pres, n)] == [x.key() for x in reps]
+        assert tuple(brute_force_classes(pres, n)) == product_space_counts(reps, n)
+
+
+def test_each_plan_is_built_once_per_presentation(t10_full):
+    # Out-of-range degrees are refused before a plan is built; then one
+    # plan of each kind serves every degree, and it equals the plan of a
+    # presentation that has run no search, so it holds nothing of a degree.
+    for n in (0, MAX_DEGREE + 1):
+        for run in (enumerate_classes, enumerate_candidates,
+                    count_distinct_subgroups, brute_force_classes):
+            with pytest.raises(ValueError):
+                run(t10_full, n)
+    assert not {"search_plan", "recount_plan"} & set(vars(t10_full))
+    for n in range(1, MAX_DEGREE + 1):
+        enumerate_classes(t10_full, n)
+        brute_force_classes(t10_full, n)
+        plans = vars(t10_full)["search_plan"], vars(t10_full)["recount_plan"]
+        if n == 1:
+            first = plans
+        assert all(plan is built for plan, built in zip(plans, first))
+    fresh = presentation_for(T10, "full")
+    assert plans == (fresh.search_plan, fresh.recount_plan)
+
+
+def test_a_plan_that_drops_a_relator_is_caught(t10_full, monkeypatch):
+    # Q's step without (PQ)^3: the search then yields combos that break it,
+    # and the per-class check, which reads relator_powers, refuses them.
+    p_step, q_step, *tail = t10_full.search_plan
+    assert q_step.checks == ((((0, 1),), 3),)
+    broken = (p_step, q_step._replace(checks=()), *tail)
+    monkeypatch.setitem(vars(t10_full), "search_plan", broken)
+    with pytest.raises(RuntimeError, match="not a transitive rep"):
+        enumerate_classes(t10_full, 4)
 
 
 def test_class_reps_are_canonical_and_sorted(t10_kleinian):

@@ -18,7 +18,7 @@ from tetgroups import (CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
                        default_coset_budget, enumerate_candidates,
                        enumerate_classes, presentation_for, raw_schreier_words,
                        schreier_generators, todd_coxeter, verify_class)
-from tetgroups import oracle
+from tetgroups import enumerator, oracle
 from tetgroups.oracle import (_allowed, _allowed_reps, _enumerate, _order_divides,
                               _symmetric_tables)
 from tetgroups.stabilizer import _dedup, schreier_scans
@@ -120,20 +120,21 @@ def test_recount_of_the_index_6_stress_cell():
 
 # What oracle.py imports: the recount builds its own tables, so nothing of
 # the enumerator's search (perm_tables, order_masks, _search, _fold) may be
-# added here.
+# added here.  Each reads its own analysis of the relators off the
+# presentation, so neither module may name the other's.
 ORACLE_IMPORTS = {
     "__future__": {"annotations"},
     "itertools": {"itertools"},
     "dataclasses": {"dataclass", "replace"},
     "functools": {"lru_cache"},
-    "math": {"factorial", "gcd"},
+    "math": {"factorial"},
     "typing": {"NamedTuple"},
     "numpy": {"numpy"},
     ".enumerator": {"TransitiveRep"},
     ".perms": {"MAX_DEGREE", "Assignment", "Perm"},
     ".presentations": {"Presentation"},
     ".stabilizer": {"schreier_scans"},
-    ".words": {"Word"},
+    ".words": {"Letter", "Word"},
 }
 
 
@@ -149,6 +150,21 @@ def test_the_recount_imports_nothing_of_the_search():
     allowed = {(module, name) for module, names in ORACLE_IMPORTS.items() for name in names}
     assert imported <= allowed
     assert not {name for _, name in imported} & {"perm_tables", "order_masks", "_search", "_fold"}
+    assert not names_in(oracle) & {"search_plan", "SearchStep"}
+    assert not names_in(enumerator) & {"recount_plan", "RecountStep"}
+
+
+def names_in(module):
+    """Every name, attribute and imported name in a module's source."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names}
+    return names
 
 
 @pytest.mark.parametrize("group", ["full", "kleinian"])
