@@ -9,11 +9,10 @@ each class is the conjugacy class of the stabilizer of point 1.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations
 from math import factorial
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .perms import (THREE_CYCLE, TRANSPOSITION, Assignment, all_perms,
@@ -59,19 +58,45 @@ class TransitiveRep:
         return self.assignment.degree
 
 
+class _ImageType:
+    """SubgroupClass.image_type: a name given to the constructor, or one
+    computed from the rep on first read and kept.
+
+    A dataclass reads a descriptor field's default from __get__ on the class
+    (None here: name on read) and sets the field through __set__, so the
+    constructor, dataclasses.replace, ==, hash and repr all see the name.
+    """
+
+    def __get__(self, instance: SubgroupClass | None, owner: type | None = None) -> str | None:
+        if instance is None:
+            return None
+        name = instance.__dict__["image_type"]
+        if name is None:
+            n = instance.index
+            name = _image_type(_indices(instance.rep.assignment, n), n, transitive=True)
+            instance.__dict__["image_type"] = name
+        return name
+
+    def __set__(self, instance: SubgroupClass, name: str | None) -> None:
+        instance.__dict__["image_type"] = name
+
+
 @dataclass(frozen=True)
 class SubgroupClass:
     """One conjugacy class of index-n subgroups.
 
     rep is the canonical (lexicographically least) representative of the
     S_n-conjugation orbit; labeled_orbit_size is the orbit's size, i.e. the
-    number of labeled transitive homomorphisms in the class.
+    number of labeled transitive homomorphisms in the class.  image_type
+    names the rep's image in S_n (classify_image); enumerate_classes leaves
+    it to be computed on first read, so a caller that only counts names
+    nothing.
     """
 
     rep: TransitiveRep
     index: int
-    image_type: str
     labeled_orbit_size: int
+    image_type: _ImageType = _ImageType()
 
 
 def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -211,13 +236,20 @@ def _jordan_order(combo: Sequence[int], n: int) -> int | None:
         kept &= tables.blocks[i]
     if kept:
         return None
-    comp, power, odd = tables.comp, tables.power, tables.odd
+    comp, power = tables.comp, tables.power
     kind = max(power[x] for x in chain(combo, (comp[a][b] for a, b in combinations(combo, 2))))
     if kind == TRANSPOSITION:
         return factorial(n)
     if kind == THREE_CYCLE:
-        return factorial(n) // (1 if any(odd[i] for i in combo) else 2)
+        return _alternating_or_symmetric(combo, n)
     return None
+
+
+def _alternating_or_symmetric(combo: Sequence[int], n: int) -> int:
+    """The order of the group combo generates, given that it contains A_n:
+    n! when a generator is odd, else n!/2."""
+    odd = perm_tables(n).odd
+    return factorial(n) // (1 if any(odd[i] for i in combo) else 2)
 
 
 def _image_type(combo: Sequence[int], n: int, transitive: bool) -> str:
@@ -226,17 +258,21 @@ def _image_type(combo: Sequence[int], n: int, transitive: bool) -> str:
 
     At degree 5 and up a transitive image is named by _jordan_order where it
     applies.  Otherwise the image is closed breadth first from the
-    generators, and at degrees up to 4 its elements tell Z4 from V.
+    generators, and at degrees up to 4 its elements tell Z4 from V.  At
+    degree 5 and up, A_n and S_n are the only subgroups of index below n
+    (Dixon-Mortimer, sec. 5.2), so the closure stops once it has listed more
+    than (n-1)! elements, and the image is A_n or S_n by parity.
     """
     size = _jordan_order(combo, n) if n >= 5 and transitive else None
     if size is None:
         tables = perm_tables(n)
-        comp, order = tables.comp, tables.order
+        rows, order = [tables.comp[x] for x in combo], tables.order
+        most = factorial(n - 1) if n >= 5 else factorial(n)
         elements, frontier = {0}, {0}
-        while frontier:
-            frontier = {comp[g][x] for g in frontier for x in combo} - elements
+        while frontier and len(elements) <= most:
+            frontier = {row[g] for g in frontier for row in rows} - elements
             elements |= frontier
-        size = len(elements)
+        size = len(elements) if len(elements) <= most else _alternating_or_symmetric(combo, n)
     if size == 1:
         return "1"
     if n == 2:
@@ -251,6 +287,18 @@ def _image_type(combo: Sequence[int], n: int, transitive: bool) -> str:
     return f"G{size}"
 
 
+@cache
+def _perm_index(n: int) -> dict[tuple[int, ...], int]:
+    """Index in all_perms(n) of each one-line tuple."""
+    return {p.images: i for i, p in enumerate(all_perms(n))}
+
+
+def _indices(assignment: Assignment, n: int) -> list[int]:
+    """The indices in all_perms(n) of a degree-n assignment's images."""
+    index = _perm_index(n)
+    return [index[p.images] for p in assignment.perms]
+
+
 def classify_image(assignment: Assignment) -> str:
     """Name the subgroup of S_n generated by the images.
 
@@ -258,11 +306,10 @@ def classify_image(assignment: Assignment) -> str:
     past that the label just records the order.  Any assignment is named:
     Jordan's theorem, which names most transitive images of degree 5 and up
     without listing them, is only tried on a transitive one, and every
-    other image is listed element by element.
+    other image is listed from its generators.
     """
     n = assignment.degree
-    perms = all_perms(n)  # sorted by one-line tuple, as bisect needs
-    combo = [bisect_left(perms, p.images, key=attrgetter("images")) for p in assignment.perms]
+    combo = _indices(assignment, n)
     return _image_type(combo, n, _is_transitive(combo, n))
 
 
@@ -274,9 +321,10 @@ def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]
     combo is checked on the search's tables before its rep is built: every
     relator's base folds to an element whose order divides the exponent,
     and the generators' cycle partitions join to one block.  A combo that
-    fails raises RuntimeError.  The image type comes from the same indices
-    (_image_type, told the combo is transitive), by Jordan's theorem where
-    it applies.
+    fails raises RuntimeError.  No image is named here: a class's
+    image_type is computed when it is first read, from the rep's indices
+    (_image_type, told the rep is transitive), by Jordan's theorem where it
+    applies.
     """
     perms = all_perms(n)  # refuses an index outside 1..MAX_DEGREE
     tables = perm_tables(n)
@@ -293,7 +341,6 @@ def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]
         rep = TransitiveRep._unchecked(
             presentation, Assignment._unchecked(names, tuple(map(perms.__getitem__, combo))))
         classes.append(SubgroupClass(rep=rep, index=n,
-                                     image_type=_image_type(combo, n, transitive=True),
                                      labeled_orbit_size=factorial(n) // stab))
     return classes
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import warnings
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tetgroups import (MAX_DEGREE, Assignment, CoxeterSymbol, Perm,
-                       Presentation, TransitiveRep, Word, all_perms,
+                       Presentation, SubgroupClass, TransitiveRep, Word, all_perms,
                        brute_force_classes, canonical_form, catalog,
                        catalog_by_id, classify_image, conjugate_assignment,
                        count_distinct_subgroups, enumerate_candidates,
@@ -430,6 +431,15 @@ def test_classify_image_names():
     assert classify_image(asg("gh", [(1, 2, 3, 4, 5)], [(1, 2)])) == "G120"
     assert classify_image(asg("gh", [(1, 2, 3, 4, 5)], [(1, 2, 3)])) == "G60"
     assert classify_image(asg("gh", [(1, 2, 3, 4, 5, 6)], [(1, 2)])) == "G720"
+    # transitive images that Jordan's theorem leaves open (no generator or
+    # pairwise product has a transposition or 3-cycle power): the listing
+    # stops past 5! elements and parity names them
+    for a, name in ((asg("gh", [(1, 4, 5, 2, 6, 3)], [(1, 5, 6, 3, 2)]), "G720"),
+                    (asg("gh", [(1, 6), (2, 3, 4, 5)], [(1, 5, 2, 4, 3)]), "G360")):
+        assert _jordan_order([all_perms(6).index(p) for p in a.perms], 6) is None
+        assert classify_image(a) == name
+    # S_5 on the points 2-6 has exactly 5! elements and is listed in full
+    assert classify_image(asg("gh", [(2, 3, 4, 5, 6)], [(2, 3)])) == "G120"
 
 
 def test_classify_image_tries_jordan_only_on_a_transitive_image():
@@ -448,6 +458,17 @@ def closure_order(combo, n):
                     if y not in elements]
         elements.update(frontier)
     return len(elements)
+
+
+@given(st.sampled_from([5, 6]).flatmap(
+    lambda n: st.lists(st.sampled_from(range(factorial(n))), min_size=1, max_size=3)
+    .map(lambda combo: (n, combo))))
+@settings(max_examples=200)
+def test_classify_image_names_the_listed_order(n_combo):
+    n, combo = n_combo
+    a = Assignment(tuple("xyz"[:len(combo)]), tuple(all_perms(n)[i] for i in combo))
+    order = closure_order(combo, n)
+    assert classify_image(a) == ("1" if order == 1 else f"G{order}")
 
 
 @pytest.mark.parametrize("n, fired, classes", [(5, 62, 70), (6, 92, 931)])
@@ -480,8 +501,9 @@ def test_enumerate_classes_checks_what_the_search_yields(t10_full, monkeypatch, 
 
 
 def test_enumerate_classes_tests_transitivity_once_per_class(monkeypatch):
-    # _image_type is told what enumerate_classes' own check found, so the
-    # Jordan path at index 5 does not test the combo again
+    # enumerate_classes' own check tests each combo once; a name read later
+    # is computed with _image_type told the rep is transitive, so the Jordan
+    # path at index 5 does not test it again
     calls = []
     is_transitive_ = enumerator._is_transitive
 
@@ -492,7 +514,36 @@ def test_enumerate_classes_tests_transitivity_once_per_class(monkeypatch):
     monkeypatch.setattr(enumerator, "_is_transitive", counting)
     classes = enumerate_classes(presentation_for(catalog_by_id("t31").symbol, "kleinian"), 5)
     assert len(classes) == 12
+    assert {c.image_type for c in classes} == {"G20", "G120"}
     assert len(calls) == len(classes)
+
+
+def test_image_types_are_named_when_read(monkeypatch):
+    def refuse(combo, n, transitive):
+        raise AssertionError("an image was named")
+
+    t31 = presentation_for(catalog_by_id("t31").symbol, "kleinian")
+    t10 = presentation_for(T10, "full")
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerator, "_image_type", refuse)
+        cells = [enumerate_classes(t31, 5), enumerate_classes(t10, 4)]
+        assert [len(classes) for classes in cells] == [12, 2]
+        assert [sum(c.labeled_orbit_size for c in classes) for classes in cells] == [1440, 30]
+        assert all(verify_class(c.rep) for classes in cells for c in classes)
+    # the names recorded when enumerate_classes still named every class
+    assert [[c.image_type for c in classes] for classes in cells] == [
+        ["G120", "G120", "G20", "G20", "G20", "G120", "G20", "G120", "G20", "G20",
+         "G120", "G120"],
+        ["S4", "V"]]
+    named = cells[1][1]
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerator, "_image_type", refuse)
+        stored = SubgroupClass(rep=named.rep, index=4, labeled_orbit_size=24, image_type="X")
+        assert stored.image_type == "X"
+        moved = dataclasses.replace(named, labeled_orbit_size=7)
+        assert (moved.image_type, moved.labeled_orbit_size) == ("V", 7)
+        assert moved != named and moved == dataclasses.replace(moved)
+        assert repr(named).endswith("labeled_orbit_size=6, image_type='V')")
 
 
 def test_stress_cell_image_types():
@@ -504,6 +555,23 @@ def test_stress_cell_image_types():
     assert Counter(c.image_type for c in classes) == {
         "G6": 119, "G12": 233, "G18": 364, "G24": 487, "G36": 336, "G48": 96,
         "G60": 25, "G120": 202, "G720": 12412}
+
+
+# sha256 of repr((rep key, image type)) for every class, chained over all 80
+# catalog groups (catalog order, full before kleinian) at indices 1-6,
+# recorded when enumerate_classes named every class as it built it
+IMAGE_TYPES_SHA256 = "920f587481ca28263f5495fb98156cc988255eda9d16c995f57224450c941e98"
+
+
+def test_image_types_are_pinned():
+    digest = hashlib.sha256()
+    for entry in catalog():
+        for group in ("full", "kleinian"):
+            pres = presentation_for(entry.symbol, group)
+            for n in range(1, 7):
+                for c in enumerate_classes(pres, n):
+                    digest.update(repr((c.rep.assignment.key(), c.image_type)).encode())
+    assert digest.hexdigest() == IMAGE_TYPES_SHA256
 
 
 canonical_seeds = st.tuples(st.sampled_from(all_perms(3)),
