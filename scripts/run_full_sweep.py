@@ -21,8 +21,9 @@ from math import factorial
 
 from tetgroups import (brute_force_classes, catalog, enumerate_classes,
                        presentation_for, verify_class)
+from tetgroups.enumerator import order_masks, perm_tables
 from tetgroups.oracle import _allowed_reps, _symmetric_tables
-from tetgroups.perms import MAX_DEGREE, order_masks, perm_tables
+from tetgroups.perms import MAX_DEGREE
 
 
 def unconfirmed(classes, cell) -> list[tuple]:

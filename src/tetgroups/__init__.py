@@ -9,12 +9,12 @@ and coset enumeration), and exports classes as colorings.
 """
 
 from .coloring import coloring_of
-from .enumerator import (SubgroupClass, TransitiveRep, canonical_form,
-                         classify_image, count_distinct_subgroups,
-                         enumerate_candidates, enumerate_classes)
+from .enumerator import (SubgroupClass, canonical_form, classify_image,
+                         count_distinct_subgroups, enumerate_candidates,
+                         enumerate_classes)
 from .oracle import (BruteForceCounts, TCResult, brute_force_classes,
                      default_coset_budget, todd_coxeter, verify_class)
-from .perms import (MAX_DEGREE, Assignment, Perm, all_perms,
+from .perms import (MAX_DEGREE, Assignment, Perm, TransitiveRep, all_perms,
                     conjugate_assignment, evaluate_word, is_transitive,
                     word_order)
 from .presentations import (CATALOG, CatalogEntry, CoxeterSymbol,

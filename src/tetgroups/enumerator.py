@@ -12,50 +12,193 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
-from math import factorial
-from typing import Iterable, Iterator, Sequence
+from math import factorial, lcm
+from operator import getitem
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .perms import (THREE_CYCLE, TRANSPOSITION, Assignment, all_perms,
-                    conjugate_assignment, is_transitive, order_masks, perm_tables,
-                    word_order)
+from .perms import Assignment, TransitiveRep, all_perms, conjugate_assignment
 from .presentations import Presentation
 from .words import Letter
 
+# PermTables.power's values; a power that is a transposition outranks one
+# that is a 3-cycle, so the strongest of several elements is their max.
+THREE_CYCLE = 1
+TRANSPOSITION = 2
 
-@dataclass(frozen=True)
-class TransitiveRep:
-    """A transitive assignment that satisfies every relator (checked).
 
-    enumerate_classes checks its reps on the search's index tables and
-    builds them through _unchecked, as words are built through
-    Word._unchecked.
+# perm_tables(n) is what bounds the degree (perms.MAX_DEGREE).  It holds
+# two tables of n!^2 entries, the composition and the conjugation table:
+# 518k each at 6, where the whole table builds in 0.2-0.3 s, and 25M at 7,
+# which no longer fits a laptop-scale job.  Its other parts are smaller:
+# the search's bitsets are n! ints of n! bits each, under 100 kB at 6, and
+# the partition joins number Bell(n)^2, 41k at 6 (Bell(6) = 203) and 769k
+# at 7 (Bell(7) = 877).
+class PermTables(NamedTuple):
+    """The enumerator's tables of S_n over the indices of all_perms(n).
+
+    Index 0 is the identity.  comp[a][b] is the index of a * b, inv[a] of
+    a's inverse, order[a] is a's order, and conj[i][s] is the index of
+    s * i * s^-1, so conj[i] lists i's conjugates.
+
+    The orderly search's bitsets, bit s standing for the relabeling
+    all_perms(n)[s]: below[i] holds the s with s * i * s^-1 earlier than i,
+    and cent[i] those with s * i * s^-1 == i, the centralizer of i.
+
+    Set partitions of the points, for the transitivity mask: partitions[p]
+    labels points 0..n-1 by block, the blocks numbered in order of their
+    least point.  Index 0 is the finest partition and the last the
+    one-block partition.  cycles[i] is the index of element i's cycle
+    partition, join[p][c] that of the finest partition coarser than both p
+    and c, and connecting[p] the bitset of the elements i for which
+    join[p][cycles[i]] is the one-block partition.  The orbits of a group
+    are the join of its generators' cycle partitions.
+
+    What Jordan's theorem needs: systems are the block systems a transitive
+    group of degree n can preserve, the uniform partitions into 2..n-1
+    blocks, as labels from partitions (none at a prime degree).  blocks[i]
+    has bit b when element i maps each block of systems[b] onto a block.
+    power[i] is TRANSPOSITION when some power of i is a transposition (one
+    2-cycle, every other cycle odd), else THREE_CYCLE when some power is a
+    3-cycle (one 3-cycle, every other cycle length prime to 3), else 0;
+    odd[i] is i's parity.
     """
 
-    presentation: Presentation
-    assignment: Assignment
+    comp: tuple[tuple[int, ...], ...]
+    inv: tuple[int, ...]
+    order: tuple[int, ...]
+    conj: tuple[tuple[int, ...], ...]
+    below: tuple[int, ...]
+    cent: tuple[int, ...]
+    partitions: tuple[tuple[int, ...], ...]
+    cycles: tuple[int, ...]
+    join: tuple[tuple[int, ...], ...]
+    connecting: tuple[int, ...]
+    systems: tuple[tuple[int, ...], ...]
+    blocks: tuple[int, ...]
+    power: tuple[int, ...]
+    odd: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        if self.assignment.names != self.presentation.generator_names:
-            raise ValueError("assignment names do not match the presentation")
-        bad = [base for base, k in self.presentation.relator_powers
-               if k % word_order(base, self.assignment) != 0]
-        if bad:
-            shown = ", ".join(self.presentation.render(w) for w in bad)
-            raise ValueError(f"relators violated (base words: {shown})")
-        if not is_transitive(self.assignment):
-            raise ValueError("assignment is not transitive")
 
-    @classmethod
-    def _unchecked(cls, presentation: Presentation, assignment: Assignment) -> "TransitiveRep":
-        """A rep whose names, relators and transitivity are checked already."""
-        rep = object.__new__(cls)
-        object.__setattr__(rep, "presentation", presentation)
-        object.__setattr__(rep, "assignment", assignment)
-        return rep
+@cache
+def _perm_index(n: int) -> dict[tuple[int, ...], int]:
+    """Index in all_perms(n) of each one-line tuple."""
+    return {p.images: i for i, p in enumerate(all_perms(n))}
 
-    @property
-    def degree(self) -> int:
-        return self.assignment.degree
+
+@cache
+def perm_tables(n: int) -> PermTables:
+    """The table for degree n, built on first use.  comp's columns, which
+    conj is read off, are deleted once conj is built, so the build peaks
+    at comp, its columns and conj.
+
+    Only the rows of S_n's generators, the transposition (1 2) and the
+    n-cycle, are looked up; every other row of comp is a product's,
+    comp[t * a][b] = comp[t][comp[a][b]], one map over a known row.
+
+    The partitions are reached from the finest one breadth first, each by
+    merging the blocks of one pair of points in an earlier one, its parent.
+    merge[p][a * n + b] is p with the blocks of a and b merged, so a join
+    row is filled in that order: join(p, c) = merge(join(p, parent), pair).
+
+    An element keeps a partition's blocks exactly when the pairs (block of
+    x, block of its image) number the blocks, each block going to one.
+    """
+    perms = all_perms(n)  # refuses a degree outside 1..MAX_DEGREE
+    index = _perm_index(n)
+    zero_based = [tuple(j - 1 for j in p.images) for p in perms]
+    cycle = (*range(2, n + 1), 1)
+    swap = (2, 1, *range(3, n + 1)) if n > 1 else cycle
+    gen_rows = [tuple(index[tuple(map(t.__getitem__, b))] for b in zero_based)
+                for t in {cycle, swap}]
+    rows: list[tuple[int, ...] | None] = [None] * len(perms)
+    rows[0] = tuple(range(len(perms)))
+    reached = [0]
+    for a in reached:  # grows until every element is reached
+        for t in gen_rows:
+            ta = t[a]
+            if rows[ta] is None:
+                rows[ta] = tuple(map(t.__getitem__, rows[a]))
+                reached.append(ta)
+    comp = tuple(rows)
+    inv = tuple(row.index(0) for row in comp)
+    columns = tuple(zip(*comp))  # columns[x][y] = comp[y][x]
+    # conj[i][s] = (s * i) * s^-1 = columns[inv[s]][columns[i][s]]
+    inverse_columns = list(map(columns.__getitem__, inv))
+    conj = tuple(tuple(map(getitem, inverse_columns, column)) for column in columns)
+    del zero_based, gen_rows, rows, columns, inverse_columns
+
+    below = tuple(sum(1 << s for s, c in enumerate(col) if c < i) for i, col in enumerate(conj))
+    cent = tuple(sum(1 << s for s, c in enumerate(col) if c == i) for i, col in enumerate(conj))
+
+    partitions = [tuple(range(n))]
+    index = {partitions[0]: 0}
+    parent = [(0, 0)]  # (parent, merged pair); pair 0 is (0, 0), a no-op
+    merge = []
+    for at, p in enumerate(partitions):  # grows until every partition is reached
+        row = [at] * (n * n)
+        for a, b in combinations(range(n), 2):
+            lo, hi = sorted((p[a], p[b]))
+            if lo == hi:
+                continue
+            q = tuple(lo if x == hi else x - (x > hi) for x in p)
+            if q not in index:
+                index[q] = len(partitions)
+                partitions.append(q)
+                parent.append((at, a * n + b))
+            row[a * n + b] = row[b * n + a] = index[q]
+        merge.append(row)
+    join = []
+    for p in range(len(partitions)):
+        row = [p]
+        for up, pair in parent[1:]:
+            row.append(merge[row[up]][pair])
+        join.append(tuple(row))
+    cycles = []
+    for perm in perms:
+        c = 0
+        for a, b in enumerate(perm.images):
+            c = merge[c][a * n + b - 1]
+        cycles.append(c)
+    masks = [0] * len(partitions)
+    for i, c in enumerate(cycles):
+        masks[c] |= 1 << i
+    top = len(partitions) - 1
+    connecting = tuple(sum(m for m, j in zip(masks, row) if j == top) for row in join)
+
+    systems = tuple(p for p in partitions
+                    if 1 < max(p) + 1 < n and len(set(map(p.count, p))) == 1)
+    counts = [max(p) + 1 for p in systems]
+    order, blocks, power, odd = [], [], [], []
+    for perm in perms:  # each element's cycles are read once
+        moves = list(enumerate(y - 1 for y in perm.images))
+        blocks.append(sum(1 << b for b, (p, count) in enumerate(zip(systems, counts))
+                          if len({(p[x], p[y]) for x, y in moves}) == count))
+        lengths = [len(c) for c in perm.cycles()]
+        order.append(lcm(1, *lengths))
+        if lengths.count(2) == 1 and all(length % 2 for length in lengths if length != 2):
+            power.append(TRANSPOSITION)
+        elif lengths.count(3) == 1 and all(length % 3 for length in lengths if length != 3):
+            power.append(THREE_CYCLE)
+        else:
+            power.append(0)
+        odd.append(sum(length - 1 for length in lengths) % 2 == 1)
+    return PermTables(comp, inv, tuple(order), conj, below, cent, tuple(partitions),
+                      tuple(cycles), tuple(join), connecting, systems, tuple(blocks),
+                      tuple(power), tuple(odd))
+
+
+@cache
+def order_masks(n: int, exp: int) -> tuple[int, ...]:
+    """Row w holds bit i when the order of w * i divides exp.
+
+    Row w is the set w^-1 * A for A the elements whose order divides exp,
+    so row 0, the identity's, is A itself.
+    """
+    tables = perm_tables(n)
+    comp, inv, order = tables.comp, tables.inv, tables.order
+    allowed = [j for j, o in enumerate(order) if exp % o == 0]
+    return tuple(sum(1 << row[j] for j in allowed)
+                 for row in (comp[inv[w]] for w in range(len(order))))
 
 
 class _ImageType:
@@ -97,6 +240,11 @@ class SubgroupClass:
     index: int
     labeled_orbit_size: int
     image_type: _ImageType = _ImageType()
+
+    def __post_init__(self) -> None:
+        if self.index != self.rep.degree:
+            raise ValueError(f"index {self.index} differs from the rep's degree "
+                             f"{self.rep.degree}")
 
 
 def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -285,12 +433,6 @@ def _image_type(combo: Sequence[int], n: int, transitive: bool) -> str:
             return "Z4" if has_4cycle else "V"
         return {8: "D4", 12: "A4", 24: "S4"}.get(size, f"G{size}")
     return f"G{size}"
-
-
-@cache
-def _perm_index(n: int) -> dict[tuple[int, ...], int]:
-    """Index in all_perms(n) of each one-line tuple."""
-    return {p.images: i for i, p in enumerate(all_perms(n))}
 
 
 def _indices(assignment: Assignment, n: int) -> list[int]:

@@ -29,8 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .enumerator import TransitiveRep
-from .perms import MAX_DEGREE, Assignment, Perm
+from .perms import MAX_DEGREE, Assignment, Perm, TransitiveRep
 from .presentations import Presentation
 from .stabilizer import schreier_scans
 from .words import Letter, Word

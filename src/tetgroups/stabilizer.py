@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .enumerator import TransitiveRep
-from .perms import Perm
+from .perms import Perm, TransitiveRep
 from .presentations import Presentation
 from .words import Letter, Word, reduce_letters
 

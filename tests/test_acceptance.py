@@ -23,11 +23,10 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
                        schreier_generators, simplify_word, todd_coxeter,
                        verify_class)
 from tetgroups.cli import main as cli_main
-from tetgroups.reference import (CORROBORATED_IDS, DEGREE2_ROWS,
-                                 T10_KLEINIAN_ROW4_REPAIRED,
-                                 T10_KLEINIAN_ROWS)
 
 from conftest import parse_cycles, parse_word, same_subgroup
+from published_rows import (CORROBORATED_IDS, DEGREE2_ROWS,
+                            T10_KLEINIAN_ROW4_REPAIRED, T10_KLEINIAN_ROWS)
 
 T10 = CoxeterSymbol(3, 3, 6, 2, 2, 2)
 NAMES = ("P", "Q", "R", "S")

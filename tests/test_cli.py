@@ -10,7 +10,7 @@ import pytest
 
 from tetgroups import MAX_DEGREE, BruteForceCounts
 from tetgroups.cli import main
-from tetgroups.perms import perm_tables
+from tetgroups.enumerator import perm_tables
 from tetgroups.presentations import MAX_ENTRY
 
 

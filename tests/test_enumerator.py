@@ -18,8 +18,7 @@ from tetgroups import (MAX_DEGREE, Assignment, CoxeterSymbol, Perm,
                        enumerate_classes, evaluate_word, is_transitive,
                        kleinian_presentation, presentation_for, verify_class)
 from tetgroups import enumerator
-from tetgroups.enumerator import _jordan_order, _search
-from tetgroups.perms import perm_tables
+from tetgroups.enumerator import _jordan_order, _search, perm_tables
 
 from conftest import T10, random_presentations
 
@@ -498,6 +497,22 @@ def test_enumerate_classes_checks_what_the_search_yields(t10_full, monkeypatch, 
     monkeypatch.setattr(enumerator, "_search", lambda pres, n: iter([(combo, 1)]))
     with pytest.raises(RuntimeError, match=r"full group \[3,3,6,2,2,2\] at index 2"):
         enumerate_classes(t10_full, 2)
+
+
+def test_count_distinct_subgroups_checks_the_stabilizer_sizes(t10_full, monkeypatch):
+    # a stabilizer of order 5 at index 4 gives 24 // 5 = 4 labeled
+    # assignments, no multiple of 3! = 6
+    monkeypatch.setattr(enumerator, "_search", lambda pres, n: iter([((0, 0, 0, 0), 5)]))
+    with pytest.raises(RuntimeError, match=r"4 labeled assignments at index 4 are not a multiple"):
+        count_distinct_subgroups(t10_full, 4)
+
+
+def test_a_class_index_is_its_rep_degree(t10_full):
+    cls = enumerate_classes(t10_full, 4)[0]
+    with pytest.raises(ValueError, match="index 5 differs from the rep's degree 4"):
+        SubgroupClass(rep=cls.rep, index=5, labeled_orbit_size=1)
+    with pytest.raises(ValueError, match="index 3 differs from the rep's degree 4"):
+        dataclasses.replace(cls, index=3, image_type=None)
 
 
 def test_enumerate_classes_tests_transitivity_once_per_class(monkeypatch):

@@ -18,7 +18,7 @@ from tetgroups import (CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
                        default_coset_budget, enumerate_candidates,
                        enumerate_classes, presentation_for, raw_schreier_words,
                        schreier_generators, todd_coxeter, verify_class)
-from tetgroups import enumerator, oracle
+from tetgroups import enumerator, oracle, stabilizer
 from tetgroups.oracle import (_allowed, _allowed_reps, _enumerate, _order_divides,
                               _symmetric_tables)
 from tetgroups.stabilizer import _dedup, schreier_scans
@@ -118,10 +118,23 @@ def test_recount_of_the_index_6_stress_cell():
     assert tuple(brute_force_classes(pres, 6)) == (9737400, 14274, 81145)
 
 
+def test_the_recount_checks_its_orbit_counts(t10_full, monkeypatch):
+    # class sizes one too large weight every row wrongly, so Burnside's sum
+    # is no multiple of the group order
+    tables = oracle._symmetric_tables
+    monkeypatch.setattr(oracle, "_symmetric_tables",
+                        lambda n: tables(n)._replace(class_size=tables(n).class_size + 1))
+    with pytest.raises(RuntimeError, match="60 fixed points at index 4 are not a multiple "
+                                           "of the group order 24"):
+        brute_force_classes(t10_full, 4)
+
+
 # What oracle.py imports: the recount builds its own tables, so nothing of
 # the enumerator's search (perm_tables, order_masks, _search, _fold) may be
 # added here.  Each reads its own analysis of the relators off the
-# presentation, so neither module may name the other's.
+# presentation, so neither module may name the other's.  The stabilizer
+# writes the coset check's scans (schreier_scans), so neither it nor the
+# oracle may import the enumerator at all.
 ORACLE_IMPORTS = {
     "__future__": {"annotations"},
     "itertools": {"itertools"},
@@ -130,26 +143,32 @@ ORACLE_IMPORTS = {
     "math": {"factorial"},
     "typing": {"NamedTuple"},
     "numpy": {"numpy"},
-    ".enumerator": {"TransitiveRep"},
-    ".perms": {"MAX_DEGREE", "Assignment", "Perm"},
+    ".perms": {"MAX_DEGREE", "Assignment", "Perm", "TransitiveRep"},
     ".presentations": {"Presentation"},
     ".stabilizer": {"schreier_scans"},
     ".words": {"Letter", "Word"},
 }
 
 
-def test_the_recount_imports_nothing_of_the_search():
-    tree = ast.parse(Path(oracle.__file__).read_text())
+def imports_of(module):
+    """(module, name) for each name a module's source imports."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.Import):
             imported |= {(alias.name, alias.name) for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
-            module = "." * node.level + (node.module or "")
-            imported |= {(module, alias.name) for alias in node.names}
+            module_name = "." * node.level + (node.module or "")
+            imported |= {(module_name, alias.name) for alias in node.names}
+    return imported
+
+
+def test_the_recount_imports_nothing_of_the_search():
+    imported = imports_of(oracle)
     allowed = {(module, name) for module, names in ORACLE_IMPORTS.items() for name in names}
     assert imported <= allowed
     assert not {name for _, name in imported} & {"perm_tables", "order_masks", "_search", "_fold"}
+    assert not {module for module, _ in imported | imports_of(stabilizer)} & {
+        ".enumerator", "tetgroups.enumerator"}
     assert not names_in(oracle) & {"search_plan", "SearchStep"}
     assert not names_in(enumerator) & {"recount_plan", "RecountStep"}
 

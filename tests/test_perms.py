@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tetgroups import (MAX_DEGREE, Assignment, Perm, Word, all_perms,
                        conjugate_assignment, evaluate_word, is_transitive,
                        word_order)
-from tetgroups.perms import THREE_CYCLE, TRANSPOSITION, order_masks, perm_tables
+from tetgroups.enumerator import THREE_CYCLE, TRANSPOSITION, order_masks, perm_tables
 
 perms4 = st.sampled_from(all_perms(4))
 words4 = st.lists(
@@ -106,7 +106,7 @@ def test_perm_tables_agree_with_perm_arithmetic(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_perm_tables_match_a_rebuild_from_itertools(n):
     # perm_tables builds most rows of comp from other rows; rebuilt here
-    # entry by entry from itertools.permutations, with no code from perms.py
+    # entry by entry from itertools.permutations, with no code from enumerator.py
     ps = list(itertools.permutations(range(n)))
     at = {p: i for i, p in enumerate(ps)}
 
@@ -140,7 +140,7 @@ def bitset(bits):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_search_masks_match_their_definitions(n):
     # rebuilt from itertools.permutations, whose order is all_perms(n)'s,
-    # with composition (a * b)(x) = a(b(x)) and no code from perms.py
+    # with composition (a * b)(x) = a(b(x)) and no code from enumerator.py
     ps = list(itertools.permutations(range(n)))
     at = {p: i for i, p in enumerate(ps)}
 
@@ -199,7 +199,7 @@ def spanning_pairs(blocks):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_partition_joins_match_a_union_find(n):
     # rebuilt from itertools.permutations and a plain union-find, with no
-    # code from perms.py; partitions[p] labels each point by its block
+    # code from enumerator.py; partitions[p] labels each point by its block
     ps = list(itertools.permutations(range(n)))
     table = perm_tables(n)
     parts = [frozenset(frozenset(x for x in range(n) if labels[x] == label)
@@ -218,7 +218,7 @@ def test_partition_joins_match_a_union_find(n):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_jordan_table_matches_a_rebuild_from_itertools(n):
-    # rebuilt from itertools.permutations with no code from perms.py: the
+    # rebuilt from itertools.permutations with no code from enumerator.py: the
     # block systems are the uniform partitions into 2..n-1 blocks, an
     # element keeps one when it maps every block onto a block, a power that
     # moves exactly two points is a transposition and one that moves exactly

@@ -7,11 +7,11 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep,
                        canonical_form, catalog, enumerate_classes,
                        evaluate_word, kleinian_presentation,
                        presentation_for)
-from tetgroups.reference import (CORROBORATED_IDS, DEGREE2_ROWS,
-                                 REFERENCE_COUNTS, T10_KLEINIAN_ROW4_REPAIRED,
-                                 T10_KLEINIAN_ROWS)
+from tetgroups.reference import REFERENCE_COUNTS
 
 from conftest import parse_cycles
+from published_rows import (CORROBORATED_IDS, DEGREE2_ROWS,
+                            T10_KLEINIAN_ROW4_REPAIRED, T10_KLEINIAN_ROWS)
 
 T10 = CoxeterSymbol(3, 3, 6, 2, 2, 2)
 NAMES = ("P", "Q", "R", "S")

@@ -9,11 +9,11 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
                        full_presentation, kleinian_presentation,
                        presentation_for, raw_schreier_words,
                        schreier_generators, simplify_word)
-from tetgroups.reference import DEGREE2_ROWS
 from tetgroups.stabilizer import _dedup, schreier_scans
 
 from conftest import (parse_cycles, parse_word, random_presentations,
                       same_subgroup)
+from published_rows import DEGREE2_ROWS
 
 ALL_TWOS = full_presentation(CoxeterSymbol(2, 2, 2, 2, 2, 2))
 T10_FULL = full_presentation(CoxeterSymbol(3, 3, 6, 2, 2, 2))
