@@ -201,6 +201,15 @@ def order_masks(n: int, exp: int) -> tuple[int, ...]:
                  for row in (comp[inv[w]] for w in range(len(order))))
 
 
+@cache
+def orderly_mask(n: int, stab: int) -> int:
+    """Bit i set when no relabeling in the bitset stab maps element i lower,
+    so stab & perm_tables(n).below[i] is empty: the choices that pass the
+    orderly test below a prefix whose stabilizer is stab."""
+    below = perm_tables(n).below
+    return sum(1 << i for i, lower in enumerate(below) if not stab & lower)
+
+
 class _ImageType:
     """SubgroupClass.image_type: a name given to the constructor, or one
     computed from the rep on first read and kept.
@@ -259,10 +268,12 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     x occurs once in its base, the base is rewritten as w * x with the same
     order (order(u x v) = order(v u x) and order(g) = order(g^-1)), so one
     AND with the row order_masks(n, exp)[w] cuts x's choices; with w the
-    identity (a relator on x alone, such as P^2) it cuts them up front.
-    Other bases are folded in full for each choice.  That analysis holds no
-    degree, so it is made once per presentation (Presentation.search_plan),
-    and a call only looks up the rows of order_masks for its degree.
+    identity (a relator on x alone, such as P^2) it cuts them up front, and
+    with w one letter the row is indexed by that generator's choice, with
+    no fold.  Other bases are folded in full for each choice.  That
+    analysis holds no degree, so it is made once per presentation
+    (Presentation.search_plan), and a call only looks up the rows of
+    order_masks for its degree.
 
     Transitivity is a mask on the last generator.  The orbits of the placed
     generators are the join of their cycle partitions, carried down as part
@@ -275,14 +286,18 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     relabeling in stab, those fixing the prefix, maps it lower (stab &
     below[i]).  An orbit's least member passes (relabeling keeps relators
     and transitivity); any other is mapped lower where it first differs from
-    it.  The next stab is stab & cent[i], so at a leaf stab is the combo's
-    stabilizer.
+    it.  The test depends on stab alone, not on the other choices, so each
+    node ANDs its choices with orderly_mask(n, stab), cached per stabilizer:
+    a pass meets few of them (13 in the index-5 search of four catalog
+    symbols, over 243 nodes).  The next stab is stab & cent[i], so at a leaf
+    stab is the combo's stabilizer.
     """
     tables = perm_tables(n)
-    comp, inv, below, cent = tables.comp, tables.inv, tables.below, tables.cent
+    comp, inv, cent = tables.comp, tables.inv, tables.cent
     cycles, join, connecting = tables.cycles, tables.join, tables.connecting
     everything = (1 << len(comp)) - 1
     ranges: list[int] = []
+    singles: list[list] = []  # (generator, order_masks row table) per generator
     checks: list[list] = []  # (prefix, order_masks row table) per generator
     folds: list[list] = []  # (letters, allowed orders mask) per generator
     for cuts, at_checks, at_folds in presentation.search_plan:
@@ -290,14 +305,26 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
         for exp in cuts:
             allowed &= order_masks(n, exp)[0]
         ranges.append(allowed)
-        checks.append([(prefix, order_masks(n, exp)) for prefix, exp in at_checks])
+        singles.append([])
+        checks.append([])
+        for prefix, exp in at_checks:
+            rows = order_masks(n, exp)
+            if len(prefix) > 1:
+                checks[-1].append((prefix, rows))
+            else:
+                (gen, sign), = prefix  # w = g^-1 reads g's row through inv
+                singles[-1].append((gen, rows if sign > 0 else tuple(map(rows.__getitem__, inv))))
         folds.append([(letters, order_masks(n, exp)[0]) for letters, exp in at_folds])
 
     chosen = [0] * len(ranges)
     last = len(ranges) - 1
 
     def extend(depth: int, stab: int, part: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        choices = ranges[depth] if depth < last else ranges[depth] & connecting[part]
+        choices = ranges[depth] & orderly_mask(n, stab)
+        if depth == last:
+            choices &= connecting[part]
+        for gen, rows in singles[depth]:
+            choices &= rows[chosen[gen]]
         for prefix, rows in checks[depth]:
             choices &= rows[_fold(prefix, chosen, comp, inv)]
         for letters, allowed in folds[depth]:
@@ -312,8 +339,6 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
             bit = choices & -choices
             choices ^= bit
             i = bit.bit_length() - 1
-            if stab & below[i]:
-                continue
             fixing = stab & cent[i]
             chosen[depth] = i
             if depth < last:

@@ -292,12 +292,16 @@ def _enumerate(presentation: Presentation, scans: list[tuple[int, ...]], max_cos
     columns (Presentation.coset_columns), rightmost letter first.  Returns
     the result without its action, the table and its live cosets.
 
-    A relator is walked on the table from coset c before it is scanned
-    there; a walk on defined entries back to c is skipped, since
-    scan_and_fill would repeat it and change nothing."""
+    When the subgroup scans leave a complete table with no coincidence,
+    and every relator closes on it by its base's cycles (_closes_by_cycles),
+    the relator loop is skipped: each of its scans would walk back to its
+    start and change nothing, so the result is the one it would return.
+    Otherwise the loop runs: a relator is walked on the table from coset c
+    before it is scanned there; a walk on defined entries back to c is
+    skipped, since scan_and_fill would repeat it and change nothing."""
     if max_cosets < 1:
         return TCResult("overflow"), [], []
-    _, inverse, relators, _ = presentation.coset_columns
+    _, inverse, relators, powers, _ = presentation.coset_columns
     width = len(inverse)
     # table[c][x]: coset c acted on by column x, or -1 while undefined.
     # parent is a union-find forest over the cosets; a live coset is a root.
@@ -382,7 +386,8 @@ def _enumerate(presentation: Presentation, scans: list[tuple[int, ...]], max_cos
     try:
         for scan in scans:
             scan_and_fill(0, scan)
-        c = 0
+        # a table that every relator already closes skips the relator loop
+        c = len(table) if not coincidences and _closes_by_cycles(table, powers) else 0
         while c < len(table):
             for rel in relators:
                 if parent[c] != c:
@@ -405,6 +410,33 @@ def _enumerate(presentation: Presentation, scans: list[tuple[int, ...]], max_cos
     return TCResult("closed", len(live), None, len(table), peak_live, coincidences), table, live
 
 
+def _closes_by_cycles(table: list[list[int]],
+                      powers: tuple[tuple[tuple[int, ...], int], ...]) -> bool:
+    """Does every relator base^k hold at every coset of a table with no dead
+    coset?  False when an entry is undefined.  On a complete table each
+    column permutes the cosets, and base^k closes at every coset exactly
+    when every cycle of the base's permutation has a length dividing k.
+    Each cycle is walked once, a base at a time, from its least coset."""
+    if any(-1 in row for row in table):
+        return False
+    for base, exp in powers:
+        seen = [False] * len(table)
+        for start in range(len(table)):
+            if seen[start]:
+                continue
+            c, length = start, 0
+            while True:
+                for x in base:
+                    c = table[c][x]
+                length += 1
+                if c == start:
+                    break
+                seen[c] = True
+            if exp % length:
+                return False
+    return True
+
+
 def default_coset_budget(index: int, presentation: Presentation) -> int:
     return 10 * index * len(presentation.generator_names)
 
@@ -418,7 +450,10 @@ def verify_class(rep: TransitiveRep, max_cosets: int | None = None) -> bool | No
     the rep's one-line images, and they go straight to the enumeration,
     with no coset table, Word or action built.  On every catalog class
     at indices 1-6 it then defines exactly rep.degree cosets with no
-    coincidence, so a budget of rep.degree closes it.
+    coincidence, so a budget of rep.degree closes it.  The scans leave a
+    complete table, on which every relator of a rep that satisfies them
+    closes by its base's cycles, so no relator is walked out exponent
+    times and the time does not grow with the exponents.
 
     Returns True when the enumeration closes at the rep's degree, False
     when it closes elsewhere, None when the coset budget overflowed (which

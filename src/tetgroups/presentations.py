@@ -25,7 +25,10 @@ from .words import Letter, Word, reduce_letters
 
 # Symbol entries above this are refused before anything is built: coset
 # enumeration writes each relator out exponent times (coset_columns), so
-# its time and memory grow linearly in an entry.
+# its memory grows linearly in an entry, and so does its time wherever its
+# relator loop runs.  verify_class on a rep that satisfies the relators
+# skips that loop (oracle._enumerate closes the table by the relator
+# bases' cycles), so its time does not grow with the entries.
 MAX_ENTRY = 10_000
 
 
@@ -76,13 +79,15 @@ class CosetColumns(NamedTuple):
     of_letter maps each letter (g, +1 or -1) to its column; inverse[x] is
     the column of x's inverse letter (x itself for an involution).  Each
     relator is listed as the columns of its letters in the order they act,
-    rightmost letter first.  letter_of[x] is column x's letter in reduced
-    form, (g, +1) for an involution's column.
+    rightmost letter first.  powers[r] is relators[r] as (its base's
+    columns, rightmost letter first, its exponent).  letter_of[x] is column
+    x's letter in reduced form, (g, +1) for an involution's column.
     """
 
     of_letter: dict[Letter, int]
     inverse: tuple[int, ...]
     relators: tuple[tuple[int, ...], ...]
+    powers: tuple[tuple[tuple[int, ...], int], ...]
     letter_of: tuple[Letter, ...]
 
 
@@ -170,7 +175,8 @@ class Presentation:
         """Coset-table columns: one self-inverse column per involution, a
         pair (g, g^-1) per other generator, in generator order.  Each
         relator base^k is written out here, k copies of its base, the only
-        place a relator is expanded."""
+        place a relator is expanded; powers keeps the base and k beside
+        it."""
         of_letter: dict[Letter, int] = {}
         inverse: list[int] = []
         letter_of: list[Letter] = []
@@ -185,10 +191,11 @@ class Presentation:
                 inverse += [col + 1, col]
                 letter_of += [(g, 1), (g, -1)]
         # An involution's g^2 holds in every table, so it is never scanned.
-        relators = tuple(
-            tuple(of_letter[letter] for letter in reversed(base.letters * k))
-            for base, k in self.relator_powers if not (len(base) == 1 and k == 2))
-        return CosetColumns(of_letter, tuple(inverse), relators, tuple(letter_of))
+        powers = tuple((tuple(of_letter[letter] for letter in reversed(base.letters)), k)
+                       for base, k in self.relator_powers
+                       if not (len(base) == 1 and k == 2))
+        relators = tuple(columns * k for columns, k in powers)
+        return CosetColumns(of_letter, tuple(inverse), relators, powers, tuple(letter_of))
 
     @cached_property
     def search_plan(self) -> tuple[SearchStep, ...]:

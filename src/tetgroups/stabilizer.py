@@ -13,11 +13,13 @@ transversal give the trivial word.  These words generate L.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .perms import Perm, TransitiveRep
 from .presentations import Presentation
 from .words import Letter, Word, reduce_letters
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,12 @@ class CosetTable:
                 for color in range(1, self.rep.degree + 1)]
 
 
-def _spanning_tree(perms: Sequence[Perm]) -> list[tuple[int, int, int]]:
-    """The transversal's tree edges (j, i, g), meaning t_j = g t_i, each
-    point j after its parent i.
+def _transversal(perms: Sequence[Perm], ahead: Sequence[T],
+                 back: Sequence[T]) -> tuple[list[tuple[T, ...]], list[tuple[T, ...]]]:
+    """The transversal words t_i, each spelled two ways, by point (t_i at
+    i - 1): forward[j] is forward[i] then ahead[g], and backward[j] is
+    back[g] then backward[i], for the tree edge t_j = g t_i.  t_1 is
+    empty.
 
     Breadth-first, new words by prepending a generator: t_j = g t_i gives
     evaluate(t_j)(1) = g(t_i(1)) = g(i) = j.  Scanning generators in the
@@ -59,31 +64,31 @@ def _spanning_tree(perms: Sequence[Perm]) -> list[tuple[int, int, int]]:
     reaching a point is its lexicographic minimum among shortest positive
     words.
     """
-    reached = {1}
-    edges = []
-    frontier = [1]
+    forward: list[tuple[T, ...] | None] = [None] * len(perms[0].images)
+    backward: list[tuple[T, ...]] = [()] * len(forward)
+    forward[0] = ()
+    frontier = [0]
     while frontier:
         next_frontier = []
         for g, perm in enumerate(perms):
             images = perm.images
             for i in frontier:
-                j = images[i - 1]
-                if j not in reached:
-                    reached.add(j)
-                    edges.append((j, i, g))
+                j = images[i] - 1
+                if forward[j] is None:
+                    forward[j] = forward[i] + (ahead[g],)
+                    backward[j] = (back[g],) + backward[i]
                     next_frontier.append(j)
         frontier = next_frontier
-    return edges
+    return forward, backward
 
 
 def build_coset_table(rep: TransitiveRep) -> CosetTable:
     """Transversal words use positive generator letters only; for groups
     whose generators are involutions that loses nothing.  Positive words
     never cancel, so prepending a letter needs no reduction."""
-    transversal = [Word.empty()] * (rep.degree + 1)  # by point; 0 is unused
-    for j, i, g in _spanning_tree(rep.assignment.perms):
-        transversal[j] = Word._unchecked(((g, 1),) + transversal[i].letters)
-    return CosetTable(rep, tuple(transversal[1:]))
+    letters = [(g, 1) for g in range(len(rep.assignment.perms))]
+    _, written = _transversal(rep.assignment.perms, letters, letters)
+    return CosetTable(rep, tuple(map(Word._unchecked, written)))
 
 
 @dataclass(frozen=True)
@@ -142,25 +147,23 @@ def schreier_scans(rep: TransitiveRep) -> list[tuple[int, ...]]:
     is its own inverse.  Read back as letters they are
     StabilizerGens.words.
 
-    The transversal is build_coset_table's, written in columns along
-    _spanning_tree: forward[j] is forward[i] then g's column for the tree
-    edge t_j = g t_i, and backward[i] holds t_i^-1's columns.  A scan is
-    forward[g(i)], x = g^-1's column and backward[i], joined as they are.
-    forward[i] is reduced (positive columns, and an involution's column
-    twice in a row would make a point its own grandparent), so a scan can
-    only cancel at a join, and a join cancels only when (i, g) is a tree
-    edge, or the reverse of one through a self-inverse column: then the
-    whole scan cancels.  Any other scan walks from coset 1 to g(i), across
-    one edge outside the tree to i and home, so two scans are equal or
-    mutually inverse only when they cross the same edge: an involution's
-    (i, g) and (g(i), g), of which the one with g(i) < i comes second.
+    The transversal is build_coset_table's, written in columns by
+    _transversal: forward[i] holds t_i's columns in the order they act,
+    and backward[i] t_i^-1's.  A scan is forward[g(i)], x = g^-1's column
+    and backward[i], joined as they are.  forward[i] is reduced (positive
+    columns, and an involution's column twice in a row would make a point
+    its own grandparent), so a scan can only cancel at a join, and a join
+    cancels only when (i, g) is a tree edge, or the reverse of one through
+    a self-inverse column: then the whole scan cancels.  Any other scan
+    walks from coset 1 to g(i), across one edge outside the tree to i and
+    home, so two scans are equal or mutually inverse only when they cross
+    the same edge: an involution's (i, g) and (g(i), g), of which the one
+    with g(i) < i comes second.
     """
-    of_letter, inverse, _, _ = rep.presentation.coset_columns
+    of_letter, inverse, _, _, _ = rep.presentation.coset_columns
     perms = rep.assignment.perms
-    forward: list[tuple[int, ...]] = [()] * rep.degree  # t_i's columns at i - 1
-    for j, i, g in _spanning_tree(perms):
-        forward[j - 1] = forward[i - 1] + (of_letter[(g, 1)],)
-    backward = [tuple(map(inverse.__getitem__, t_i[::-1])) for t_i in forward]
+    columns = [of_letter[(g, 1)] for g in range(len(perms))]
+    forward, backward = _transversal(perms, columns, [inverse[x] for x in columns])
     steps = [(of_letter[(g, -1)], perm.images) for g, perm in enumerate(perms)]
     scans: list[tuple[int, ...]] = []
     for i, t_i_inverse in enumerate(backward):

@@ -10,7 +10,7 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, Presentation,
                        enumerate_candidates, enumerate_classes,
                        full_presentation, kleinian_presentation,
                        presentation_for)
-from tetgroups.stabilizer import _spanning_tree
+from tetgroups.stabilizer import _transversal
 
 T10 = CoxeterSymbol(3, 3, 6, 2, 2, 2)
 
@@ -100,8 +100,9 @@ def same_subgroup(rep1: TransitiveRep, rep2: TransitiveRep) -> bool:
     They do exactly when a relabeling sigma fixing point 1 carries rep1's
     action to rep2's, and only one sigma can: rep1's transversal word t_i
     carries 1 to i, so sigma(i) = sigma(t_i(1)) = t_i'(sigma(1)) = t_i'(1),
-    with t_i' the image of t_i under rep2, read off rep1's spanning tree:
-    an edge t_j = g t_i gives sigma(j) = g'(sigma(i)), g' being rep2's g.
+    with t_i' the image of t_i under rep2: rep1's transversal lists t_i's
+    generators in the order they act, and rep2's images of them carry 1
+    to sigma(i).
     So the answer is whether that sigma commutes with every generator.  It
     is then a bijection for free: its image is closed under rep2's
     generators, and rep2 is transitive.
@@ -114,9 +115,13 @@ def same_subgroup(rep1: TransitiveRep, rep2: TransitiveRep) -> bool:
             or pres1.relator_powers != pres2.relator_powers):
         return False
     perms1, perms2 = rep1.assignment.perms, rep2.assignment.perms
-    sigma = [1] * rep1.degree  # sigma(i) at i - 1
-    for j, i, g in _spanning_tree(perms1):
-        sigma[j - 1] = perms2[g].apply(sigma[i - 1])
+    gens = range(len(perms1))
+    sigma = []  # sigma(i) at i - 1
+    for t_i in _transversal(perms1, gens, gens)[0]:
+        point = 1
+        for g in t_i:
+            point = perms2[g].apply(point)
+        sigma.append(point)
     return all(sigma[g1.apply(i) - 1] == g2.apply(sigma_i)
                for g1, g2 in zip(perms1, perms2)
                for i, sigma_i in enumerate(sigma, start=1))

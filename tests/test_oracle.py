@@ -12,15 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetgroups import (CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
+from tetgroups import (Assignment, CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
                        brute_force_classes, build_coset_table, canonical_form,
                        catalog, catalog_by_id, count_distinct_subgroups,
                        default_coset_budget, enumerate_candidates,
                        enumerate_classes, presentation_for, raw_schreier_words,
                        schreier_generators, todd_coxeter, verify_class)
 from tetgroups import enumerator, oracle, stabilizer
-from tetgroups.oracle import (_allowed, _allowed_reps, _enumerate, _order_divides,
-                              _symmetric_tables)
+from tetgroups.oracle import (TCResult, _allowed, _allowed_reps, _closes_by_cycles,
+                              _enumerate, _order_divides, _symmetric_tables)
+from tetgroups.presentations import MAX_ENTRY
 from tetgroups.stabilizer import _dedup, schreier_scans
 from tetgroups.words import reduce_letters
 
@@ -389,6 +390,33 @@ def test_verify_class_fails_a_class_whose_enumeration_closes_elsewhere(monkeypat
     monkeypatch.setattr(oracle, "schreier_scans", lambda table: [])
     assert verify_class(cls.rep, max_cosets=400) is False
     assert verify_class(cls.rep, max_cosets=119) is None
+
+
+def test_a_complete_table_the_relators_do_not_close_runs_the_relator_loop(t10_full):
+    # P -> (12) and Q = R = S -> identity violate (PQ)^3, so only the
+    # unchecked constructor builds the rep.  Its scans leave a complete
+    # table of 2 cosets with no coincidence, on which PQ swaps the two:
+    # the early close refuses it, and the relator loop merges them.
+    assignment = Assignment(t10_full.generator_names, (Perm((2, 1)),) + (Perm((1, 2)),) * 3)
+    with pytest.raises(ValueError, match="PQ"):
+        TransitiveRep(t10_full, assignment)
+    rep = TransitiveRep._unchecked(t10_full, assignment)
+    powers = t10_full.coset_columns.powers
+    assert _closes_by_cycles([[1, 0, 0, 0], [0, 1, 1, 1]], powers) is False
+    assert _closes_by_cycles([[0, 0, 0, 0]], powers) is True
+    assert _closes_by_cycles([[1, 0, 0, -1], [0, 1, 1, 1]], powers) is False
+    assert _enumerate(t10_full, schreier_scans(rep), 80)[0] == TCResult("closed", 1, None, 2, 2, 1)
+    assert verify_class(rep) is False
+
+
+def test_exponents_at_max_entry_close_at_exactly_the_index():
+    # Relators written out 10000 times: every class still closes at a
+    # budget of exactly its index, with no coset defined past it.
+    pres = presentation_for(CoxeterSymbol(*[MAX_ENTRY] * 6), "kleinian")
+    classes = enumerate_classes(pres, 4)
+    assert len(classes) == 119
+    for cls in classes:
+        assert_exactly_the_index_cosets(pres, cls, cls.rep)
 
 
 def test_schreier_scans_are_the_words_in_columns(catalog_table):

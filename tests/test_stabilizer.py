@@ -146,7 +146,7 @@ def test_schreier_generators_match_reduction_after_free_reduction(entries, group
 @given(random_presentations(), st.sampled_from([1, 2, 3, 4]))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_schreier_scans_are_the_reduced_raw_words_on_random_presentations(pres, n):
-    # The scans are written from the spanning tree with no reduction and
+    # The scans are written from the transversal with no reduction and
     # no check for repeats, so on inverted letters, repeated generators
     # and any mix of involutions they must still be the raw words reduced
     # with the involutions and deduplicated up to inverses, in columns.
