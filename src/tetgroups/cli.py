@@ -28,8 +28,9 @@ from .stabilizer import build_coset_table, schreier_generators
 
 
 def _symbol(args: argparse.Namespace) -> CoxeterSymbol:
-    """The symbol named by --id or --symbol; argparse requires exactly one."""
-    if args.id:
+    """The symbol named by --id or --symbol; argparse requires exactly one,
+    and an empty --id is looked up like any other."""
+    if args.id is not None:
         return catalog_by_id(args.id).symbol
     return parse_symbol(args.symbol)
 

@@ -17,7 +17,7 @@ from operator import getitem
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .perms import Assignment, TransitiveRep, all_perms, conjugate_assignment
-from .presentations import Presentation
+from .presentations import Presentation, SearchStep
 from .words import Letter
 
 # PermTables.power's values; a power that is a transposition outranks one
@@ -243,6 +243,10 @@ class SubgroupClass:
     names the rep's image in S_n (classify_image); enumerate_classes leaves
     it to be computed on first read, so a caller that only counts names
     nothing.
+
+    enumerate_classes, which knows each index is its rep's degree, builds
+    its classes through _unchecked, as reps are built through
+    TransitiveRep._unchecked.
     """
 
     rep: TransitiveRep
@@ -254,6 +258,52 @@ class SubgroupClass:
         if self.index != self.rep.degree:
             raise ValueError(f"index {self.index} differs from the rep's degree "
                              f"{self.rep.degree}")
+
+    @classmethod
+    def _unchecked(cls, rep: TransitiveRep, index: int,
+                   labeled_orbit_size: int) -> SubgroupClass:
+        """A class whose index is its rep's degree already; its image is
+        named on first read."""
+        subgroup_class = object.__new__(cls)
+        fields = subgroup_class.__dict__  # frozen: filled directly, not set
+        fields["rep"] = rep
+        fields["index"] = index
+        fields["labeled_orbit_size"] = labeled_orbit_size
+        fields["image_type"] = None
+        return subgroup_class
+
+
+@cache
+def _search_rows(plan: tuple[SearchStep, ...],
+                 n: int) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
+    """A search plan read at degree n, one (range, singles, checks, folds)
+    per generator, built once per plan and degree like order_masks.
+
+    range is the generator's allowed elements, its cuts applied.  singles
+    are (generator, order_masks row table) for a one-letter prefix w, the
+    table read through inv when w is inverted; checks are (prefix, row
+    table) for a longer prefix; folds are (letters, allowed orders mask).
+    The key is the plan's value, so presentations with equal plans share
+    their rows.
+    """
+    inv = perm_tables(n).inv
+    everything = (1 << len(inv)) - 1
+    steps = []
+    for cuts, at_checks, at_folds in plan:
+        allowed = everything
+        for exp in cuts:
+            allowed &= order_masks(n, exp)[0]
+        singles, checks = [], []
+        for prefix, exp in at_checks:
+            rows = order_masks(n, exp)
+            if len(prefix) > 1:
+                checks.append((prefix, rows))
+            else:
+                (gen, sign), = prefix  # w = g^-1 reads g's row through inv
+                singles.append((gen, rows if sign > 0 else tuple(map(rows.__getitem__, inv))))
+        folds = tuple((letters, order_masks(n, exp)[0]) for letters, exp in at_folds)
+        steps.append((allowed, tuple(singles), tuple(checks), folds))
+    return tuple(steps)
 
 
 def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -272,8 +322,8 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     with w one letter the row is indexed by that generator's choice, with
     no fold.  Other bases are folded in full for each choice.  That
     analysis holds no degree, so it is made once per presentation
-    (Presentation.search_plan), and a call only looks up the rows of
-    order_masks for its degree.
+    (Presentation.search_plan), and its rows are resolved once per plan
+    and degree (_search_rows).
 
     Transitivity is a mask on the last generator.  The orbits of the placed
     generators are the join of their cycle partitions, carried down as part
@@ -291,62 +341,54 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     a pass meets few of them (13 in the index-5 search of four catalog
     symbols, over 243 nodes).  The next stab is stab & cent[i], so at a leaf
     stab is the combo's stabilizer.
+
+    The walk is one loop, depth first: stack holds each placed generator's
+    remaining choices, stabilizer and partition, so a call leaves no
+    reference cycle behind.
     """
-    tables = perm_tables(n)
+    tables = perm_tables(n)  # refuses a degree outside 1..MAX_DEGREE
+    steps = _search_rows(presentation.search_plan, n)
     comp, inv, cent = tables.comp, tables.inv, tables.cent
     cycles, join, connecting = tables.cycles, tables.join, tables.connecting
-    everything = (1 << len(comp)) - 1
-    ranges: list[int] = []
-    singles: list[list] = []  # (generator, order_masks row table) per generator
-    checks: list[list] = []  # (prefix, order_masks row table) per generator
-    folds: list[list] = []  # (letters, allowed orders mask) per generator
-    for cuts, at_checks, at_folds in presentation.search_plan:
-        allowed = everything
-        for exp in cuts:
-            allowed &= order_masks(n, exp)[0]
-        ranges.append(allowed)
-        singles.append([])
-        checks.append([])
-        for prefix, exp in at_checks:
-            rows = order_masks(n, exp)
-            if len(prefix) > 1:
-                checks[-1].append((prefix, rows))
-            else:
-                (gen, sign), = prefix  # w = g^-1 reads g's row through inv
-                singles[-1].append((gen, rows if sign > 0 else tuple(map(rows.__getitem__, inv))))
-        folds.append([(letters, order_masks(n, exp)[0]) for letters, exp in at_folds])
-
-    chosen = [0] * len(ranges)
-    last = len(ranges) - 1
-
-    def extend(depth: int, stab: int, part: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        choices = ranges[depth] & orderly_mask(n, stab)
+    chosen = [0] * len(steps)
+    last = len(steps) - 1
+    stack: list[tuple[int, int, int]] = []
+    stab, part = (1 << len(comp)) - 1, 0
+    while True:  # place generator len(stack) below the prefix chosen[:len(stack)]
+        depth = len(stack)
+        allowed, singles, checks, folds = steps[depth]
+        choices = allowed & orderly_mask(n, stab)
         if depth == last:
             choices &= connecting[part]
-        for gen, rows in singles[depth]:
+        for gen, rows in singles:
             choices &= rows[chosen[gen]]
-        for prefix, rows in checks[depth]:
+        for prefix, rows in checks:
             choices &= rows[_fold(prefix, chosen, comp, inv)]
-        for letters, allowed in folds[depth]:
+        for letters, orders in folds:
             rest = choices
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 chosen[depth] = bit.bit_length() - 1
-                if not allowed >> _fold(letters, chosen, comp, inv) & 1:
+                if not orders >> _fold(letters, chosen, comp, inv) & 1:
                     choices ^= bit
-        while choices:
+        while True:
+            while not choices:  # back up to the deepest generator with choices left
+                if not stack:
+                    return
+                choices, stab, part = stack.pop()
+                depth -= 1
             bit = choices & -choices
             choices ^= bit
             i = bit.bit_length() - 1
-            fixing = stab & cent[i]
             chosen[depth] = i
-            if depth < last:
-                yield from extend(depth + 1, fixing, join[part][cycles[i]])
-            else:
+            fixing = stab & cent[i]
+            if depth == last:
                 yield tuple(chosen), fixing.bit_count()
-
-    return extend(0, everything, 0)
+            else:
+                stack.append((choices, stab, part))
+                stab, part = fixing, join[part][cycles[i]]
+                break
 
 
 def _fold(letters: Iterable[Letter], chosen: Sequence[int],
@@ -491,12 +533,14 @@ def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]
     fails raises RuntimeError.  No image is named here: a class's
     image_type is computed when it is first read, from the rep's indices
     (_image_type, told the rep is transitive), by Jordan's theorem where it
-    applies.
+    applies.  Each rep and class is built through its _unchecked
+    constructor, since these checks are the ones its own would make.
     """
     perms = all_perms(n)  # refuses an index outside 1..MAX_DEGREE
     tables = perm_tables(n)
     comp, inv, order = tables.comp, tables.inv, tables.order
     names = presentation.generator_names
+    relabelings = factorial(n)
     classes = []
     for combo, stab in _search(presentation, n):
         if (not _is_transitive(combo, n)
@@ -507,8 +551,7 @@ def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]
                                f"at index {n}")
         rep = TransitiveRep._unchecked(
             presentation, Assignment._unchecked(names, tuple(map(perms.__getitem__, combo))))
-        classes.append(SubgroupClass(rep=rep, index=n,
-                                     labeled_orbit_size=factorial(n) // stab))
+        classes.append(SubgroupClass._unchecked(rep, n, relabelings // stab))
     return classes
 
 

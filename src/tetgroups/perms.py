@@ -133,8 +133,9 @@ class Assignment:
     def _unchecked(cls, names: tuple[str, ...], perms: tuple[Perm, ...]) -> "Assignment":
         """An assignment of one image per name, all of one degree, known already."""
         assignment = object.__new__(cls)
-        object.__setattr__(assignment, "names", names)
-        object.__setattr__(assignment, "perms", perms)
+        fields = assignment.__dict__  # frozen: filled directly, not set
+        fields["names"] = names
+        fields["perms"] = perms
         return assignment
 
     @property
@@ -248,8 +249,9 @@ class TransitiveRep:
     def _unchecked(cls, presentation: Presentation, assignment: Assignment) -> "TransitiveRep":
         """A rep whose names, relators and transitivity are checked already."""
         rep = object.__new__(cls)
-        object.__setattr__(rep, "presentation", presentation)
-        object.__setattr__(rep, "assignment", assignment)
+        fields = rep.__dict__
+        fields["presentation"] = presentation
+        fields["assignment"] = assignment
         return rep
 
     @property

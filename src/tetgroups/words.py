@@ -59,7 +59,7 @@ class Word:
     def _unchecked(cls, letters: tuple[Letter, ...]) -> "Word":
         """A word on letters that are valid and freely reduced already."""
         word = object.__new__(cls)
-        object.__setattr__(word, "letters", letters)
+        word.__dict__["letters"] = letters  # frozen: filled directly, not set
         return word
 
     @staticmethod

@@ -186,6 +186,9 @@ def test_usage_errors_exit_with_two(capsys):
     code, _, err = run(capsys, "enumerate", "--id", "t99", "--group", "full",
                        "--index", "2")
     assert code == 2 and "t99" in err
+    code, out, err = run(capsys, "enumerate", "--id", "", "--group", "full",
+                         "--index", "2")
+    assert (code, out, err) == (2, "", "error: no catalog entry with id ''\n")
     code, _, err = run(capsys, "enumerate", "--id", "t10", "--group", "full",
                        "--index", "0")
     assert code == 2 and "index" in err

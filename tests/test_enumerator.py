@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import warnings
@@ -222,14 +223,41 @@ def test_each_plan_is_built_once_per_presentation(t10_full):
 
 
 def test_a_plan_that_drops_a_relator_is_caught(t10_full, monkeypatch):
+    # The unpatched plan runs first, so its rows are cached before the
+    # patch, and a second search of it at the same degree builds none.
     # Q's step without (PQ)^3: the search then yields combos that break it,
     # and the per-class check, which reads relator_powers, refuses them.
+    assert len(enumerate_classes(t10_full, 4)) == 2
+    rows_built = []
+    order_masks = enumerator.order_masks
+
+    def counting(n, exp):
+        rows_built.append((n, exp))
+        return order_masks(n, exp)
+
+    monkeypatch.setattr(enumerator, "order_masks", counting)
+    assert len(enumerate_classes(t10_full, 4)) == 2
+    assert rows_built == []
     p_step, q_step, *tail = t10_full.search_plan
     assert q_step.checks == ((((0, 1),), 3),)
     broken = (p_step, q_step._replace(checks=()), *tail)
     monkeypatch.setitem(vars(t10_full), "search_plan", broken)
     with pytest.raises(RuntimeError, match="not a transitive rep"):
         enumerate_classes(t10_full, 4)
+    assert rows_built  # rows are keyed on the plan's value, not on the presentation
+
+
+def test_a_search_leaves_no_cyclic_garbage(t10_full):
+    # the walk keeps its state in one frame with no reference to itself, so
+    # what a call builds is freed by reference counting alone
+    for run in (enumerate_classes, enumerate_candidates, count_distinct_subgroups):
+        gc.collect()
+        gc.disable()
+        try:
+            run(t10_full, 4)
+            assert gc.collect() == 0, run.__name__
+        finally:
+            gc.enable()
 
 
 def test_class_reps_are_canonical_and_sorted(t10_kleinian):
@@ -513,6 +541,23 @@ def test_a_class_index_is_its_rep_degree(t10_full):
         SubgroupClass(rep=cls.rep, index=5, labeled_orbit_size=1)
     with pytest.raises(ValueError, match="index 3 differs from the rep's degree 4"):
         dataclasses.replace(cls, index=3, image_type=None)
+
+
+def test_trusted_classes_match_checked_ones():
+    # enumerate_classes builds its reps, assignments and classes through
+    # _unchecked; each equals, hashes and prints like the same class built
+    # through the checked constructors, and dataclasses.replace rebuilds it
+    cells = [(presentation_for(entry.symbol, group), n) for entry in catalog()
+             for group in ("full", "kleinian") for n in (1, 2, 3, 4)]
+    cells.append((presentation_for(catalog_by_id("t31").symbol, "kleinian"), 5))
+    for pres, n in cells:
+        for c in enumerate_classes(pres, n):
+            assignment = Assignment(c.rep.assignment.names, c.rep.assignment.perms)
+            checked = SubgroupClass(rep=TransitiveRep(pres, assignment), index=n,
+                                    labeled_orbit_size=c.labeled_orbit_size)
+            assert c == checked and hash(c) == hash(checked)
+            assert repr(c) == repr(checked)
+            assert dataclasses.replace(c) == checked
 
 
 def test_enumerate_classes_tests_transitivity_once_per_class(monkeypatch):
