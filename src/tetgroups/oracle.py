@@ -296,12 +296,12 @@ def _enumerate(presentation: Presentation, scans: list[tuple[int, ...]], max_cos
     and every relator closes on it by its base's cycles (_closes_by_cycles),
     the relator loop is skipped: each of its scans would walk back to its
     start and change nothing, so the result is the one it would return.
-    Otherwise the loop runs: a relator is walked on the table from coset c
-    before it is scanned there; a walk on defined entries back to c is
-    skipped, since scan_and_fill would repeat it and change nothing."""
+    Only when the loop runs is each relator written out, base * k, for
+    scan_and_fill; a scan that walks back to its start changes nothing."""
     if max_cosets < 1:
         return TCResult("overflow"), [], []
-    _, inverse, relators, powers, _ = presentation.coset_columns
+    layout = presentation.coset_columns
+    inverse, powers = layout.inverse, layout.powers
     width = len(inverse)
     # table[c][x]: coset c acted on by column x, or -1 while undefined.
     # parent is a union-find forest over the cosets; a live coset is a root.
@@ -387,23 +387,19 @@ def _enumerate(presentation: Presentation, scans: list[tuple[int, ...]], max_cos
         for scan in scans:
             scan_and_fill(0, scan)
         # a table that every relator already closes skips the relator loop
-        c = len(table) if not coincidences and _closes_by_cycles(table, powers) else 0
-        while c < len(table):
-            for rel in relators:
-                if parent[c] != c:
-                    break
-                f = c
-                for x in rel:
-                    f = table[f][x]
-                    if f < 0:
+        if coincidences or not _closes_by_cycles(table, powers):
+            relators = [base * k for base, k in powers]
+            c = 0
+            while c < len(table):
+                for rel in relators:
+                    if parent[c] != c:
                         break
-                if f != c:
                     scan_and_fill(c, rel)
-            if parent[c] == c and -1 in table[c]:
-                for x in range(width):
-                    if table[c][x] < 0:
-                        define(c, x)
-            c += 1
+                if parent[c] == c:
+                    for x in range(width):
+                        if table[c][x] < 0:
+                            define(c, x)
+                c += 1
     except _Overflow:
         return TCResult("overflow", None, None, len(table), peak_live, coincidences), table, []
     live = [c for c in range(len(table)) if parent[c] == c]
@@ -452,7 +448,7 @@ def verify_class(rep: TransitiveRep, max_cosets: int | None = None) -> bool | No
     at indices 1-6 it then defines exactly rep.degree cosets with no
     coincidence, so a budget of rep.degree closes it.  The scans leave a
     complete table, on which every relator of a rep that satisfies them
-    closes by its base's cycles, so no relator is walked out exponent
+    closes by its base's cycles, so no relator is written out exponent
     times and the time does not grow with the exponents.
 
     Returns True when the enumeration closes at the rep's degree, False

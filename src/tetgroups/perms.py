@@ -30,15 +30,20 @@ class Perm:
 
     images[i-1] is the image of i, an int.  Instances are immutable and
     hashable; the one-line tuple doubles as the lexicographic sort key.
+    Images given as any other sequence are stored as a tuple.
     """
 
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.images)
-        if (sorted(self.images) != list(range(1, n + 1))
-                or any(type(x) is not int for x in self.images)):
-            raise ValueError(f"not a permutation of 1..{n} in ints: {self.images}")
+        if type(self.images) is not tuple:
+            object.__setattr__(self, "images", tuple(self.images))
+        images = self.images
+        n = len(images)
+        # the type test runs first, so sorted never compares a non-int
+        if (any(type(x) is not int for x in images)
+                or sorted(images) != list(range(1, n + 1))):
+            raise ValueError(f"not a permutation of 1..{n} in ints: {images}")
 
     @staticmethod
     def identity(n: int) -> "Perm":

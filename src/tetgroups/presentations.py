@@ -24,11 +24,10 @@ from .words import Letter, Word, reduce_letters
 
 
 # Symbol entries above this are refused before anything is built: coset
-# enumeration writes each relator out exponent times (coset_columns), so
-# its memory grows linearly in an entry, and so does its time wherever its
-# relator loop runs.  verify_class on a rep that satisfies the relators
-# skips that loop (oracle._enumerate closes the table by the relator
-# bases' cycles), so its time does not grow with the entries.
+# enumeration's relator loop writes each relator out exponent times and
+# scans it at every coset, so its memory and time grow linearly in an
+# entry.  verify_class skips that loop on a rep that satisfies the
+# relators (oracle._enumerate closes the table by the bases' cycles).
 MAX_ENTRY = 10_000
 
 
@@ -78,15 +77,14 @@ class CosetColumns(NamedTuple):
 
     of_letter maps each letter (g, +1 or -1) to its column; inverse[x] is
     the column of x's inverse letter (x itself for an involution).  Each
-    relator is listed as the columns of its letters in the order they act,
-    rightmost letter first.  powers[r] is relators[r] as (its base's
-    columns, rightmost letter first, its exponent).  letter_of[x] is column
-    x's letter in reduced form, (g, +1) for an involution's column.
+    relator base^k is listed in powers as (the columns of its base's
+    letters in the order they act, rightmost letter first, k); no relator
+    is stored written out.  letter_of[x] is column x's letter in reduced
+    form, (g, +1) for an involution's column.
     """
 
     of_letter: dict[Letter, int]
     inverse: tuple[int, ...]
-    relators: tuple[tuple[int, ...], ...]
     powers: tuple[tuple[tuple[int, ...], int], ...]
     letter_of: tuple[Letter, ...]
 
@@ -174,9 +172,8 @@ class Presentation:
     def coset_columns(self) -> CosetColumns:
         """Coset-table columns: one self-inverse column per involution, a
         pair (g, g^-1) per other generator, in generator order.  Each
-        relator base^k is written out here, k copies of its base, the only
-        place a relator is expanded; powers keeps the base and k beside
-        it."""
+        relator base^k is kept as its base's columns and k, so the layout's
+        size does not grow with the exponents."""
         of_letter: dict[Letter, int] = {}
         inverse: list[int] = []
         letter_of: list[Letter] = []
@@ -194,8 +191,7 @@ class Presentation:
         powers = tuple((tuple(of_letter[letter] for letter in reversed(base.letters)), k)
                        for base, k in self.relator_powers
                        if not (len(base) == 1 and k == 2))
-        relators = tuple(columns * k for columns, k in powers)
-        return CosetColumns(of_letter, tuple(inverse), relators, powers, tuple(letter_of))
+        return CosetColumns(of_letter, tuple(inverse), powers, tuple(letter_of))
 
     @cached_property
     def search_plan(self) -> tuple[SearchStep, ...]:

@@ -160,7 +160,8 @@ def schreier_scans(rep: TransitiveRep) -> list[tuple[int, ...]]:
     the same edge: an involution's (i, g) and (g(i), g), of which the one
     with g(i) < i comes second.
     """
-    of_letter, inverse, _, _, _ = rep.presentation.coset_columns
+    layout = rep.presentation.coset_columns
+    of_letter, inverse = layout.of_letter, layout.inverse
     perms = rep.assignment.perms
     columns = [of_letter[(g, 1)] for g in range(len(perms))]
     forward, backward = _transversal(perms, columns, [inverse[x] for x in columns])

@@ -149,7 +149,7 @@ def test_symbol_entries_past_the_bound_are_refused_at_once(capsys):
     assert time.perf_counter() - t0 < 1
     assert code == 2 and out == ""
     assert f"integers 2 to {MAX_ENTRY}, got {MAX_ENTRY + 1}" in err
-    # at the bound, with (PS)^t written out MAX_ENTRY times, verify stays under 2 s
+    # at the bound, with (PS)^t at exponent MAX_ENTRY, verify stays under 2 s
     t0 = time.perf_counter()
     code, out, _ = run(capsys, "verify", "--symbol", f"2,2,2,2,{MAX_ENTRY},2",
                        "--group", "full", "--index", "4")

@@ -410,8 +410,8 @@ def test_a_complete_table_the_relators_do_not_close_runs_the_relator_loop(t10_fu
 
 
 def test_exponents_at_max_entry_close_at_exactly_the_index():
-    # Relators written out 10000 times: every class still closes at a
-    # budget of exactly its index, with no coset defined past it.
+    # Relators at exponent 10000: every class still closes at a budget of
+    # exactly its index, with no coset defined past it.
     pres = presentation_for(CoxeterSymbol(*[MAX_ENTRY] * 6), "kleinian")
     classes = enumerate_classes(pres, 4)
     assert len(classes) == 119

@@ -38,10 +38,20 @@ def test_invalid_images_rejected():
     with pytest.raises(ValueError):
         Perm((2, 3, 4))
     # Perm((2.0, 1.0)) would equal Perm((2, 1)), yet apply(1) would give 2.0
-    # and cycle_string raise TypeError
-    for images in ((2.0, 1.0), (2, 1.0), (True,)):
+    # and cycle_string raise TypeError; a str or None among ints must not
+    # reach sorted, which would raise TypeError
+    for images in ((2.0, 1.0), (2, 1.0), (True,), (1, "a"), (None, 1)):
         with pytest.raises(ValueError, match="ints"):
             Perm(images)
+
+
+def test_images_given_as_a_list_are_stored_as_a_tuple():
+    # a list would make the Perm unequal to its tuple twin and unhashable
+    p = Perm([2, 1])
+    assert p.images == (2, 1) and type(p.images) is tuple
+    assert p == Perm((2, 1))
+    assert hash(p) == hash(Perm((2, 1)))
+    assert p in {Perm((2, 1))}
 
 
 def test_rightmost_factor_acts_first():
