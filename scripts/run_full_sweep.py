@@ -19,10 +19,9 @@ import sys
 import time
 from math import factorial
 
-from tetgroups import (brute_force_classes, catalog, enumerate_classes,
-                       presentation_for, verify_class)
+from tetgroups import catalog, enumerate_classes, presentation_for, verify_class
 from tetgroups.enumerator import order_masks, perm_tables
-from tetgroups.oracle import _allowed_reps, _symmetric_tables
+from tetgroups.oracle import _allowed_reps, _symmetric_tables, brute_force_classes
 from tetgroups.perms import MAX_DEGREE
 
 

@@ -27,7 +27,7 @@ from .words import Letter, Word, reduce_letters
 # enumeration's relator loop writes each relator out exponent times and
 # scans it at every coset, so its memory and time grow linearly in an
 # entry.  verify_class skips that loop on a rep that satisfies the
-# relators (oracle._enumerate closes the table by the bases' cycles).
+# relators (stabilizer._enumerate closes the table by the bases' cycles).
 MAX_ENTRY = 10_000
 
 
@@ -108,13 +108,14 @@ class RecountStep(NamedTuple):
     """What the recount tests once generator g is joined: the relators
     whose last generator is g, as exponents and letters, no degree.
 
-    exp is the gcd of the exponents of g's one-letter relators, 0 when
-    there are none (every order divides 0).  own are the other relators in
-    g alone, joint those that use an earlier generator too.
+    exp bounds g's order: every relator in g alone is g^m or g^-m (bases
+    are freely reduced) to some exponent k, which holds exactly when g's
+    order divides m * k, so exp is the gcd of those products, 0 when there
+    are none (every order divides 0).  joint are the relators that use an
+    earlier generator too.
     """
 
     exp: int
-    own: tuple[tuple[tuple[Letter, ...], int], ...]
     joint: tuple[tuple[tuple[Letter, ...], int], ...]
 
 
@@ -226,19 +227,17 @@ class Presentation:
     def recount_plan(self) -> tuple[RecountStep, ...]:
         """oracle.brute_force_classes's relators, one RecountStep per
         generator: each relator is tested once the last generator of its
-        base is joined.  Several one-letter relators on g keep the elements
-        whose order divides every exponent, which is their gcd."""
-        placed_last: list[list] = [[] for _ in self.generator_names]
+        base is joined.  Several relators in g alone keep the elements whose
+        order divides every m * k, which is their gcd."""
+        placed_last: list[tuple[list, list]] = [([], []) for _ in self.generator_names]
         for base, exp in self.relator_powers:
-            placed_last[max(g for g, _ in base)].append((base.letters, exp))
-        steps = []
-        for g, relators in enumerate(placed_last):
-            longer = [(letters, exp) for letters, exp in relators if len(letters) > 1]
-            steps.append(RecountStep(
-                gcd(*(exp for letters, exp in relators if len(letters) == 1)),
-                tuple(r for r in longer if all(h == g for h, _ in r[0])),
-                tuple(r for r in longer if any(h != g for h, _ in r[0]))))
-        return tuple(steps)
+            g = max(h for h, _ in base)
+            alone, joint = placed_last[g]
+            if all(h == g for h, _ in base):
+                alone.append(len(base) * exp)
+            else:
+                joint.append((base.letters, exp))
+        return tuple(RecountStep(gcd(*alone), tuple(joint)) for alone, joint in placed_last)
 
     @cached_property
     def pair_bases(self) -> tuple[Word, ...]:

@@ -15,14 +15,14 @@ import time
 import pytest
 
 from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
-                       all_perms, brute_force_classes, build_coset_table,
-                       canonical_form, catalog, conjugate_assignment,
-                       count_distinct_subgroups, enumerate_classes,
-                       evaluate_word, full_presentation, is_transitive,
-                       presentation_for, raw_schreier_words,
+                       all_perms, build_coset_table, canonical_form, catalog,
+                       conjugate_assignment, count_distinct_subgroups,
+                       enumerate_classes, evaluate_word, full_presentation,
+                       is_transitive, presentation_for, raw_schreier_words,
                        schreier_generators, simplify_word, todd_coxeter,
                        verify_class)
 from tetgroups.cli import main as cli_main
+from tetgroups.oracle import brute_force_classes
 
 from conftest import parse_cycles, parse_word, same_subgroup
 from published_rows import (CORROBORATED_IDS, DEGREE2_ROWS,

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from tetgroups import MAX_DEGREE, BruteForceCounts
+from tetgroups import MAX_DEGREE
 from tetgroups.cli import main
 from tetgroups.enumerator import perm_tables
+from tetgroups.oracle import BruteForceCounts
 from tetgroups.presentations import MAX_ENTRY
 
 
@@ -119,6 +120,13 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("12 classes: 12 closed, 0 inconclusive, 0 failed\n")
 
 
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("argv", [
     ["list"],
     ["enumerate", "--id", "t19", "--group", "full", "--index", "4", "--format", "json"],
@@ -128,13 +136,10 @@ def test_a_closed_stdout_exits_141_without_a_traceback(argv):
     # write or flush of stdout fails, whatever the output's size
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     try:
         proc = subprocess.run([sys.executable, "-m", "tetgroups", *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              env=env, text=True, timeout=60)
+                              env=src_env(), text=True, timeout=60)
     finally:
         os.close(write_end)
     assert proc.returncode == 141
@@ -226,7 +231,7 @@ def test_counts_json_rows_match_direct_enumeration(capsys):
 def test_counts_diff_exits_1_when_the_oracle_disputes_a_mismatch(monkeypatch, capsys):
     # Every mismatched cell is recounted by the oracle; an oracle that agrees
     # with no cell makes each MISMATCH line read DISAGREES and the exit 1.
-    monkeypatch.setattr("tetgroups.cli.brute_force_classes",
+    monkeypatch.setattr("tetgroups.oracle.brute_force_classes",
                         lambda pres, n: BruteForceCounts(0, 7, 0))
     code, out, _ = run(capsys, "counts", "--diff")
     assert code == 1
@@ -237,3 +242,35 @@ def test_counts_diff_exits_1_when_the_oracle_disputes_a_mismatch(monkeypatch, ca
            "(DISAGREES with computed)" in mismatches
     assert lines[-1].startswith("diff summary: 168/192 cells match the reference; "
                                 "24 mismatches (22 cells INTERNALLY INCONSISTENT;")
+
+
+# Whether numpy is loaded after importing the package, after each command
+# that has no use for it, and after counts --diff, whose mismatched cells
+# the recount settles; then whether tetgroups.oracle still binds the coset
+# check that the package exports, as the benchmark's tracer wraps it there.
+NUMPY_PROBE = """
+import contextlib, io, sys
+import tetgroups
+from tetgroups.cli import main
+
+loaded = ["numpy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["list"],
+                 ["enumerate", "--id", "t10", "--group", "full", "--index", "3"],
+                 ["verify", "--id", "t10", "--group", "kleinian", "--index", "4"],
+                 ["coloring", "--id", "t10", "--group", "full", "--index", "2"],
+                 ["counts", "--diff"]):
+        assert main(argv) == 0, argv
+        loaded.append("numpy" in sys.modules)
+import tetgroups.oracle
+print(loaded, [getattr(tetgroups.oracle, name) is getattr(tetgroups, name)
+               for name in ("todd_coxeter", "verify_class")])
+"""
+
+
+def test_only_counts_diff_loads_numpy():
+    # a fresh interpreter: the suite's own has loaded numpy long since
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True,
+                          env=src_env(), text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, False, False, False, True] [True, True]\n"
