@@ -72,19 +72,7 @@ class Perm:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles of length >= 2, each starting at its least point."""
-        images = self.images
-        seen = [False] * (len(images) + 1)
-        out = []
-        for start, j in enumerate(images, start=1):
-            if seen[start] or j == start:
-                continue
-            cyc = [start]
-            while j != start:
-                cyc.append(j)
-                seen[j] = True
-                j = images[j - 1]
-            out.append(tuple(cyc))
-        return out
+        return _cycles(self.images)
 
     def order(self) -> int:
         return lcm(1, *(len(c) for c in self.cycles()))
@@ -95,14 +83,36 @@ class Perm:
         Points are juxtaposed, (12)(34), while every point is a single
         digit; with points past 9 they are space separated.
         """
-        cycs = self.cycles()
-        if not cycs:
-            return "(1)"
-        sep = " " if self.degree > 9 else ""
-        return "".join("(" + sep.join(str(p) for p in c) + ")" for c in cycs)
+        return _cycle_string(self.images)
 
     def __str__(self) -> str:
         return self.cycle_string()
+
+
+def _cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
+    seen = [False] * (len(images) + 1)
+    out = []
+    for start, j in enumerate(images, start=1):
+        if seen[start] or j == start:
+            continue
+        cyc = [start]
+        while j != start:
+            cyc.append(j)
+            seen[j] = True
+            j = images[j - 1]
+        out.append(tuple(cyc))
+    return out
+
+
+# Keyed by the one-line tuple; all 873 permutations of degree 1 to
+# MAX_DEGREE fit, so a report prints each of them from its cycles once.
+@lru_cache(maxsize=1024)
+def _cycle_string(images: tuple[int, ...]) -> str:
+    cycs = _cycles(images)
+    if not cycs:
+        return "(1)"
+    sep = " " if len(images) > 9 else ""
+    return "".join("(" + sep.join(str(p) for p in c) + ")" for c in cycs)
 
 
 @lru_cache(maxsize=None)

@@ -157,6 +157,13 @@ class Presentation:
                          if len(base) == 1 and k == 2)
 
     @cached_property
+    def inverse_letter(self) -> dict[Letter, Letter]:
+        """Each letter's inverse, reduced with the involutions: (g, -s) for
+        (g, s), or (g, 1) when g is an involution."""
+        return {(g, s): (g, 1 if g in self.involutions else -s)
+                for g in range(len(self.generator_names)) for s in (1, -1)}
+
+    @cached_property
     def braid_rules(self) -> dict[tuple[int, int, int], int]:
         """Rewrites xyx -> y and yxy -> x, keyed by the three generators,
         for each relator (xy)^2 whose x and y are distinct involutions."""

@@ -104,7 +104,8 @@ class StabilizerGens:
     entry, involution-normalized, with later duplicates of an earlier word
     or its inverse dropped.
     simplified: the same list pushed through simplify_word and deduplicated
-    again.  Both lists generate the stabilizer of point 1.
+    again; the words themselves when no braid rule fires on them.  Both
+    lists generate the stabilizer of point 1.
     """
 
     words: tuple[Word, ...]
@@ -124,13 +125,14 @@ def raw_schreier_words(table: CosetTable) -> list[Word]:
 
 
 def _dedup(words: Iterable[tuple[Letter, ...]],
-           involutions: frozenset[int]) -> tuple[Word, ...]:
+           presentation: Presentation) -> tuple[Word, ...]:
     """Drop the empty words and later repeats of a word or its inverse,
-    given as letter tuples reduced with the involutions.
+    given as letter tuples reduced with the presentation's involutions.
 
     A reduced word's inverse is reduced too, so it is written down
-    directly: letters reversed, and signs flipped except on involutions,
-    which reduction keeps at +1."""
+    directly: letters reversed, each through Presentation.inverse_letter,
+    which flips signs except on involutions, kept at +1 by reduction."""
+    inverse = presentation.inverse_letter.__getitem__
     kept: list[Word] = []
     seen: set[tuple] = set()
     for letters in words:
@@ -138,8 +140,7 @@ def _dedup(words: Iterable[tuple[Letter, ...]],
             continue
         kept.append(Word._unchecked(letters))
         seen.add(letters)
-        seen.add(tuple((g, s if g in involutions else -s)
-                       for g, s in reversed(letters)))
+        seen.add(tuple(map(inverse, reversed(letters))))
     return tuple(kept)
 
 
@@ -188,13 +189,16 @@ def schreier_generators(table: CosetTable) -> StabilizerGens:
     """The Schreier words and their simplified forms.  The words are
     schreier_scans read back left to right as letters, an involution's
     with sign +1, so they are reduced with the involutions already and go
-    straight to simplify_word's braid rewriting."""
+    straight to simplify_word's braid rewriting.  When no braid rule fires
+    on any of them, the simplified words are the words themselves:
+    schreier_scans has already dropped the empty scans and later repeats
+    of a scan or its inverse, so _dedup would keep every word as it is."""
     pres = table.rep.presentation
-    letter_of = pres.coset_columns.letter_of
-    words = tuple(Word._unchecked(tuple(letter_of[x] for x in reversed(scan)))
-                  for scan in schreier_scans(table.rep))
-    simplified = _dedup((_braid_rewrite(w.letters, pres) for w in words),
-                        pres.involutions)
+    letter = pres.coset_columns.letter_of.__getitem__
+    letters = [tuple(map(letter, reversed(scan))) for scan in schreier_scans(table.rep)]
+    words = tuple(map(Word._unchecked, letters))
+    rewritten = [_braid_rewrite(w, pres) for w in letters]
+    simplified = words if rewritten == letters else _dedup(rewritten, pres)
     return StabilizerGens(words, simplified)
 
 
@@ -371,15 +375,15 @@ def _enumerate(presentation: Presentation, scans: list[tuple[int, ...]], max_cos
         f, i = c, 0
         b, j = c, len(word) - 1
         while True:
-            while i <= j and table[f][word[i]] >= 0:
-                f = table[f][word[i]]
+            while i <= j and (d := table[f][word[i]]) >= 0:
+                f = d
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][inverse[word[j]]] >= 0:
-                b = table[b][inverse[word[j]]]
+            while j >= i and (d := table[b][inverse[word[j]]]) >= 0:
+                b = d
                 j -= 1
             if j < i:
                 coincidence(f, b)

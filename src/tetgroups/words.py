@@ -88,15 +88,16 @@ class Word:
     def render(self, names: tuple[str, ...] | list[str]) -> str:
         """Print with exponent folding: ``SRS``, ``a^-1b^2``.  Empty word is ''."""
         parts: list[str] = []
-        i = 0
         letters = self.letters
-        while i < len(letters):
-            gen, sign = letters[i]
-            j = i
-            while j < len(letters) and letters[j] == (gen, sign):
+        n = len(letters)
+        i = 0
+        while i < n:
+            letter = letters[i]
+            j = i + 1
+            while j < n and letters[j] == letter:
                 j += 1
+            gen, sign = letter
             exp = sign * (j - i)
             parts.append(names[gen] if exp == 1 else f"{names[gen]}^{exp}")
             i = j
         return "".join(parts)
-

@@ -289,6 +289,17 @@ def test_coset_enumeration_closes_where_every_column_is_filled():
     assert res.action.perms[0].is_identity()
 
 
+def test_coset_enumeration_of_a_dihedral_group_of_order_400():
+    # <x, y | x^2, y^2, (xy)^200> is the dihedral group of order 400.  Its
+    # trivial subgroup runs the relator loop, scanning (xy)^200 at every
+    # coset: each coset is defined once, with none merged away.
+    pres = two_generator_presentation((X, 2), (Y, 2), (X * Y, 200))
+    res = todd_coxeter(pres, [], 400)
+    assert (res.status, res.index, res.defined, res.peak_live, res.coincidences) == (
+        "closed", 400, 400, 400, 0)
+    assert TransitiveRep(pres, res.action).degree == 400
+
+
 def test_coset_enumeration_counters(t10_kleinian):
     # Every coincidence kills one defined coset, so the survivors number
     # defined - coincidences; the budget bounds the live cosets.
@@ -440,7 +451,7 @@ def test_schreier_scans_are_the_words_in_columns(catalog_table):
             scans = schreier_scans(cls.rep)
             where = (cell.id, cell.group, cell.n)
             assert words == _dedup((pres.reduce(w).letters for w in raw_schreier_words(table)),
-                                   pres.involutions), where
+                                   pres), where
             assert scans == [tuple(of_letter[letter] for letter in reversed(w.letters))
                              for w in words], where
             core = _enumerate(pres, scans, budget)[0]

@@ -82,6 +82,40 @@ def test_cycle_string_spaces_points_past_nine():
     assert ten.cycle_string() == "(1 2 3 4 5 6 7 8 9 10)"
 
 
+def reference_cycle_string(perm: Perm) -> str:
+    """Perm.cycle_string as first written, walking the cycles itself."""
+    images = perm.images
+    seen = [False] * (len(images) + 1)
+    cycs = []
+    for start, j in enumerate(images, start=1):
+        if seen[start] or j == start:
+            continue
+        cyc = [start]
+        while j != start:
+            cyc.append(j)
+            seen[j] = True
+            j = images[j - 1]
+        cycs.append(tuple(cyc))
+    if not cycs:
+        return "(1)"
+    sep = " " if perm.degree > 9 else ""
+    return "".join("(" + sep.join(str(p) for p in c) + ")" for c in cycs)
+
+
+def test_cycle_string_matches_the_reference():
+    # every permutation of degree 1 to 6, each asked twice so that the
+    # second answer comes from the memo, and some past degree 9
+    for n in range(1, MAX_DEGREE + 1):
+        for p in all_perms(n):
+            assert p.cycle_string() == reference_cycle_string(p)
+            assert p.cycle_string() == reference_cycle_string(p)
+    past_nine = [Perm((3, 1, 2, 5, 4, 6, 7, 8, 9, 12, 10, 11)), Perm.identity(10),
+                 Perm(tuple(range(11, 0, -1)))]
+    for p in past_nine * 2:
+        assert p.cycle_string() == reference_cycle_string(p)
+    assert past_nine[0].cycle_string() == "(1 3 2)(4 5)(10 12 11)"
+
+
 def test_order_is_lcm_of_cycle_lengths():
     assert Perm.identity(5).order() == 1
     assert Perm((2, 3, 1, 4, 6, 5)).order() == 6

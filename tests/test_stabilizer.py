@@ -3,13 +3,13 @@ from functools import lru_cache
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
+from tetgroups import (Assignment, CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
                        all_perms, build_coset_table, catalog, catalog_by_id,
                        conjugate_assignment, enumerate_classes, evaluate_word,
                        full_presentation, kleinian_presentation,
                        presentation_for, raw_schreier_words,
                        schreier_generators, simplify_word)
-from tetgroups.stabilizer import _dedup, schreier_scans
+from tetgroups.stabilizer import _braid_rewrite, _dedup, schreier_scans
 
 from conftest import (parse_cycles, parse_word, random_presentations,
                       same_subgroup)
@@ -153,9 +153,33 @@ def test_schreier_scans_are_the_reduced_raw_words_on_random_presentations(pres, 
     of_letter = pres.coset_columns.of_letter
     for cls in enumerate_classes(pres, n):
         raw = raw_schreier_words(build_coset_table(cls.rep))
-        words = _dedup((pres.reduce(w).letters for w in raw), pres.involutions)
+        words = _dedup((pres.reduce(w).letters for w in raw), pres)
         assert schreier_scans(cls.rep) == [
             tuple(of_letter[letter] for letter in reversed(w.letters)) for w in words]
+
+
+def with_commuting_involutions(pres: Presentation) -> Presentation:
+    """pres with a^2, b^2 and (ab)^2 added, which gives it the braid rules
+    aba -> b and bab -> a."""
+    a, b = Word.gen(0), Word.gen(1)
+    return Presentation(pres.kind, pres.symbol, pres.generator_names,
+                        pres.relator_powers + ((a, 2), (b, 2), (a * b, 2)))
+
+
+@given(random_presentations(), st.booleans(), st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_simplified_words_are_the_deduplicated_rewrites_on_random_presentations(
+        pres, braids, n):
+    # schreier_generators keeps the words as their simplified forms when no
+    # braid rule fires on any of them, and deduplicates the rewrites only
+    # when one does.  Both must give _dedup of every word's rewrite, with
+    # braid rules and without; the examples reach all three cases.
+    if braids and len(pres.generator_names) > 1:
+        pres = with_commuting_involutions(pres)
+    for cls in enumerate_classes(pres, n):
+        gens = schreier_generators(build_coset_table(cls.rep))
+        assert gens.simplified == _dedup(
+            (_braid_rewrite(w.letters, pres) for w in gens.words), pres)
 
 
 def test_simplify_word_golden_rewrites(t10_full):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tetgroups import Word
@@ -14,6 +14,28 @@ letters = st.lists(
     max_size=30,
 )
 words = letters.map(Word)
+# runs of one letter, of either sign, so that render folds exponents
+runs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from([1, -1]),
+              st.integers(min_value=1, max_value=12)),
+    max_size=8,
+).map(lambda rs: Word(tuple((gen, sign) for gen, sign, k in rs for _ in range(k))))
+
+
+def reference_render(word: Word, names) -> str:
+    """Word.render as first written: one pass over the letters by index."""
+    parts: list[str] = []
+    i = 0
+    letters = word.letters
+    while i < len(letters):
+        gen, sign = letters[i]
+        j = i
+        while j < len(letters) and letters[j] == (gen, sign):
+            j += 1
+        exp = sign * (j - i)
+        parts.append(names[gen] if exp == 1 else f"{names[gen]}^{exp}")
+        i = j
+    return "".join(parts)
 
 
 def test_empty_word_basics():
@@ -105,6 +127,14 @@ def test_concatenation_is_associative(u, v, w):
 def test_word_times_inverse_is_empty(w):
     assert (w * ~w).is_empty()
     assert (~w * w).is_empty()
+
+
+@given(runs)
+@example(Word.empty())
+@example(Word(((0, 1), (0, 1), (0, -1), (1, -1), (1, -1), (1, -1), (1, 1))))
+def test_render_matches_the_reference(w):
+    assert w.render(NAMES) == reference_render(w, NAMES)
+    assert w.render(list("abcd")) == reference_render(w, list("abcd"))
 
 
 @given(words)
