@@ -20,8 +20,8 @@ import time
 from math import factorial
 
 from tetgroups import catalog, enumerate_classes, presentation_for, verify_class
-from tetgroups.enumerator import order_masks, perm_tables
-from tetgroups.oracle import _allowed_reps, _symmetric_tables, brute_force_classes
+from tetgroups.enumerator import _search_rows, perm_tables
+from tetgroups.oracle import _recount_rows, _symmetric_tables, brute_force_classes
 from tetgroups.perms import MAX_DEGREE
 
 
@@ -34,16 +34,16 @@ def unconfirmed(classes, cell) -> list[tuple]:
 
 def build_tables(presentations) -> float:
     """Build the enumerator's and the recount's cached tables for every
-    degree and every relator exponent, so that no cell's enumerate_classes
-    or brute_force_classes time includes them; returns the seconds spent."""
+    degree, and each presentation's rows at every degree, so that no
+    cell's enumerate_classes or brute_force_classes time includes them;
+    returns the seconds spent."""
     t0 = time.perf_counter()
-    exponents = {exp for pres in presentations for _, exp in pres.relator_powers}
     for n in range(1, MAX_DEGREE + 1):
         perm_tables(n)
         _symmetric_tables(n)
-        for exp in exponents:
-            order_masks(n, exp)
-            _allowed_reps(n, exp)  # builds _order_divides and _allowed too
+        for pres in presentations:
+            _search_rows(pres, n)  # builds its order_masks rows too
+            _recount_rows(pres, n)  # and its _order_divides columns
     return time.perf_counter() - t0
 
 

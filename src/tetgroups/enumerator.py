@@ -17,7 +17,7 @@ from operator import getitem
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .perms import Assignment, TransitiveRep, all_perms, conjugate_assignment
-from .presentations import Presentation, SearchStep
+from .presentations import Presentation
 from .words import Letter
 
 # PermTables.power's values; a power that is a transposition outranks one
@@ -274,36 +274,46 @@ class SubgroupClass:
 
 
 @cache
-def _search_rows(plan: tuple[SearchStep, ...],
+def _search_rows(presentation: Presentation,
                  n: int) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
-    """A search plan read at degree n, one (range, singles, checks, folds)
-    per generator, built once per plan and degree like order_masks.
+    """_search's relators read at degree n, one (range, singles, checks,
+    folds) per generator, built once per presentation and degree like
+    order_masks.
 
-    range is the generator's allowed elements, its cuts applied.  singles
-    are (generator, order_masks row table) for a one-letter prefix w, the
-    table read through inv when w is inverted; checks are (prefix, row
-    table) for a longer prefix; folds are (letters, allowed orders mask).
-    The key is the plan's value, so presentations with equal plans share
-    their rows.
+    A relator is placed at the deepest generator x of its base.  When x
+    occurs once, at j, the base is rotated to put x last, since
+    order(u x v) = order(v u x); when that x is inverted the rotation is
+    inverted too, since order(g) = order(g^-1).  That leaves w * x with w
+    free of x.  An empty w is a cut: range is the generator's allowed
+    elements, its cuts applied.  singles are (generator, order_masks row
+    table) for a one-letter w, the table read through inv when w is
+    inverted; checks are (w, row table) for a longer w.  A base that uses
+    x more than once is a fold, (letters, allowed orders mask).
     """
     inv = perm_tables(n).inv
-    everything = (1 << len(inv)) - 1
-    steps = []
-    for cuts, at_checks, at_folds in plan:
-        allowed = everything
-        for exp in cuts:
-            allowed &= order_masks(n, exp)[0]
-        singles, checks = [], []
-        for prefix, exp in at_checks:
-            rows = order_masks(n, exp)
-            if len(prefix) > 1:
-                checks.append((prefix, rows))
-            else:
-                (gen, sign), = prefix  # w = g^-1 reads g's row through inv
-                singles.append((gen, rows if sign > 0 else tuple(map(rows.__getitem__, inv))))
-        folds = tuple((letters, order_masks(n, exp)[0]) for letters, exp in at_folds)
-        steps.append((allowed, tuple(singles), tuple(checks), folds))
-    return tuple(steps)
+    k = len(presentation.generator_names)
+    allowed = [(1 << len(inv)) - 1] * k
+    singles, checks, folds = ([[] for _ in range(k)] for _ in range(3))
+    for base, exp in presentation.relator_powers:
+        rows = order_masks(n, exp)
+        letters = base.letters
+        x = max(gen for gen, _ in letters)
+        at = [j for j, (gen, _) in enumerate(letters) if gen == x]
+        if len(at) > 1:
+            folds[x].append((letters, rows[0]))
+            continue
+        j = at[0]
+        prefix = letters[j + 1:] + letters[:j]
+        if letters[j][1] < 0:
+            prefix = tuple((gen, -sign) for gen, sign in reversed(prefix))
+        if not prefix:
+            allowed[x] &= rows[0]
+        elif len(prefix) > 1:
+            checks[x].append((prefix, rows))
+        else:
+            (gen, sign), = prefix  # w = g^-1 reads g's row through inv
+            singles[x].append((gen, rows if sign > 0 else tuple(map(rows.__getitem__, inv))))
+    return tuple(zip(allowed, map(tuple, singles), map(tuple, checks), map(tuple, folds)))
 
 
 def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -320,10 +330,9 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     AND with the row order_masks(n, exp)[w] cuts x's choices; with w the
     identity (a relator on x alone, such as P^2) it cuts them up front, and
     with w one letter the row is indexed by that generator's choice, with
-    no fold.  Other bases are folded in full for each choice.  That
-    analysis holds no degree, so it is made once per presentation
-    (Presentation.search_plan), and its rows are resolved once per plan
-    and degree (_search_rows).
+    no fold.  Other bases are folded in full for each choice.  Where each
+    relator goes, and its rows, are worked out once per presentation and
+    degree (_search_rows).
 
     Transitivity is a mask on the last generator.  The orbits of the placed
     generators are the join of their cycle partitions, carried down as part
@@ -347,7 +356,7 @@ def _search(presentation: Presentation, n: int) -> Iterator[tuple[tuple[int, ...
     reference cycle behind.
     """
     tables = perm_tables(n)  # refuses a degree outside 1..MAX_DEGREE
-    steps = _search_rows(presentation.search_plan, n)
+    steps = _search_rows(presentation, n)
     comp, inv, cent = tables.comp, tables.inv, tables.cent
     cycles, join, connecting = tables.cycles, tables.join, tables.connecting
     chosen = [0] * len(steps)

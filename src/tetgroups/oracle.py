@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -98,21 +98,36 @@ def _order_divides(n: int, exp: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _allowed(n: int, exp: int) -> np.ndarray:
-    """The elements of S_n whose order divides exp, as ascending indices."""
-    elements = np.flatnonzero(_order_divides(n, exp))
-    elements.flags.writeable = False
-    return elements
+def _recount_rows(presentation: Presentation, n: int) -> tuple[tuple[np.ndarray, tuple], ...]:
+    """brute_force_classes's relators read at degree n, one (choices,
+    joint) per generator, built once per presentation and degree.
 
-
-@lru_cache(maxsize=None)
-def _allowed_reps(n: int, exp: int) -> np.ndarray:
-    """_allowed(n, exp), one element per conjugacy class: order is a class
-    function, so the range is a union of classes."""
-    elements = _allowed(n, exp)
-    reps = elements[_symmetric_tables(n).class_rep[elements]]
-    reps.flags.writeable = False
-    return reps
+    Each relator is tested once the last generator g of its base is
+    joined.  Every relator in g alone is g^m or g^-m (bases are freely
+    reduced) to some exponent k, which holds exactly when g's order
+    divides m * k, so together they keep the elements whose order divides
+    the gcd of those products (0 when there are none: every order divides
+    0).  choices are those elements as ascending indices into S_n, and for
+    generator 0 only the least element of each conjugacy class among
+    them: order is a class function, so they are a union of classes.
+    joint are (letters, _order_divides column) for each relator that uses
+    an earlier generator too.  The arrays are read-only like the tables.
+    """
+    alone = [0] * len(presentation.generator_names)
+    joint: list[list] = [[] for _ in alone]
+    for base, exp in presentation.relator_powers:
+        g = max(h for h, _ in base)
+        if all(h == g for h, _ in base):
+            alone[g] = gcd(alone[g], len(base) * exp)
+        else:
+            joint[g].append((base.letters, _order_divides(n, exp)))
+    steps = []
+    for g, exp in enumerate(alone):
+        allowed = _order_divides(n, exp)
+        choices = np.flatnonzero(allowed & _symmetric_tables(n).class_rep if g == 0 else allowed)
+        choices.flags.writeable = False
+        steps.append((choices, tuple(joint[g])))
+    return tuple(steps)
 
 
 def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
@@ -129,19 +144,18 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     relator in one generator only restricts that generator's range: its
     base is g^m or g^-m, whose order divides exp exactly when g's order
     divides m * exp (P^2 leaves P 26 of the 120 elements of S_5), and
-    several such relators restrict it to the gcd of those products, a
-    range cached as an index array by _allowed.  The generators are then
-    placed in order, each joined to the rows that survive so far, and a relator is tested as
-    soon as its last generator is placed, so it only sees rows that every
-    earlier relator kept.  Its fold starts from its first letter's images,
-    and the join's mask is the first such relator's result, the later ones
-    ANDed into it in place.  Which relators are tested where, and each
-    generator's gcd, hold no degree: they are worked out once per
-    presentation (Presentation.recount_plan), and a call only looks up the
-    columns and ranges cached for its degree.
+    several such relators restrict it to the gcd of those products.  The
+    generators are then placed in order, each joined to the rows that
+    survive so far, and a relator is tested as soon as its last generator
+    is placed, so it only sees rows that every earlier relator kept.  Its
+    fold starts from its first letter's images, and the join's mask is the
+    first such relator's result, the later ones ANDed into it in place.
+    Which relators are tested where, each generator's range and the
+    columns they read are worked out once per presentation and degree
+    (_recount_rows).
 
     Generator 0 takes only the least element of each conjugacy class in its
-    range (_allowed_reps).  Every relator placed there is a word in
+    range.  Every relator placed there is a word in
     generator 0 alone, a power of it, so the range is a union of classes;
     relabeling the points keeps the relators and transitivity, so the rows
     with generator 0 = c stand for |class of c| times as many labeled reps,
@@ -164,7 +178,7 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
         raise ValueError(f"oracle only runs for index 1..{MAX_DEGREE}, got {n}")
     t = _symmetric_tables(n)
 
-    def holds(letters: tuple[Letter, ...], exp: int, images) -> np.ndarray:
+    def holds(letters: tuple[Letter, ...], divides: np.ndarray, images) -> np.ndarray:
         # Fold the base letter by letter through the composition table
         # (rightmost letter acts first), starting from its first letter's
         # images; images[g] holds generator g's images, shaped to
@@ -173,21 +187,20 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
         for g, sign in letters:
             image = images[g] if sign > 0 else t.inv[images[g]]
             res = image if res is None else t.comp[res, image]
-        return _order_divides(n, exp)[res]
+        return divides[res]
 
     # columns[g][row]: generator g's image in each surviving row.
     columns: list[np.ndarray] = []
     rows = 1
-    for g, (exp, joint) in enumerate(presentation.recount_plan):
-        choices = (_allowed_reps if g == 0 else _allowed)(n, exp)
+    for choices, joint in _recount_rows(presentation, n):
         # The join: one axis for the rows so far, one for g's choices.  Each
         # joint relator uses g and an earlier generator, so its mask has the
         # join's full shape.
         grid = [c[:, None] for c in columns] + [choices[None, :]]
         if joint:
             mask = holds(*joint[0], grid)
-            for base, exp in joint[1:]:
-                mask &= holds(base, exp, grid)
+            for letters, divides in joint[1:]:
+                mask &= holds(letters, divides, grid)
         else:
             mask = np.ones((rows, len(choices)), dtype=bool)
         row, choice = np.nonzero(mask)

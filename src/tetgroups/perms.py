@@ -128,6 +128,7 @@ def all_perms(n: int) -> tuple[Perm, ...]:
 class Assignment:
     """Images of the generators, one permutation per generator name.
 
+    Names and images given as any other sequence are stored as tuples.
     The enumerator builds its outputs, one element of all_perms(n) per
     generator name, through _unchecked, as words are built through
     Word._unchecked.
@@ -137,6 +138,10 @@ class Assignment:
     perms: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
+        if type(self.names) is not tuple:
+            object.__setattr__(self, "names", tuple(self.names))
+        if type(self.perms) is not tuple:
+            object.__setattr__(self, "perms", tuple(self.perms))
         if len(self.names) != len(self.perms):
             raise ValueError("one permutation per generator name required")
         if not self.perms:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 from typing import NamedTuple
 
 from .words import Letter, Word, reduce_letters
@@ -89,45 +88,23 @@ class CosetColumns(NamedTuple):
     letter_of: tuple[Letter, ...]
 
 
-class SearchStep(NamedTuple):
-    """What the search tests once generator x is placed: the relators
-    whose deepest generator is x, as exponents and letters, no degree.
-
-    cuts are the exponents of the relators on x alone, which cut x's
-    choices up front.  checks are (w, exp) for a base that uses x once,
-    rewritten as w * x with the same order.  folds are (letters, exp) for
-    a base that uses x more than once, folded in full for each choice.
-    """
-
-    cuts: tuple[int, ...]
-    checks: tuple[tuple[tuple[Letter, ...], int], ...]
-    folds: tuple[tuple[tuple[Letter, ...], int], ...]
-
-
-class RecountStep(NamedTuple):
-    """What the recount tests once generator g is joined: the relators
-    whose last generator is g, as exponents and letters, no degree.
-
-    exp bounds g's order: every relator in g alone is g^m or g^-m (bases
-    are freely reduced) to some exponent k, which holds exactly when g's
-    order divides m * k, so exp is the gcd of those products, 0 when there
-    are none (every order divides 0).  joint are the relators that use an
-    earlier generator too.
-    """
-
-    exp: int
-    joint: tuple[tuple[tuple[Letter, ...], int], ...]
-
-
 @dataclass(frozen=True)
 class Presentation:
-    """Generator names plus relators, with a few derived conveniences.
+    """Generator names plus relators, with the conveniences that more than
+    one layer reads: the involutions, each letter's reduced inverse, the
+    braid rules, the pair bases and the coset-table layout.  Each method's
+    own analysis of the relators (the search's in enumerator._search_rows,
+    the recount's in oracle._recount_rows) lives beside it, cached per
+    presentation and degree.
 
     Each relator is stored as (base word, exponent): (PQ)^3 is (PQ, 3).
     Satisfying it is exactly requiring the order of the base's image to
     divide the exponent.  A base must be non-empty and use only the named
     generators, and an exponent is an int >= 1.  There is at least one
-    generator name, and no name is repeated.
+    generator name, and no name is repeated.  Names and relators given as
+    any other sequence are stored as tuples, each relator a pair, so equal
+    presentations are equal and hash alike however they were built; the
+    hash is computed once, since both methods' caches are keyed by it.
     """
 
     kind: str  # "full" or "kleinian"
@@ -136,6 +113,11 @@ class Presentation:
     relator_powers: tuple[tuple[Word, int], ...]
 
     def __post_init__(self) -> None:
+        if type(self.generator_names) is not tuple:
+            object.__setattr__(self, "generator_names", tuple(self.generator_names))
+        if (type(self.relator_powers) is not tuple
+                or any(type(pair) is not tuple for pair in self.relator_powers)):
+            object.__setattr__(self, "relator_powers", tuple(map(tuple, self.relator_powers)))
         names = self.generator_names
         if not names:
             raise ValueError("a presentation needs at least one generator name")
@@ -149,6 +131,13 @@ class Presentation:
                     or type(exp) is not int or exp < 1):
                 raise ValueError(f"relator ({base.letters}, {exp!r}) needs a non-empty "
                                  f"base on generators 0..{k - 1} and an int exponent >= 1")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.symbol, self.generator_names, self.relator_powers))
 
     @cached_property
     def involutions(self) -> frozenset[int]:
@@ -200,51 +189,6 @@ class Presentation:
                        for base, k in self.relator_powers
                        if not (len(base) == 1 and k == 2))
         return CosetColumns(of_letter, tuple(inverse), powers, tuple(letter_of))
-
-    @cached_property
-    def search_plan(self) -> tuple[SearchStep, ...]:
-        """enumerator._search's relators, one SearchStep per generator.
-
-        A relator is placed at the deepest generator x of its base.  When
-        x occurs once, at j, the base is rotated to put x last, since
-        order(u x v) = order(v u x); when that x is inverted the rotation
-        is inverted too, since order(g) = order(g^-1).  That leaves w * x
-        with w free of x, and an empty w makes it a cut.
-        """
-        steps: list[tuple[list, list, list]] = [([], [], []) for _ in self.generator_names]
-        for base, exp in self.relator_powers:
-            letters = base.letters
-            x = max(gen for gen, _ in letters)
-            at = [j for j, (gen, _) in enumerate(letters) if gen == x]
-            cuts, checks, folds = steps[x]
-            if len(at) > 1:
-                folds.append((letters, exp))
-                continue
-            j = at[0]
-            prefix = letters[j + 1:] + letters[:j]
-            if letters[j][1] < 0:
-                prefix = tuple((gen, -sign) for gen, sign in reversed(prefix))
-            if prefix:
-                checks.append((prefix, exp))
-            else:
-                cuts.append(exp)
-        return tuple(SearchStep(*map(tuple, step)) for step in steps)
-
-    @cached_property
-    def recount_plan(self) -> tuple[RecountStep, ...]:
-        """oracle.brute_force_classes's relators, one RecountStep per
-        generator: each relator is tested once the last generator of its
-        base is joined.  Several relators in g alone keep the elements whose
-        order divides every m * k, which is their gcd."""
-        placed_last: list[tuple[list, list]] = [([], []) for _ in self.generator_names]
-        for base, exp in self.relator_powers:
-            g = max(h for h, _ in base)
-            alone, joint = placed_last[g]
-            if all(h == g for h, _ in base):
-                alone.append(len(base) * exp)
-            else:
-                joint.append((base.letters, exp))
-        return tuple(RecountStep(gcd(*alone), tuple(joint)) for alone, joint in placed_last)
 
     @cached_property
     def pair_bases(self) -> tuple[Word, ...]:

@@ -18,6 +18,7 @@ writes them.  Nothing here imports the enumerator or numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence, TypeVar
 
 from .perms import Assignment, Perm, TransitiveRep
@@ -33,12 +34,22 @@ class CosetTable:
 
     Color i is the coset at point i of rep.  transversal[i-1] names it by
     the shortest (then lexicographically least) word carrying point 1 to i,
-    so transversal[0] is the empty word.  The generators permute the colors
-    as rep.assignment permutes the points.
+    so transversal[0] is the empty word; it is walked on first read.  The
+    generators permute the colors as rep.assignment permutes the points.
     """
 
     rep: TransitiveRep
-    transversal: tuple[Word, ...]
+
+    @cached_property
+    def transversal(self) -> tuple[Word, ...]:
+        """Transversal words use positive generator letters only; for
+        groups whose generators are involutions that loses nothing.
+        Positive words never cancel, so prepending a letter needs no
+        reduction."""
+        perms = self.rep.assignment.perms
+        letters = [(g, 1) for g in range(len(perms))]
+        _, written = _transversal(perms, letters, letters)
+        return tuple(map(Word._unchecked, written))
 
     def as_json_dict(self) -> dict:
         action = self.rep.assignment
@@ -88,12 +99,8 @@ def _transversal(perms: Sequence[Perm], ahead: Sequence[T],
 
 
 def build_coset_table(rep: TransitiveRep) -> CosetTable:
-    """Transversal words use positive generator letters only; for groups
-    whose generators are involutions that loses nothing.  Positive words
-    never cancel, so prepending a letter needs no reduction."""
-    letters = [(g, 1) for g in range(len(rep.assignment.perms))]
-    _, written = _transversal(rep.assignment.perms, letters, letters)
-    return CosetTable(rep, tuple(map(Word._unchecked, written)))
+    """rep's coset table; nothing is walked until its transversal is read."""
+    return CosetTable(rep)
 
 
 @dataclass(frozen=True)
@@ -153,7 +160,7 @@ def schreier_scans(rep: TransitiveRep) -> list[tuple[int, ...]]:
     is its own inverse.  Read back as letters they are
     StabilizerGens.words.
 
-    The transversal is build_coset_table's, written in columns by
+    The transversal is CosetTable.transversal's, written in columns by
     _transversal: forward[i] holds t_i's columns in the order they act,
     and backward[i] t_i^-1's.  A scan is forward[g(i)], x = g^-1's column
     and backward[i], joined as they are.  forward[i] is reduced (positive

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from tetgroups import MAX_DEGREE
-from tetgroups.cli import main
+from tetgroups import MAX_DEGREE, catalog_by_id, enumerate_classes, presentation_for, stabilizer
+from tetgroups.cli import _class_record, main
 from tetgroups.enumerator import perm_tables
 from tetgroups.oracle import BruteForceCounts
 from tetgroups.presentations import MAX_ENTRY
@@ -274,3 +274,21 @@ def test_only_counts_diff_loads_numpy():
                           env=src_env(), text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[False, False, False, False, False, True] [True, True]\n"
+
+
+def test_a_class_record_walks_the_transversal_once(monkeypatch):
+    # schreier_generators walks the transversal in columns itself, so the
+    # coset table it is handed walks none until its words are read
+    classes = enumerate_classes(presentation_for(catalog_by_id("t32").symbol, "kleinian"), 4)
+    assert len(classes) > 1
+    walks = []
+    transversal = stabilizer._transversal
+
+    def counting(*args):
+        walks.append(args)
+        return transversal(*args)
+
+    monkeypatch.setattr(stabilizer, "_transversal", counting)
+    for cls in classes:
+        _class_record(cls)
+    assert len(walks) == len(classes)

@@ -3,8 +3,10 @@
 cli_digests.json holds one digest per command line: `counts` and
 `counts --diff` in both formats, and, for every catalog symbol, both groups
 and indices 2, 3 and 4, `enumerate` in both formats and `verify` at the
-default coset budget.  Output at these indices must not change; only a
-deliberate change of output regenerates the file:
+default coset budget; then, for each of those cells that has a class,
+`coloring` of its first and its last class in both formats.  Output at
+these indices must not change; only a deliberate change of output
+regenerates the file:
 
     PYTHONPATH=src python tests/test_cli_digests.py > tests/cli_digests.json
 """
@@ -15,7 +17,7 @@ import io
 import json
 from pathlib import Path
 
-from tetgroups import catalog
+from tetgroups import catalog, enumerate_classes, presentation_for
 from tetgroups.cli import main
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
@@ -33,6 +35,14 @@ def commands():
                            "--index", str(n), "--format", fmt]
                 yield ["verify", "--id", entry.id, "--group", group,
                        "--index", str(n)]
+    for entry in catalog():
+        for group in ("full", "kleinian"):
+            for n in (2, 3, 4):
+                count = len(enumerate_classes(presentation_for(entry.symbol, group), n))
+                for ordinal in sorted({1, count}) if count else ():
+                    for fmt in ("json", "csv"):
+                        yield ["coloring", "--id", entry.id, "--group", group,
+                               "--index", str(n), "--class", str(ordinal), "--format", fmt]
 
 
 def stdout_digest(argv):

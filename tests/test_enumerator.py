@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,8 @@ from tetgroups import (MAX_DEGREE, Assignment, CoxeterSymbol, Perm,
                        is_transitive, kleinian_presentation, presentation_for,
                        verify_class)
 from tetgroups import enumerator
-from tetgroups.enumerator import _jordan_order, _search, perm_tables
-from tetgroups.oracle import brute_force_classes
+from tetgroups.enumerator import _jordan_order, _search, _search_rows, order_masks, perm_tables
+from tetgroups.oracle import _order_divides, _recount_rows, _symmetric_tables, brute_force_classes
 
 from conftest import T10, random_presentations
 
@@ -192,9 +193,19 @@ def two_cut_presentation():
 
 def test_two_cuts_on_one_generator_match_the_product_space():
     pres = two_cut_presentation()
-    assert pres.search_plan[0].cuts == (4, 6) and pres.recount_plan[0].exp == 2
-    assert pres.search_plan[1] == ((), (), ()) and pres.recount_plan[1] == (0, ())
     for n in (3, 4):
+        # both methods cut a to the elements whose order divides 2, the
+        # recount to one per class, and leave b whole with nothing to test
+        everything = (1 << factorial(n)) - 1
+        order_two = order_masks(n, 4)[0] & order_masks(n, 6)[0]
+        assert order_two == order_masks(n, 2)[0]
+        assert _search_rows(pres, n)[0] == (order_two, (), (), ())
+        assert _search_rows(pres, n)[1] == (everything, (), (), ())
+        (a_choices, a_joint), (b_choices, b_joint), _ = _recount_rows(pres, n)
+        assert a_choices.tolist() == np.flatnonzero(
+            _order_divides(n, 2) & _symmetric_tables(n).class_rep).tolist()
+        assert b_choices.tolist() == list(range(factorial(n)))
+        assert a_joint == b_joint == ()
         expected = [x for x in product_space(pres, n) if satisfies_relators(pres, x)]
         assert {x.perms[0].order() for x in expected} == {1, 2}
         reps = [x for x in expected if is_transitive(x)]
@@ -203,34 +214,36 @@ def test_two_cuts_on_one_generator_match_the_product_space():
 
 
 def test_each_plan_is_built_once_per_presentation(t10_full):
-    # Out-of-range degrees are refused before a plan is built; then one
-    # plan of each kind serves every degree, and it equals the plan of a
-    # presentation that has run no search, so it holds nothing of a degree.
+    # Out-of-range degrees are refused before any rows are built; then each
+    # method's rows are built once per presentation and degree, and an
+    # equal presentation built afresh looks up the same rows.
+    caches = (_search_rows, _recount_rows)
+    for cache in caches:
+        cache.cache_clear()
     for n in (0, MAX_DEGREE + 1):
         for run in (enumerate_classes, enumerate_candidates,
                     count_distinct_subgroups, brute_force_classes):
             with pytest.raises(ValueError):
                 run(t10_full, n)
-    assert not {"search_plan", "recount_plan"} & set(vars(t10_full))
-    for n in range(1, MAX_DEGREE + 1):
-        enumerate_classes(t10_full, n)
-        brute_force_classes(t10_full, n)
-        plans = vars(t10_full)["search_plan"], vars(t10_full)["recount_plan"]
-        if n == 1:
-            first = plans
-        assert all(plan is built for plan, built in zip(plans, first))
+    assert all(cache.cache_info().currsize == 0 for cache in caches)
     fresh = presentation_for(T10, "full")
-    assert plans == (fresh.search_plan, fresh.recount_plan)
+    assert fresh == t10_full and fresh is not t10_full
+    for n in range(1, MAX_DEGREE + 1):
+        for pres in (t10_full, fresh):
+            enumerate_classes(pres, n)
+            brute_force_classes(pres, n)
+        assert all(cache.cache_info().misses == cache.cache_info().currsize == n
+                   for cache in caches)
+        assert all(cache(fresh, n) is cache(t10_full, n) for cache in caches)
 
 
 def test_a_plan_that_drops_a_relator_is_caught(t10_full, monkeypatch):
-    # The unpatched plan runs first, so its rows are cached before the
-    # patch, and a second search of it at the same degree builds none.
-    # Q's step without (PQ)^3: the search then yields combos that break it,
-    # and the per-class check, which reads relator_powers, refuses them.
+    # The unpatched rows are cached by the first search, and a second
+    # search at the same degree builds none.  Q's rows without (PQ)^3's
+    # single: the search then yields combos that break it, and the
+    # per-class check, which reads relator_powers, refuses them.
     assert len(enumerate_classes(t10_full, 4)) == 2
     rows_built = []
-    order_masks = enumerator.order_masks
 
     def counting(n, exp):
         rows_built.append((n, exp))
@@ -239,13 +252,14 @@ def test_a_plan_that_drops_a_relator_is_caught(t10_full, monkeypatch):
     monkeypatch.setattr(enumerator, "order_masks", counting)
     assert len(enumerate_classes(t10_full, 4)) == 2
     assert rows_built == []
-    p_step, q_step, *tail = t10_full.search_plan
-    assert q_step.checks == ((((0, 1),), 3),)
-    broken = (p_step, q_step._replace(checks=()), *tail)
-    monkeypatch.setitem(vars(t10_full), "search_plan", broken)
+    p_step, (allowed, singles, checks, folds), *tail = _search_rows(t10_full, 4)
+    assert singles == ((0, order_masks(4, 3)),) and checks == folds == ()
+    broken = (p_step, (allowed, (), checks, folds), *tail)
+    monkeypatch.setattr(enumerator, "_search_rows",
+                        lambda pres, n: broken if (pres, n) == (t10_full, 4)
+                        else _search_rows(pres, n))
     with pytest.raises(RuntimeError, match="not a transitive rep"):
         enumerate_classes(t10_full, 4)
-    assert rows_built  # rows are keyed on the plan's value, not on the presentation
 
 
 def test_a_search_leaves_no_cyclic_garbage(t10_full):

@@ -19,7 +19,7 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, Presentation, Transitive
                        raw_schreier_words, schreier_generators, todd_coxeter,
                        verify_class)
 from tetgroups import enumerator, oracle, stabilizer
-from tetgroups.oracle import (_allowed, _allowed_reps, _order_divides, _symmetric_tables,
+from tetgroups.oracle import (_order_divides, _recount_rows, _symmetric_tables,
                               brute_force_classes)
 from tetgroups.presentations import MAX_ENTRY
 from tetgroups.stabilizer import (TCResult, _closes_by_cycles, _dedup, _enumerate,
@@ -82,19 +82,30 @@ def test_conjugacy_classes_are_cycle_types(n, p_n, p_n_minus_1):
 def test_cached_tables_are_read_only(n):
     # every recount shares the cached arrays, so a write into one would
     # change every later count without an error
-    arrays = [*_symmetric_tables(n),
-              *(cache(n, exp) for cache in (_order_divides, _allowed, _allowed_reps)
-                for exp in range(7))]
-    for array in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            array[(0,) * array.ndim] = array[(0,) * array.ndim]
+    # a^exp and b^-exp cut a's and b's choices, a's to class reps; c has no
+    # relator of its own, so it ranges over all of S_n, and (bc)^exp is
+    # tested where c is joined
     t = _symmetric_tables(n)
+    a, b, c = (Word.gen(i) for i in range(3))
+    arrays = [*t]
     for exp in range(7):  # 0 allows every element
         divides = [exp % o == 0 for o in t.order.tolist()]
         assert _order_divides(n, exp).tolist() == divides
-        assert _allowed(n, exp).tolist() == [a for a, d in enumerate(divides) if d]
-        assert _allowed_reps(n, exp).tolist() == [a for a, d in enumerate(divides)
-                                                  if d and t.class_rep[a]]
+        arrays.append(_order_divides(n, exp))
+        if exp == 0:
+            continue
+        pres = Presentation("test", S1, ("a", "b", "c"), ((a, exp), (~b, exp), (b * c, exp)))
+        (a_choices, a_joint), (b_choices, b_joint), (c_choices, c_joint) = _recount_rows(pres, n)
+        assert a_choices.tolist() == [x for x, d in enumerate(divides) if d and t.class_rep[x]]
+        assert b_choices.tolist() == [x for x, d in enumerate(divides) if d]
+        assert c_choices.tolist() == list(range(factorial(n)))
+        assert a_joint == b_joint == ()
+        (letters, column), = c_joint
+        assert letters == (b * c).letters and column is _order_divides(n, exp)
+        arrays += [a_choices, b_choices, c_choices]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = array[(0,) * array.ndim]
 
 
 # sha256 of the repr of each brute_force_classes triple, chained over the
@@ -135,15 +146,16 @@ def test_the_recount_checks_its_orbit_counts(t10_full, monkeypatch):
 # the enumerator's search (perm_tables, order_masks, _search, _fold) may be
 # added here, and of the stabilizer it takes only the coset check, which it
 # re-exports under its old names for the benchmark.  The recount and the
-# search each read their own analysis of the relators off the presentation,
-# so neither module may name the other's.  The stabilizer holds the coset
-# check and writes its scans (schreier_scans), so neither it nor the oracle
-# may import the enumerator at all, and only the oracle imports numpy.
+# search each analyse the relators themselves (_recount_rows,
+# _search_rows), so neither module may name the other's.  The stabilizer
+# holds the coset check and writes its scans (schreier_scans), so neither it
+# nor the oracle may import the enumerator at all, and only the oracle
+# imports numpy.
 ORACLE_IMPORTS = {
     "__future__": {"annotations"},
     "itertools": {"itertools"},
     "functools": {"lru_cache"},
-    "math": {"factorial"},
+    "math": {"factorial", "gcd"},
     "typing": {"NamedTuple"},
     "numpy": {"numpy"},
     ".perms": {"MAX_DEGREE"},
@@ -174,8 +186,8 @@ def test_the_recount_imports_nothing_of_the_search():
     assert not {module for module, _ in imported | coset_check} & {
         ".enumerator", "tetgroups.enumerator"}
     assert not {module.split(".")[0] for module, _ in coset_check} & {"numpy"}
-    assert not names_in(oracle) & {"search_plan", "SearchStep"}
-    assert not names_in(enumerator) & {"recount_plan", "RecountStep"}
+    assert "_search_rows" not in names_in(oracle)
+    assert "_recount_rows" not in names_in(enumerator)
 
 
 def names_in(module):

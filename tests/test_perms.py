@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tetgroups import (MAX_DEGREE, Assignment, Perm, Word, all_perms,
-                       conjugate_assignment, evaluate_word, is_transitive,
-                       word_order)
+from tetgroups import (MAX_DEGREE, Assignment, Perm, TransitiveRep, Word, all_perms,
+                       conjugate_assignment, enumerate_classes, evaluate_word,
+                       is_transitive, word_order)
 from tetgroups.enumerator import THREE_CYCLE, TRANSPOSITION, order_masks, perm_tables
 
 perms4 = st.sampled_from(all_perms(4))
@@ -344,6 +344,17 @@ def test_assignment_validation():
     a = Assignment(("P", "Q"), (Perm((2, 1)), Perm((1, 2))))
     assert a.degree == 2
     assert a.as_dict() == {"P": "(12)", "Q": "(1)"}
+
+
+def test_list_built_assignments_equal_tuple_built_ones(t10_full):
+    # names and images given as lists are stored as tuples, so the
+    # assignment equals and hashes like its tuple-built twin, and a rep
+    # accepts its names as the presentation's
+    rep = enumerate_classes(t10_full, 4)[0].rep
+    listed = Assignment(list(t10_full.generator_names), list(rep.assignment.perms))
+    assert listed == rep.assignment and hash(listed) == hash(rep.assignment)
+    assert type(listed.names) is type(listed.perms) is tuple
+    assert TransitiveRep(t10_full, listed) == rep
 
 
 def test_evaluate_word_unknown_generator_index():

@@ -1,8 +1,8 @@
 import pytest
 
 from tetgroups import (CATALOG, CoxeterSymbol, Presentation, Word, catalog,
-                       catalog_by_id, full_presentation, kleinian_presentation,
-                       parse_symbol, presentation_for)
+                       catalog_by_id, enumerate_classes, full_presentation,
+                       kleinian_presentation, parse_symbol, presentation_for)
 from tetgroups.presentations import MAX_ENTRY
 
 from conftest import parse_word
@@ -115,6 +115,19 @@ def test_malformed_relators_rejected():
     for relator in ((Word.gen(2), 2), (Word.empty(), 2), (a, -3), (a, 0), (a, 3.0)):
         with pytest.raises(ValueError, match=r"relator \(.*\) needs"):
             Presentation("t", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b"), (relator,))
+
+
+def test_list_built_presentations_equal_tuple_built_ones():
+    # names and relators given as lists are stored as tuples, each relator
+    # a pair, so the presentation equals its tuple-built twin, hashes like
+    # it, and finds the same classes in the search's cache keyed by it
+    pres = presentation_for(T10, "full")
+    listed = Presentation(pres.kind, pres.symbol, list(pres.generator_names),
+                          [list(pair) for pair in pres.relator_powers])
+    assert listed == pres and hash(listed) == hash(pres)
+    assert type(listed.generator_names) is type(listed.relator_powers) is tuple
+    assert all(type(pair) is tuple for pair in listed.relator_powers)
+    assert enumerate_classes(listed, 4) == enumerate_classes(pres, 4)
 
 
 def test_presentation_without_generators_rejected():

@@ -83,17 +83,23 @@ def test_full_sweep_searches_once_per_cell(monkeypatch, capsys):
 def test_full_sweep_builds_the_search_tables_before_the_first_cell(monkeypatch, capsys):
     # The one-time table builds, the enumerator's and the recount's, are
     # timed on their own, at the end of the summary line, and not in the
-    # first index-6 enumerate_classes or brute_force_classes column.
+    # first index-6 enumerate_classes or brute_force_classes column: the
+    # tables of each degree, the columns of each exponent, and each
+    # method's rows for both presentations at every degree.  Each group's
+    # relators on one generator have an exponent that its other relators
+    # use too, so the recount's columns number the exponents.
     script = load_script("run_full_sweep")
     entry = script.catalog()[0]
     monkeypatch.setattr(script, "catalog", lambda: (entry,))
     exponents = {exp for group in ("full", "kleinian")
                  for _, exp in script.presentation_for(entry.symbol, group).relator_powers}
-    oracle_caches = {oracle._symmetric_tables: script.MAX_DEGREE,
-                     **{cache: script.MAX_DEGREE * len(exponents)
-                        for cache in (oracle._order_divides, oracle._allowed,
-                                      oracle._allowed_reps)}}
-    for cache in oracle_caches:
+    degrees = script.MAX_DEGREE
+    enumerator = tetgroups.enumerator
+    caches = {enumerator.perm_tables: degrees, oracle._symmetric_tables: degrees,
+              enumerator.order_masks: degrees * len(exponents),
+              oracle._order_divides: degrees * len(exponents),
+              enumerator._search_rows: 2 * degrees, oracle._recount_rows: 2 * degrees}
+    for cache in caches:
         cache.cache_clear()
     calls = []
     build_tables = script.build_tables
@@ -106,7 +112,7 @@ def test_full_sweep_builds_the_search_tables_before_the_first_cell(monkeypatch, 
     def enumerating(pres, n):
         if len(calls) == 1:  # the first cell, after the one table build
             assert all(cache.cache_info().currsize == size
-                       for cache, size in oracle_caches.items())
+                       for cache, size in caches.items())
         calls.append(("classes", n))
         return enumerate_classes(pres, n)
 
@@ -115,8 +121,8 @@ def test_full_sweep_builds_the_search_tables_before_the_first_cell(monkeypatch, 
     assert script.main() == 0
     assert calls[0] == ("tables", ("full", "kleinian"))
     assert [call for call, _ in calls].count("tables") == 1
-    # and no cell built one of the recount's tables again
-    assert all(cache.cache_info().misses == size for cache, size in oracle_caches.items())
+    # and no cell built one of these again
+    assert all(cache.cache_info().misses == size for cache, size in caches.items())
     summary = capsys.readouterr().out.splitlines()[-1]
     assert re.search(r", peak RSS \d+ MB, tables \d+\.\d\ds$", summary)
 
