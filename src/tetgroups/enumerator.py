@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import getitem
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -288,14 +288,17 @@ def _search_rows(presentation: Presentation,
     elements, its cuts applied.  singles are (generator, order_masks row
     table) for a one-letter w, the table read through inv when w is
     inverted; checks are (w, row table) for a longer w.  A base that uses
-    x more than once is a fold, (letters, allowed orders mask).
+    x more than once is a fold, (letters, allowed orders mask).  An order
+    in S_n divides exp exactly when it divides gcd(exp, lcm(1..n)), so the
+    rows are those of that exponent: one table per divisor of lcm(1..n).
     """
     inv = perm_tables(n).inv
     k = len(presentation.generator_names)
     allowed = [(1 << len(inv)) - 1] * k
     singles, checks, folds = ([[] for _ in range(k)] for _ in range(3))
+    span = lcm(*range(1, n + 1))  # every order in S_n divides it
     for base, exp in presentation.relator_powers:
-        rows = order_masks(n, exp)
+        rows = order_masks(n, gcd(exp, span))
         letters = base.letters
         x = max(gen for gen, _ in letters)
         at = [j for j, (gen, _) in enumerate(letters) if gen == x]

@@ -112,7 +112,10 @@ def _recount_rows(presentation: Presentation, n: int) -> tuple[tuple[np.ndarray,
     them: order is a class function, so they are a union of classes.
     joint are (letters, _order_divides column) for each relator that uses
     an earlier generator too.  The arrays are read-only like the tables.
+    Each column is that of gcd(exp, lcm(1..n)), which the same orders in
+    S_n divide: one column per divisor of lcm(1..n), lcm(1..n)'s for 0.
     """
+    span = int(np.lcm.reduce(_symmetric_tables(n).order))  # lcm(1..n): every order divides it
     alone = [0] * len(presentation.generator_names)
     joint: list[list] = [[] for _ in alone]
     for base, exp in presentation.relator_powers:
@@ -120,10 +123,10 @@ def _recount_rows(presentation: Presentation, n: int) -> tuple[tuple[np.ndarray,
         if all(h == g for h, _ in base):
             alone[g] = gcd(alone[g], len(base) * exp)
         else:
-            joint[g].append((base.letters, _order_divides(n, exp)))
+            joint[g].append((base.letters, _order_divides(n, gcd(exp, span))))
     steps = []
     for g, exp in enumerate(alone):
-        allowed = _order_divides(n, exp)
+        allowed = _order_divides(n, gcd(exp, span))
         choices = np.flatnonzero(allowed & _symmetric_tables(n).class_rep if g == 0 else allowed)
         choices.flags.writeable = False
         steps.append((choices, tuple(joint[g])))

@@ -15,11 +15,11 @@ since ab = PR, abc = PS and bc = QS once the reflections square away.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
-from .words import Letter, Word, reduce_letters
+from .words import Word, reduce_letters
 
 
 # Symbol entries above this are refused before anything is built: coset
@@ -64,38 +64,19 @@ def parse_symbol(text: str) -> CoxeterSymbol:
     parts = [tok.strip() for tok in cleaned.split(",")]
     if len(parts) != 6:
         raise ValueError(f"symbol needs exactly 6 entries, got {len(parts)}: {text!r}")
-    try:
-        values = [int(tok) for tok in parts]
-    except ValueError:
-        raise ValueError(f"symbol entries must be integers: {text!r}") from None
-    return CoxeterSymbol(*values)
-
-
-class CosetColumns(NamedTuple):
-    """A presentation's coset-table layout.
-
-    of_letter maps each letter (g, +1 or -1) to its column; inverse[x] is
-    the column of x's inverse letter (x itself for an involution).  Each
-    relator base^k is listed in powers as (the columns of its base's
-    letters in the order they act, rightmost letter first, k); no relator
-    is stored written out.  letter_of[x] is column x's letter in reduced
-    form, (g, +1) for an involution's column.
-    """
-
-    of_letter: dict[Letter, int]
-    inverse: tuple[int, ...]
-    powers: tuple[tuple[tuple[int, ...], int], ...]
-    letter_of: tuple[Letter, ...]
+    # ASCII digits only: int() would also take "1_0", "+3" and other scripts' digits
+    if not all(re.fullmatch("[0-9]+", tok) for tok in parts):
+        raise ValueError(f"symbol entries must be integers: {text!r}")
+    return CoxeterSymbol(*map(int, parts))
 
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generator names plus relators, with the conveniences that more than
-    one layer reads: the involutions, each letter's reduced inverse, the
-    braid rules, the pair bases and the coset-table layout.  Each method's
-    own analysis of the relators (the search's in enumerator._search_rows,
-    the recount's in oracle._recount_rows) lives beside it, cached per
-    presentation and degree.
+    """Generator names plus relators, with the involutions, the pair
+    bases, involution-aware reduction and rendering.  Each method reads the
+    relators in a cache of its own, keyed by the presentation: the search
+    in enumerator._search_rows, the recount in oracle._recount_rows and the
+    coset check in stabilizer._coset_layout.
 
     Each relator is stored as (base word, exponent): (PQ)^3 is (PQ, 3).
     Satisfying it is exactly requiring the order of the base's image to
@@ -104,7 +85,7 @@ class Presentation:
     generator name, and no name is repeated.  Names and relators given as
     any other sequence are stored as tuples, each relator a pair, so equal
     presentations are equal and hash alike however they were built; the
-    hash is computed once, since both methods' caches are keyed by it.
+    hash is computed once, since every method's cache is keyed by it.
     """
 
     kind: str  # "full" or "kleinian"
@@ -144,51 +125,6 @@ class Presentation:
         """Generators g with a relator g^2."""
         return frozenset(base.letters[0][0] for base, k in self.relator_powers
                          if len(base) == 1 and k == 2)
-
-    @cached_property
-    def inverse_letter(self) -> dict[Letter, Letter]:
-        """Each letter's inverse, reduced with the involutions: (g, -s) for
-        (g, s), or (g, 1) when g is an involution."""
-        return {(g, s): (g, 1 if g in self.involutions else -s)
-                for g in range(len(self.generator_names)) for s in (1, -1)}
-
-    @cached_property
-    def braid_rules(self) -> dict[tuple[int, int, int], int]:
-        """Rewrites xyx -> y and yxy -> x, keyed by the three generators,
-        for each relator (xy)^2 whose x and y are distinct involutions."""
-        rules = {}
-        for base, k in self.relator_powers:
-            if k == 2 and len(base) == 2:
-                x, y = base.letters[0][0], base.letters[1][0]
-                if x != y and x in self.involutions and y in self.involutions:
-                    rules[(x, y, x)] = y
-                    rules[(y, x, y)] = x
-        return rules
-
-    @cached_property
-    def coset_columns(self) -> CosetColumns:
-        """Coset-table columns: one self-inverse column per involution, a
-        pair (g, g^-1) per other generator, in generator order.  Each
-        relator base^k is kept as its base's columns and k, so the layout's
-        size does not grow with the exponents."""
-        of_letter: dict[Letter, int] = {}
-        inverse: list[int] = []
-        letter_of: list[Letter] = []
-        for g in range(len(self.generator_names)):
-            col = len(inverse)
-            if g in self.involutions:
-                of_letter[(g, 1)] = of_letter[(g, -1)] = col
-                inverse.append(col)
-                letter_of.append((g, 1))
-            else:
-                of_letter[(g, 1)], of_letter[(g, -1)] = col, col + 1
-                inverse += [col + 1, col]
-                letter_of += [(g, 1), (g, -1)]
-        # An involution's g^2 holds in every table, so it is never scanned.
-        powers = tuple((tuple(of_letter[letter] for letter in reversed(base.letters)), k)
-                       for base, k in self.relator_powers
-                       if not (len(base) == 1 and k == 2))
-        return CosetColumns(of_letter, tuple(inverse), powers, tuple(letter_of))
 
     @cached_property
     def pair_bases(self) -> tuple[Word, ...]:

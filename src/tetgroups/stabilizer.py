@@ -12,14 +12,15 @@ transversal give the trivial word.  These words generate L.
 todd_coxeter independently confirms that a claimed stabilizer really has
 the claimed index, by coset enumeration over the presentation; verify_class
 runs its enumeration on a class's raw Schreier words, as schreier_scans
-writes them.  Nothing here imports the enumerator or numpy.
+writes them.  Each presentation is read once, by _coset_layout, and
+nothing here imports the enumerator or numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Iterable, Sequence, TypeVar
+from functools import cache, cached_property
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 from .perms import Assignment, Perm, TransitiveRep
 from .presentations import Presentation
@@ -98,6 +99,60 @@ def _transversal(perms: Sequence[Perm], ahead: Sequence[T],
     return forward, backward
 
 
+class CosetLayout(NamedTuple):
+    """A presentation as the coset check reads it (_coset_layout).
+
+    of_letter maps each letter (g, +1 or -1) to its column: one
+    self-inverse column per involution, a pair (g, g^-1) per other
+    generator.  inverse[x] is the column of x's inverse.  powers lists
+    each relator base^k but an involution's square, which holds in every
+    table, as (its base's columns, rightmost letter first, k), so the
+    layout does not grow with the exponents.  letter_of[x] is column x's
+    letter, (g, +1) for an involution's, and inverse_letter each letter's
+    inverse in that form.  braid_rules map xyx to y and yxy to x for each
+    relator (xy)^2 with x, y distinct involutions.
+    """
+
+    of_letter: dict[Letter, int]
+    inverse: tuple[int, ...]
+    powers: tuple[tuple[tuple[int, ...], int], ...]
+    letter_of: tuple[Letter, ...]
+    inverse_letter: dict[Letter, Letter]
+    braid_rules: dict[tuple[int, int, int], int]
+
+
+@cache
+def _coset_layout(presentation: Presentation) -> CosetLayout:
+    """presentation's CosetLayout, built once per presentation."""
+    involutions = presentation.involutions
+    of_letter: dict[Letter, int] = {}
+    inverse: list[int] = []
+    letter_of: list[Letter] = []
+    for g in range(len(presentation.generator_names)):
+        col = len(inverse)
+        if g in involutions:
+            of_letter[(g, 1)] = of_letter[(g, -1)] = col
+            inverse.append(col)
+            letter_of.append((g, 1))
+        else:
+            of_letter[(g, 1)], of_letter[(g, -1)] = col, col + 1
+            inverse += [col + 1, col]
+            letter_of += [(g, 1), (g, -1)]
+    powers, braid_rules = [], {}
+    for base, k in presentation.relator_powers:
+        if len(base) == 1 and k == 2:
+            continue  # an involution's g^2 holds in every table
+        powers.append((tuple(of_letter[letter] for letter in reversed(base.letters)), k))
+        if k == 2 and len(base) == 2:
+            x, y = base.letters[0][0], base.letters[1][0]
+            if x != y and x in involutions and y in involutions:
+                braid_rules[(x, y, x)] = y
+                braid_rules[(y, x, y)] = x
+    inverse_letter = {letter: letter_of[inverse[x]] for letter, x in of_letter.items()}
+    return CosetLayout(of_letter, tuple(inverse), tuple(powers), tuple(letter_of),
+                       inverse_letter, braid_rules)
+
+
 def build_coset_table(rep: TransitiveRep) -> CosetTable:
     """rep's coset table; nothing is walked until its transversal is read."""
     return CosetTable(rep)
@@ -132,14 +187,14 @@ def raw_schreier_words(table: CosetTable) -> list[Word]:
 
 
 def _dedup(words: Iterable[tuple[Letter, ...]],
-           presentation: Presentation) -> tuple[Word, ...]:
+           inverse_letter: dict[Letter, Letter]) -> tuple[Word, ...]:
     """Drop the empty words and later repeats of a word or its inverse,
     given as letter tuples reduced with the presentation's involutions.
 
     A reduced word's inverse is reduced too, so it is written down
-    directly: letters reversed, each through Presentation.inverse_letter,
-    which flips signs except on involutions, kept at +1 by reduction."""
-    inverse = presentation.inverse_letter.__getitem__
+    directly: letters reversed, each through inverse_letter, which flips
+    signs except on involutions, kept at +1 by reduction."""
+    inverse = inverse_letter.__getitem__
     kept: list[Word] = []
     seen: set[tuple] = set()
     for letters in words:
@@ -153,7 +208,7 @@ def _dedup(words: Iterable[tuple[Letter, ...]],
 
 def schreier_scans(rep: TransitiveRep) -> list[tuple[int, ...]]:
     """The Schreier words t_i^-1 g^-1 t_{g(i)} as Todd-Coxeter scans: the
-    columns (Presentation.coset_columns) of their letters, rightmost
+    columns (CosetLayout.of_letter) of their letters, rightmost
     first, in (i, g) order, without the empty ones and later repeats of a
     scan or its inverse.  No column x sits next to inverse[x]: free
     reduction that also cancels g g for an involution g, whose one column
@@ -173,7 +228,7 @@ def schreier_scans(rep: TransitiveRep) -> list[tuple[int, ...]]:
     the same edge: an involution's (i, g) and (g(i), g), of which the one
     with g(i) < i comes second.
     """
-    layout = rep.presentation.coset_columns
+    layout = _coset_layout(rep.presentation)
     of_letter, inverse = layout.of_letter, layout.inverse
     perms = rep.assignment.perms
     columns = [of_letter[(g, 1)] for g in range(len(perms))]
@@ -201,11 +256,13 @@ def schreier_generators(table: CosetTable) -> StabilizerGens:
     schreier_scans has already dropped the empty scans and later repeats
     of a scan or its inverse, so _dedup would keep every word as it is."""
     pres = table.rep.presentation
-    letter = pres.coset_columns.letter_of.__getitem__
+    layout = _coset_layout(pres)
+    letter = layout.letter_of.__getitem__
     letters = [tuple(map(letter, reversed(scan))) for scan in schreier_scans(table.rep)]
     words = tuple(map(Word._unchecked, letters))
-    rewritten = [_braid_rewrite(w, pres) for w in letters]
-    simplified = words if rewritten == letters else _dedup(rewritten, pres)
+    rules, involutions = layout.braid_rules, pres.involutions
+    rewritten = [_braid_rewrite(w, rules, involutions) for w in letters]
+    simplified = words if rewritten == letters else _dedup(rewritten, layout.inverse_letter)
     return StabilizerGens(words, simplified)
 
 
@@ -213,23 +270,23 @@ def simplify_word(word: Word, presentation: Presentation) -> Word:
     """Shorten a word without changing the group element it names.
 
     Rules, applied at the leftmost match until none fires: involution-aware
-    free reduction, and the presentation's braid_rules (xyx -> y and
-    yxy -> x for each relator (xy)^2 with x, y involutions).  Never
+    free reduction, and the braid rules (CosetLayout.braid_rules: xyx -> y
+    and yxy -> x for each relator (xy)^2 with x, y involutions).  Never
     lengthens, and a second pass is a no-op.
     """
-    return Word._unchecked(_braid_rewrite(
-        reduce_letters(word.letters, presentation.involutions), presentation))
+    involutions = presentation.involutions
+    return Word._unchecked(_braid_rewrite(reduce_letters(word.letters, involutions),
+                                          _coset_layout(presentation).braid_rules,
+                                          involutions))
 
 
-def _braid_rewrite(letters: tuple[Letter, ...],
-                   presentation: Presentation) -> tuple[Letter, ...]:
+def _braid_rewrite(letters: tuple[Letter, ...], rules: dict[tuple[int, int, int], int],
+                   involutions: frozenset[int]) -> tuple[Letter, ...]:
     """simplify_word on letters already reduced with the involutions: the
     leftmost braid rule fires and the result is reduced again, until no
-    rule matches.  A presentation with no braid rules returns at once."""
-    rules = presentation.braid_rules
+    rule matches.  With no braid rules it returns at once."""
     if not rules:
         return letters
-    involutions = presentation.involutions
     # Reduction gives every involution letter the sign +1, so a window of
     # rule letters never needs its signs checked.
     while True:
@@ -280,7 +337,7 @@ def todd_coxeter(presentation: Presentation, subgroup_words: list[Word] | tuple[
     coincidence, and only a longer gap defines a new coset.  After its
     scans every undefined entry of the coset's row is defined, so a closed
     table is complete.  Involutions have one self-inverse column (see
-    Presentation.coset_columns), so their squares are never scanned.
+    CosetLayout), so their squares are never scanned.
 
     Deterministic: cosets are numbered by first definition, and merging
     keeps the smaller number.  max_cosets bounds the live cosets.  Words
@@ -292,10 +349,11 @@ def todd_coxeter(presentation: Presentation, subgroup_words: list[Word] | tuple[
         for gen, _ in w:
             if not 0 <= gen < k:
                 raise ValueError(f"subgroup word uses generator index {gen}")
-    of_letter = presentation.coset_columns.of_letter
+    layout = _coset_layout(presentation)
+    of_letter = layout.of_letter
     result, table, live = _enumerate(
-        presentation, [tuple(of_letter[letter] for letter in reversed(w.letters))
-                       for w in subgroup_words], max_cosets)
+        layout, [tuple(of_letter[letter] for letter in reversed(w.letters))
+                 for w in subgroup_words], max_cosets)
     if result.status == "overflow":
         return result
     renumber = {root: i + 1 for i, root in enumerate(live)}
@@ -304,10 +362,10 @@ def todd_coxeter(presentation: Presentation, subgroup_words: list[Word] | tuple[
     return replace(result, action=Assignment(presentation.generator_names, images))
 
 
-def _enumerate(presentation: Presentation, scans: list[tuple[int, ...]], max_cosets: int,
+def _enumerate(layout: CosetLayout, scans: list[tuple[int, ...]], max_cosets: int,
                ) -> tuple[TCResult, list[list[int]], list[int]]:
     """todd_coxeter's enumeration, on the subgroup words' scans: their
-    columns (Presentation.coset_columns), rightmost letter first.  Returns
+    columns (layout.of_letter), rightmost letter first.  Returns
     the result without its action, the table and its live cosets.
 
     When the subgroup scans leave a complete table with no coincidence,
@@ -318,7 +376,6 @@ def _enumerate(presentation: Presentation, scans: list[tuple[int, ...]], max_cos
     scan_and_fill; a scan that walks back to its start changes nothing."""
     if max_cosets < 1:
         return TCResult("overflow"), [], []
-    layout = presentation.coset_columns
     inverse, powers = layout.inverse, layout.powers
     width = len(inverse)
     # table[c][x]: coset c acted on by column x, or -1 while undefined.
@@ -475,7 +532,7 @@ def verify_class(rep: TransitiveRep, max_cosets: int | None = None) -> bool | No
     """
     pres = rep.presentation
     budget = max_cosets if max_cosets is not None else default_coset_budget(rep.degree, pres)
-    result = _enumerate(pres, schreier_scans(rep), budget)[0]
+    result = _enumerate(_coset_layout(pres), schreier_scans(rep), budget)[0]
     if result.status == "overflow":
         return None
     return result.index == rep.degree

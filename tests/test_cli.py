@@ -200,6 +200,11 @@ def test_usage_errors_exit_with_two(capsys):
     code, _, err = run(capsys, "coloring", "--id", "t10", "--group", "full",
                        "--index", "2", "--class", "7")
     assert code == 2 and "out of range" in err
+    # entries are ASCII digits: int() alone would read these as 10, 3 and 3
+    for text in ("3,3,6,2,2,1_0", "+3,3,6,2,2,2", "\u0663,3,6,2,2,2"):
+        code, out, err = run(capsys, "enumerate", "--symbol", text, "--group", "kleinian",
+                             "--index", "2")
+        assert (code, out) == (2, "") and "symbol entries must be integers" in err, text
     with pytest.raises(SystemExit):
         main(["enumerate", "--id", "t10", "--symbol", "3,3,6,2,2,2",
               "--group", "full", "--index", "2"])

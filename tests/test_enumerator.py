@@ -5,7 +5,7 @@ import itertools
 import warnings
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -235,6 +235,27 @@ def test_each_plan_is_built_once_per_presentation(t10_full):
         assert all(cache.cache_info().misses == cache.cache_info().currsize == n
                    for cache in caches)
         assert all(cache(fresh, n) is cache(t10_full, n) for cache in caches)
+
+
+def test_order_tables_are_keyed_by_the_reduced_exponent():
+    # An order in S_6 divides exp exactly when it divides gcd(exp, 60),
+    # 60 = lcm(1..6), so exponents 7..100 share the tables of 60's twelve
+    # divisors, and each method's rows are those of the reduced exponent.
+    order_masks.cache_clear()
+    _order_divides.cache_clear()
+    for exp in range(7, 101):
+        pres = kleinian_presentation(CoxeterSymbol(exp, 3, 3, 2, 2, 2))
+        (a, _), *rest = pres.relator_powers
+        reduced = Presentation("test", pres.symbol, pres.generator_names,
+                               ((a, gcd(exp, 60)), *rest))
+        assert _search_rows(pres, 6) == _search_rows(reduced, 6), exp
+        for (choices, joint), (want, want_joint) in zip(_recount_rows(pres, 6),
+                                                        _recount_rows(reduced, 6)):
+            assert np.array_equal(choices, want), exp
+            assert [(letters, column.tolist()) for letters, column in joint] == [
+                (letters, column.tolist()) for letters, column in want_joint], exp
+    assert order_masks.cache_info().currsize <= 12
+    assert _order_divides.cache_info().currsize <= 12
 
 
 def test_a_plan_that_drops_a_relator_is_caught(t10_full, monkeypatch):

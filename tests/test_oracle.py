@@ -4,7 +4,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import replace
-from math import factorial
+from math import factorial, gcd, lcm
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,8 @@ from tetgroups import enumerator, oracle, stabilizer
 from tetgroups.oracle import (_order_divides, _recount_rows, _symmetric_tables,
                               brute_force_classes)
 from tetgroups.presentations import MAX_ENTRY
-from tetgroups.stabilizer import (TCResult, _closes_by_cycles, _dedup, _enumerate,
-                                  schreier_scans)
+from tetgroups.stabilizer import (TCResult, _closes_by_cycles, _coset_layout, _dedup,
+                                  _enumerate, schreier_scans)
 from tetgroups.words import reduce_letters
 
 from conftest import parse_word, same_subgroup
@@ -101,7 +101,8 @@ def test_cached_tables_are_read_only(n):
         assert c_choices.tolist() == list(range(factorial(n)))
         assert a_joint == b_joint == ()
         (letters, column), = c_joint
-        assert letters == (b * c).letters and column is _order_divides(n, exp)
+        assert letters == (b * c).letters
+        assert column is _order_divides(n, gcd(exp, lcm(*range(1, n + 1))))
         arrays += [a_choices, b_choices, c_choices]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -145,12 +146,12 @@ def test_the_recount_checks_its_orbit_counts(t10_full, monkeypatch):
 # What oracle.py imports: the recount builds its own tables, so nothing of
 # the enumerator's search (perm_tables, order_masks, _search, _fold) may be
 # added here, and of the stabilizer it takes only the coset check, which it
-# re-exports under its old names for the benchmark.  The recount and the
-# search each analyse the relators themselves (_recount_rows,
-# _search_rows), so neither module may name the other's.  The stabilizer
-# holds the coset check and writes its scans (schreier_scans), so neither it
-# nor the oracle may import the enumerator at all, and only the oracle
-# imports numpy.
+# re-exports under its old names for the benchmark.  The recount, the
+# search and the coset check each read the relators themselves
+# (_recount_rows, _search_rows, _coset_layout), so no module may name
+# another's.  The stabilizer holds the coset check and writes its scans
+# (schreier_scans), so neither it nor the oracle may import the enumerator
+# at all, and only the oracle imports numpy.
 ORACLE_IMPORTS = {
     "__future__": {"annotations"},
     "itertools": {"itertools"},
@@ -188,6 +189,9 @@ def test_the_recount_imports_nothing_of_the_search():
     assert not {module.split(".")[0] for module, _ in coset_check} & {"numpy"}
     assert "_search_rows" not in names_in(oracle)
     assert "_recount_rows" not in names_in(enumerator)
+    # The coset check reads its own layout of a presentation too: neither
+    # the search nor the recount may build on the reading of its checker.
+    assert not {"_coset_layout", "CosetLayout"} & (names_in(enumerator) | names_in(oracle))
 
 
 def names_in(module):
@@ -428,11 +432,12 @@ def test_a_complete_table_the_relators_do_not_close_runs_the_relator_loop(t10_fu
     with pytest.raises(ValueError, match="PQ"):
         TransitiveRep(t10_full, assignment)
     rep = TransitiveRep._unchecked(t10_full, assignment)
-    powers = t10_full.coset_columns.powers
+    layout = _coset_layout(t10_full)
+    powers = layout.powers
     assert _closes_by_cycles([[1, 0, 0, 0], [0, 1, 1, 1]], powers) is False
     assert _closes_by_cycles([[0, 0, 0, 0]], powers) is True
     assert _closes_by_cycles([[1, 0, 0, -1], [0, 1, 1, 1]], powers) is False
-    assert _enumerate(t10_full, schreier_scans(rep), 80)[0] == TCResult("closed", 1, None, 2, 2, 1)
+    assert _enumerate(layout, schreier_scans(rep), 80)[0] == TCResult("closed", 1, None, 2, 2, 1)
     assert verify_class(rep) is False
 
 
@@ -455,7 +460,8 @@ def test_schreier_scans_are_the_words_in_columns(catalog_table):
     # transversal, reduced by the presentation and deduplicated.
     for cell in catalog_table.cells:
         pres = cell.presentation
-        of_letter = pres.coset_columns.of_letter
+        layout = _coset_layout(pres)
+        of_letter = layout.of_letter
         budget = default_coset_budget(cell.n, pres)
         for cls in cell.classes:
             table = build_coset_table(cls.rep)
@@ -463,10 +469,10 @@ def test_schreier_scans_are_the_words_in_columns(catalog_table):
             scans = schreier_scans(cls.rep)
             where = (cell.id, cell.group, cell.n)
             assert words == _dedup((pres.reduce(w).letters for w in raw_schreier_words(table)),
-                                   pres), where
+                                   layout.inverse_letter), where
             assert scans == [tuple(of_letter[letter] for letter in reversed(w.letters))
                              for w in words], where
-            core = _enumerate(pres, scans, budget)[0]
+            core = _enumerate(layout, scans, budget)[0]
             res = todd_coxeter(pres, words, budget)
             assert core == replace(res, action=None), where
 
@@ -521,10 +527,11 @@ def test_schreier_path_is_pinned():
             pres = presentation_for(entry.symbol, group)
             for n in range(1, 7):
                 budgets = (default_coset_budget(n, pres), n, n - 1)
+                layout = _coset_layout(pres)
                 for cls in enumerate_classes(pres, n):
                     gens = schreier_generators(build_coset_table(cls.rep))
                     scans = schreier_scans(cls.rep)
-                    results = [_enumerate(pres, scans, b)[0] for b in budgets]
+                    results = [_enumerate(layout, scans, b)[0] for b in budgets]
                     digest.update(repr((
                         [pres.render(w) for w in gens.words],
                         [pres.render(w) for w in gens.simplified],

@@ -67,44 +67,6 @@ def test_kleinian_presentation_shape(t10_kleinian):
     assert t10_kleinian.involutions == frozenset()
 
 
-def test_coset_columns(t10_full, t10_kleinian):
-    # One self-inverse column per involution; the squares are not scanned,
-    # and each relator keeps its base's columns, rightmost letter first,
-    # and its exponent.
-    full = t10_full.coset_columns
-    assert full.inverse == (0, 1, 2, 3)
-    assert full.of_letter[(3, 1)] == full.of_letter[(3, -1)] == 3
-    assert full.powers[0] == ((1, 0), 3)
-    assert len(full.powers) == 6
-    klein = t10_kleinian.coset_columns
-    assert klein.inverse == (1, 0, 3, 2, 5, 4)
-    assert [klein.of_letter[(g, s)] for g in range(3) for s in (1, -1)] == list(range(6))
-    assert klein.powers[0] == ((0,), 3)
-    assert klein.powers[4] == ((4, 2, 0), 2)
-    assert len(klein.powers) == 6
-    # a = PQ with p = 2 is an involution: one column, and a^2 is dropped
-    mixed = kleinian_presentation(CoxeterSymbol(2, 3, 3, 2, 2, 2)).coset_columns
-    assert mixed.inverse == (0, 2, 1, 4, 3)
-    # letter_of reads a column back, an involution's with sign +1
-    assert mixed.letter_of == ((0, 1), (1, 1), (1, -1), (2, 1), (2, -1))
-    assert all(mixed.of_letter[letter] == x for x, letter in enumerate(mixed.letter_of))
-    assert len(mixed.powers) == 5
-    inverted = Presentation("test", T10, ("x", "y"), ((Word.gen(0) * Word.gen(1, -1), 3),))
-    assert inverted.coset_columns.powers == (((3, 0), 3),)
-
-
-def test_coset_columns_do_not_grow_with_the_entries():
-    # The layout stores no relator written out, so the Kleinian layouts at
-    # [6]*6 and at [MAX_ENTRY]*6 differ only in their exponents.
-    small = kleinian_presentation(CoxeterSymbol(*[6] * 6)).coset_columns
-    large = kleinian_presentation(CoxeterSymbol(*[MAX_ENTRY] * 6)).coset_columns
-    for field in small._fields:
-        if field != "powers":
-            assert getattr(small, field) == getattr(large, field), field
-    assert [base for base, _ in small.powers] == [base for base, _ in large.powers]
-    assert [k for _, k in small.powers] != [k for _, k in large.powers]
-
-
 def test_malformed_relators_rejected():
     # a base on an unnamed generator would make both counters raise
     # IndexError and todd_coxeter skip it as an involution square; an empty

@@ -8,10 +8,11 @@ from tetgroups import (Assignment, CoxeterSymbol, Perm, Presentation, Transitive
                        conjugate_assignment, enumerate_classes, evaluate_word,
                        full_presentation, kleinian_presentation,
                        presentation_for, raw_schreier_words,
-                       schreier_generators, simplify_word)
-from tetgroups.stabilizer import _braid_rewrite, _dedup, schreier_scans
+                       schreier_generators, simplify_word, todd_coxeter, verify_class)
+from tetgroups.presentations import MAX_ENTRY
+from tetgroups.stabilizer import _braid_rewrite, _coset_layout, _dedup, schreier_scans
 
-from conftest import (parse_cycles, parse_word, random_presentations,
+from conftest import (T10, parse_cycles, parse_word, random_presentations,
                       same_subgroup)
 from published_rows import DEGREE2_ROWS
 
@@ -32,6 +33,61 @@ def words4():
         st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from([1, -1])),
         max_size=16,
     ).map(Word)
+
+
+def test_coset_columns(t10_full, t10_kleinian):
+    # One self-inverse column per involution; the squares are not scanned,
+    # and each relator keeps its base's columns, rightmost letter first,
+    # and its exponent.
+    full = _coset_layout(t10_full)
+    assert full.inverse == (0, 1, 2, 3)
+    assert full.of_letter[(3, 1)] == full.of_letter[(3, -1)] == 3
+    assert full.powers[0] == ((1, 0), 3)
+    assert len(full.powers) == 6
+    klein = _coset_layout(t10_kleinian)
+    assert klein.inverse == (1, 0, 3, 2, 5, 4)
+    assert [klein.of_letter[(g, s)] for g in range(3) for s in (1, -1)] == list(range(6))
+    assert klein.powers[0] == ((0,), 3)
+    assert klein.powers[4] == ((4, 2, 0), 2)
+    assert len(klein.powers) == 6
+    # a = PQ with p = 2 is an involution: one column, and a^2 is dropped
+    mixed = _coset_layout(kleinian_presentation(CoxeterSymbol(2, 3, 3, 2, 2, 2)))
+    assert mixed.inverse == (0, 2, 1, 4, 3)
+    # letter_of reads a column back, an involution's with sign +1
+    assert mixed.letter_of == ((0, 1), (1, 1), (1, -1), (2, 1), (2, -1))
+    assert all(mixed.of_letter[letter] == x for x, letter in enumerate(mixed.letter_of))
+    assert len(mixed.powers) == 5
+    inverted = Presentation("test", T10, ("x", "y"), ((Word.gen(0) * Word.gen(1, -1), 3),))
+    assert _coset_layout(inverted).powers == (((3, 0), 3),)
+
+
+def test_coset_columns_do_not_grow_with_the_entries():
+    # The layout stores no relator written out, so the Kleinian layouts at
+    # [6]*6 and at [MAX_ENTRY]*6 differ only in their exponents.
+    small = _coset_layout(kleinian_presentation(CoxeterSymbol(*[6] * 6)))
+    large = _coset_layout(kleinian_presentation(CoxeterSymbol(*[MAX_ENTRY] * 6)))
+    for field in small._fields:
+        if field != "powers":
+            assert getattr(small, field) == getattr(large, field), field
+    assert [base for base, _ in small.powers] == [base for base, _ in large.powers]
+    assert [k for _, k in small.powers] != [k for _, k in large.powers]
+
+
+def test_the_layout_is_read_once_per_presentation(t10_full):
+    # Every entry point reads the layout through one cache: it misses once
+    # per presentation, and an equal presentation built afresh looks up
+    # the same layout.
+    _coset_layout.cache_clear()
+    fresh = full_presentation(T10)
+    assert fresh == t10_full and fresh is not t10_full
+    for pres in (t10_full, fresh):
+        for cls in enumerate_classes(pres, 2) + enumerate_classes(pres, 4):
+            gens = schreier_generators(build_coset_table(cls.rep))
+            assert verify_class(cls.rep) is True
+            assert todd_coxeter(pres, gens.words, 40).index == cls.index
+            assert all(len(simplify_word(w, pres)) <= len(w) for w in gens.words)
+    assert _coset_layout.cache_info().misses == _coset_layout.cache_info().currsize == 1
+    assert _coset_layout(fresh) is _coset_layout(t10_full)
 
 
 def test_transversal_of_single_moved_generator(t10_full):
@@ -150,10 +206,11 @@ def test_schreier_scans_are_the_reduced_raw_words_on_random_presentations(pres, 
     # no check for repeats, so on inverted letters, repeated generators
     # and any mix of involutions they must still be the raw words reduced
     # with the involutions and deduplicated up to inverses, in columns.
-    of_letter = pres.coset_columns.of_letter
+    layout = _coset_layout(pres)
+    of_letter = layout.of_letter
     for cls in enumerate_classes(pres, n):
         raw = raw_schreier_words(build_coset_table(cls.rep))
-        words = _dedup((pres.reduce(w).letters for w in raw), pres)
+        words = _dedup((pres.reduce(w).letters for w in raw), layout.inverse_letter)
         assert schreier_scans(cls.rep) == [
             tuple(of_letter[letter] for letter in reversed(w.letters)) for w in words]
 
@@ -176,10 +233,12 @@ def test_simplified_words_are_the_deduplicated_rewrites_on_random_presentations(
     # braid rules and without; the examples reach all three cases.
     if braids and len(pres.generator_names) > 1:
         pres = with_commuting_involutions(pres)
+    layout = _coset_layout(pres)
     for cls in enumerate_classes(pres, n):
         gens = schreier_generators(build_coset_table(cls.rep))
         assert gens.simplified == _dedup(
-            (_braid_rewrite(w.letters, pres) for w in gens.words), pres)
+            (_braid_rewrite(w.letters, layout.braid_rules, pres.involutions)
+             for w in gens.words), layout.inverse_letter)
 
 
 def test_simplify_word_golden_rewrites(t10_full):
