@@ -4,10 +4,11 @@ Subcommands: list (catalog), enumerate (classes for one symbol), counts
 (the full 32-row count table, optionally diffed against the embedded
 reference), verify (coset-enumeration check per class), coloring (export
 one class as a coloring).  Exit codes: 0 success/consistent, 1 failed
-verification or internal inconsistency, 2 usage errors, 3 when verify
-confirms no class wrong but leaves some inconclusive (the coset budget ran
-out); a failed class makes verify exit 1 whatever else it found; 141
-(128 + SIGPIPE) when the reader closed stdout early.
+verification or internal inconsistency, 2 usage errors and counts --diff
+without numpy, 3 when verify confirms no class wrong but leaves some
+inconclusive (the coset budget ran out); a failed class makes verify exit 1
+whatever else it found; 141 (128 + SIGPIPE) when the reader closed stdout
+early.
 """
 
 from __future__ import annotations
@@ -17,21 +18,23 @@ import json
 import os
 import sys
 
-from .coloring import coloring_of
 from .enumerator import SubgroupClass, enumerate_classes
 from .perms import evaluate_word
-from .presentations import (CoxeterSymbol, catalog, catalog_by_id,
+from .presentations import (CoxeterSymbol, Presentation, catalog, catalog_by_id,
                             presentation_for, parse_symbol)
 from .reference import REFERENCE_COUNTS
 from .stabilizer import build_coset_table, schreier_generators, verify_class
 
 
-def _symbol(args: argparse.Namespace) -> CoxeterSymbol:
-    """The symbol named by --id or --symbol; argparse requires exactly one,
-    and an empty --id is looked up like any other."""
-    if args.id is not None:
-        return catalog_by_id(args.id).symbol
-    return parse_symbol(args.symbol)
+def _classes(args: argparse.Namespace
+             ) -> tuple[CoxeterSymbol, Presentation, list[SubgroupClass]]:
+    """The symbol named by --id or --symbol, its presentation for --group
+    and its classes at --index; argparse requires exactly one of --id and
+    --symbol, and an empty --id is looked up like any other."""
+    sym = (catalog_by_id(args.id).symbol if args.id is not None
+           else parse_symbol(args.symbol))
+    pres = presentation_for(sym, args.group)
+    return sym, pres, enumerate_classes(pres, args.index)
 
 
 def _class_record(cls: SubgroupClass) -> dict:
@@ -61,9 +64,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    sym = _symbol(args)
-    pres = presentation_for(sym, args.group)
-    classes = enumerate_classes(pres, args.index)
+    sym, pres, classes = _classes(args)
     if args.format == "json":
         payload = {
             "symbol": sym.as_text(),
@@ -99,34 +100,29 @@ CELLS = (("H2", "full", 2), ("H3", "full", 3), ("H4", "full", 4),
          ("K2", "kleinian", 2), ("K3", "kleinian", 3), ("K4", "kleinian", 4))
 
 
-def _row_counts(symbol: CoxeterSymbol) -> tuple[int, ...]:
-    """Class counts of one symbol, one per cell of CELLS."""
-    return tuple(len(enumerate_classes(presentation_for(symbol, group), n))
-                 for _, group, n in CELLS)
-
-
 def cmd_counts(args: argparse.Namespace) -> int:
+    if args.diff:
+        try:
+            from .oracle import brute_force_classes  # loads numpy
+        except ImportError as exc:
+            raise ValueError(f"counts --diff recounts with numpy, which cannot "
+                             f"be imported ({exc})") from None
     records = []
     for row in REFERENCE_COUNTS:
         entry = catalog_by_id(row.id)
-        expected = row.full + row.kleinian
-        got = _row_counts(entry.symbol)
-        rec = {"id": row.id, "symbol": entry.symbol.as_text(),
-               "computed": list(got)}
+        pres = {group: presentation_for(entry.symbol, group)
+                for group in ("full", "kleinian")}
+        got = [len(enumerate_classes(pres[group], n)) for _, group, n in CELLS]
+        rec = {"id": row.id, "symbol": entry.symbol.as_text(), "computed": got}
         if args.diff:
-            rec["reference"] = list(expected)
+            rec["reference"] = expected = list(row.full + row.kleinian)
             cells = []
             for (name, group, n), want, have in zip(CELLS, expected, got):
-                cell = {"cell": name, "computed": have, "reference": want}
-                if want == have:
-                    cell["status"] = "PASS"
-                else:
-                    from .oracle import brute_force_classes  # loads numpy
-                    oracle = brute_force_classes(
-                        presentation_for(entry.symbol, group), n).classes
-                    cell["status"] = "MISMATCH"
-                    cell["oracle"] = oracle
-                    cell["oracle_agrees_with_computed"] = oracle == have
+                cell = {"cell": name, "computed": have, "reference": want,
+                        "status": "PASS" if want == have else "MISMATCH"}
+                if want != have:
+                    oracle = brute_force_classes(pres[group], n).classes
+                    cell |= {"oracle": oracle, "oracle_agrees_with_computed": oracle == have}
                 cells.append(cell)
             rec["cells"] = cells
         records.append(rec)
@@ -157,41 +153,33 @@ def cmd_counts(args: argparse.Namespace) -> int:
     return 1 if inconsistent else 0
 
 
+# What verify prints for each verdict of verify_class, given the class's index.
+VERDICTS = {True: "closed({})", None: "inconclusive (coset budget exhausted)",
+            False: "FAILED (coset enumeration closed at a different index)"}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_cosets is not None and args.max_cosets < 1:
         raise ValueError(f"--max-cosets must be at least 1, got {args.max_cosets}")
-    sym = _symbol(args)
-    pres = presentation_for(sym, args.group)
-    classes = enumerate_classes(pres, args.index)
+    sym, _, classes = _classes(args)
     print(f"symbol [{sym.as_text()}], {args.group} group, index {args.index}: "
           f"{len(classes)} classes")
-    closed = inconclusive = failed = 0
+    tally = dict.fromkeys(VERDICTS, 0)
     for i, cls in enumerate(classes, start=1):
-        res = verify_class(cls.rep, args.max_cosets)
-        if res is True:
-            print(f"class {i}: closed({cls.index})")
-            closed += 1
-        elif res is None:
-            print(f"class {i}: inconclusive (coset budget exhausted)")
-            inconclusive += 1
-        else:
-            print(f"class {i}: FAILED (coset enumeration closed at a different index)")
-            failed += 1
-    print(f"{len(classes)} classes: {closed} closed, {inconclusive} inconclusive, "
-          f"{failed} failed")
-    if failed:
-        return 1
-    return 3 if inconclusive else 0
+        verdict = verify_class(cls.rep, args.max_cosets)
+        tally[verdict] += 1
+        print(f"class {i}: " + VERDICTS[verdict].format(cls.index))
+    print(f"{len(classes)} classes: {tally[True]} closed, {tally[None]} inconclusive, "
+          f"{tally[False]} failed")
+    return 1 if tally[False] else 3 if tally[None] else 0
 
 
 def cmd_coloring(args: argparse.Namespace) -> int:
-    sym = _symbol(args)
-    pres = presentation_for(sym, args.group)
-    classes = enumerate_classes(pres, args.index)
+    _, _, classes = _classes(args)
     if not 1 <= args.class_ordinal <= len(classes):
         raise ValueError(f"class ordinal {args.class_ordinal} out of range, "
                          f"{len(classes)} classes at index {args.index}")
-    col = coloring_of(classes[args.class_ordinal - 1])
+    col = build_coset_table(classes[args.class_ordinal - 1].rep)
     if args.format == "csv":
         print("generator,color,image_color")
         for gen, color, image in col.as_csv_rows():

@@ -109,6 +109,19 @@ def test_verify_fails_a_class_that_closes_elsewhere(monkeypatch, capsys):
     assert out.endswith("1 classes: 0 closed, 0 inconclusive, 1 failed\n")
 
 
+def test_verify_tallies_mixed_verdicts(monkeypatch, capsys):
+    verdicts = iter([True, None, False])
+    monkeypatch.setattr("tetgroups.cli.verify_class", lambda rep, budget: next(verdicts))
+    code, out, _ = run(capsys, "verify", "--id", "t10", "--group", "full",
+                       "--index", "2")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "class 1: closed(2)",
+        "class 2: inconclusive (coset budget exhausted)",
+        "class 3: FAILED (coset enumeration closed at a different index)",
+        "3 classes: 1 closed, 1 inconclusive, 1 failed"]
+
+
 def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
     # python -m tetgroups, as CI runs it: index 5 is past the pinned
     # digests, and a budget of exactly 5 cosets closes every class
@@ -214,6 +227,16 @@ def test_usage_errors_exit_with_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("selector", [["--id", "t99", "--index", "2"],
+                                      ["--id", "t10", "--index", "7"]], ids=["id", "index"])
+def test_every_class_command_refuses_a_bad_cell_alike(capsys, selector):
+    results = {command: run(capsys, command, *selector, "--group", "full")
+               for command in ("enumerate", "verify", "coloring")}
+    code, out, err = results["enumerate"]
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert results["verify"] == results["coloring"] == results["enumerate"]
+
+
 def test_index_past_the_limit_is_refused_before_any_table_is_built(capsys):
     built = perm_tables.cache_info().currsize
     code, out, err = run(capsys, "enumerate", "--id", "t10", "--group", "full",
@@ -264,6 +287,7 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["enumerate", "--id", "t10", "--group", "full", "--index", "3"],
                  ["verify", "--id", "t10", "--group", "kleinian", "--index", "4"],
                  ["coloring", "--id", "t10", "--group", "full", "--index", "2"],
+                 ["counts"],
                  ["counts", "--diff"]):
         assert main(argv) == 0, argv
         loaded.append("numpy" in sys.modules)
@@ -278,7 +302,25 @@ def test_only_counts_diff_loads_numpy():
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True,
                           env=src_env(), text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False, False, False, False, True] [True, True]\n"
+    assert proc.stdout == "[False, False, False, False, False, False, True] [True, True]\n"
+
+
+# counts --diff where numpy cannot be imported: None in sys.modules makes
+# any import of it fail, as it does under python -S
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from tetgroups.cli import main
+sys.exit(main(["counts", "--diff"]))
+"""
+
+
+def test_counts_diff_without_numpy_is_an_error_not_a_traceback():
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True,
+                          env=src_env(), text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: counts --diff recounts with numpy")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_a_class_record_walks_the_transversal_once(monkeypatch):
