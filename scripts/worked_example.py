@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import sys
 
-from tetgroups import (Word, build_coset_table, catalog_by_id, coloring_of,
-                       enumerate_classes, presentation_for, raw_schreier_words,
-                       schreier_generators, verify_class)
+from tetgroups import (Word, build_coset_table, catalog_by_id, enumerate_classes,
+                       presentation_for, raw_schreier_words, schreier_generators,
+                       verify_class)
 
 # verify_class: True closes at the class's index, False closes elsewhere,
 # None ran out of cosets.
@@ -63,7 +63,7 @@ def main() -> int:
 
     cls = enumerate_classes(pres, 2)[0]
     print("\ncoloring of the first index-2 class:")
-    print(json.dumps(coloring_of(cls).as_json_dict(), indent=2))
+    print(json.dumps(build_coset_table(cls.rep).as_json_dict(), indent=2))
     return 0 if confirmed else 1
 
 

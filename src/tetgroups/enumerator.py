@@ -20,11 +20,6 @@ from .perms import Assignment, TransitiveRep, all_perms, conjugate_assignment
 from .presentations import Presentation
 from .words import Letter
 
-# PermTables.power's values; a power that is a transposition outranks one
-# that is a 3-cycle, so the strongest of several elements is their max.
-THREE_CYCLE = 1
-TRANSPOSITION = 2
-
 
 # perm_tables(n) is what bounds the degree (perms.MAX_DEGREE).  It holds
 # two tables of n!^2 entries, the composition and the conjugation table:
@@ -57,10 +52,11 @@ class PermTables(NamedTuple):
     group of degree n can preserve, the uniform partitions into 2..n-1
     blocks, as labels from partitions (none at a prime degree).  blocks[i]
     has bit b when element i maps each block of systems[b] onto a block.
-    power[i] is TRANSPOSITION when some power of i is a transposition (one
-    2-cycle, every other cycle odd), else THREE_CYCLE when some power is a
-    3-cycle (one 3-cycle, every other cycle length prime to 3), else 0;
-    odd[i] is i's parity.
+    jordan[i] is True when some power of i is a transposition (one 2-cycle,
+    every other cycle odd) or a 3-cycle (one 3-cycle, every other cycle
+    length prime to 3); odd[i] is i's parity.  One bit serves both kinds:
+    an element with a transposition power is odd, so parity alone tells
+    A_n from S_n.
     """
 
     comp: tuple[tuple[int, ...], ...]
@@ -75,7 +71,7 @@ class PermTables(NamedTuple):
     connecting: tuple[int, ...]
     systems: tuple[tuple[int, ...], ...]
     blocks: tuple[int, ...]
-    power: tuple[int, ...]
+    jordan: tuple[bool, ...]
     odd: tuple[bool, ...]
 
 
@@ -168,23 +164,20 @@ def perm_tables(n: int) -> PermTables:
     systems = tuple(p for p in partitions
                     if 1 < max(p) + 1 < n and len(set(map(p.count, p))) == 1)
     counts = [max(p) + 1 for p in systems]
-    order, blocks, power, odd = [], [], [], []
+    order, blocks, jordan, odd = [], [], [], []
     for perm in perms:  # each element's cycles are read once
         moves = list(enumerate(y - 1 for y in perm.images))
         blocks.append(sum(1 << b for b, (p, count) in enumerate(zip(systems, counts))
                           if len({(p[x], p[y]) for x, y in moves}) == count))
         lengths = [len(c) for c in perm.cycles()]
         order.append(lcm(1, *lengths))
-        if lengths.count(2) == 1 and all(length % 2 for length in lengths if length != 2):
-            power.append(TRANSPOSITION)
-        elif lengths.count(3) == 1 and all(length % 3 for length in lengths if length != 3):
-            power.append(THREE_CYCLE)
-        else:
-            power.append(0)
+        jordan.append(any(lengths.count(k) == 1
+                          and all(length % k for length in lengths if length != k)
+                          for k in (2, 3)))
         odd.append(sum(length - 1 for length in lengths) % 2 == 1)
     return PermTables(comp, inv, tuple(order), conj, below, cent, tuple(partitions),
                       tuple(cycles), tuple(join), connecting, systems, tuple(blocks),
-                      tuple(power), tuple(odd))
+                      tuple(jordan), tuple(odd))
 
 
 @cache
@@ -446,60 +439,50 @@ def _is_transitive(combo: Sequence[int], n: int) -> bool:
     return part == len(tables.join) - 1
 
 
-def _jordan_order(combo: Sequence[int], n: int) -> int | None:
-    """The order of the transitive group combo generates, by Jordan's
-    theorem, or None where the theorem does not settle it.
+def _contains_alternating(combo: Sequence[int], tables: PermTables) -> bool:
+    """Does the transitive group combo generates contain A_n, by Jordan's
+    theorem?
 
     The group is primitive when no generator keeps the blocks of a block
-    system, which every generator must keep (perm_tables(n).blocks).  A primitive
-    group with a transposition is S_n, and one with a 3-cycle contains A_n,
-    all of S_n exactly when a generator is odd (Dixon-Mortimer, *Permutation
-    Groups*, 1996, sec. 3.3).  The elements searched for such a power are
-    the generators and their pairwise products.
+    system, which every generator must keep (tables.blocks), and a
+    primitive group holding a transposition or a 3-cycle contains A_n
+    (Dixon-Mortimer, *Permutation Groups*, 1996, sec. 3.3).  The elements
+    searched for such a power (tables.jordan) are the generators and their
+    pairwise products.
     """
-    tables = perm_tables(n)
     kept = -1
     for i in combo:
         kept &= tables.blocks[i]
-    if kept:
-        return None
-    comp, power = tables.comp, tables.power
-    kind = max(power[x] for x in chain(combo, (comp[a][b] for a, b in combinations(combo, 2))))
-    if kind == TRANSPOSITION:
-        return factorial(n)
-    if kind == THREE_CYCLE:
-        return _alternating_or_symmetric(combo, n)
-    return None
-
-
-def _alternating_or_symmetric(combo: Sequence[int], n: int) -> int:
-    """The order of the group combo generates, given that it contains A_n:
-    n! when a generator is odd, else n!/2."""
-    odd = perm_tables(n).odd
-    return factorial(n) // (1 if any(odd[i] for i in combo) else 2)
+    comp, jordan = tables.comp, tables.jordan
+    return not kept and any(
+        jordan[x] for x in chain(combo, (comp[a][b] for a, b in combinations(combo, 2))))
 
 
 def _image_type(combo: Sequence[int], n: int, transitive: bool) -> str:
     """classify_image on indices of all_perms(n), told whether the image is
     transitive.
 
-    At degree 5 and up a transitive image is named by _jordan_order where it
-    applies.  Otherwise the image is closed breadth first from the
-    generators, and at degrees up to 4 its elements tell Z4 from V.  At
-    degree 5 and up, A_n and S_n are the only subgroups of index below n
-    (Dixon-Mortimer, sec. 5.2), so the closure stops once it has listed more
-    than (n-1)! elements, and the image is A_n or S_n by parity.
+    An image that contains A_n is A_n or S_n, n!/2 or n! by the generators'
+    parity.  At degree 5 and up a transitive image is tested for that by
+    Jordan's theorem (_contains_alternating).  Otherwise the image is closed
+    breadth first from the generators, and at degrees up to 4 its elements
+    tell Z4 from V.  At degree 5 and up, A_n and S_n are the only subgroups
+    of index below n (Dixon-Mortimer, sec. 5.2), so the closure stops once
+    it has listed more than (n-1)! elements: the image contains A_n.
     """
-    size = _jordan_order(combo, n) if n >= 5 and transitive else None
-    if size is None:
-        tables = perm_tables(n)
-        rows, order = [tables.comp[x] for x in combo], tables.order
+    tables = perm_tables(n)
+    alternating = n >= 5 and transitive and _contains_alternating(combo, tables)
+    if not alternating:
+        rows = [tables.comp[x] for x in combo]
         most = factorial(n - 1) if n >= 5 else factorial(n)
         elements, frontier = {0}, {0}
         while frontier and len(elements) <= most:
             frontier = {row[g] for g in frontier for row in rows} - elements
             elements |= frontier
-        size = len(elements) if len(elements) <= most else _alternating_or_symmetric(combo, n)
+        alternating = len(elements) > most
+    if alternating:
+        return f"G{factorial(n) // (1 if any(tables.odd[i] for i in combo) else 2)}"
+    size = len(elements)
     if size == 1:
         return "1"
     if n == 2:
@@ -508,7 +491,7 @@ def _image_type(combo: Sequence[int], n: int, transitive: bool) -> str:
         return {3: "Z3", 6: "S3"}.get(size, f"G{size}")
     if n == 4:
         if size == 4:
-            has_4cycle = any(order[g] == 4 for g in elements)
+            has_4cycle = any(tables.order[g] == 4 for g in elements)
             return "Z4" if has_4cycle else "V"
         return {8: "D4", 12: "A4", 24: "S4"}.get(size, f"G{size}")
     return f"G{size}"

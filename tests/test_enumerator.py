@@ -20,7 +20,8 @@ from tetgroups import (MAX_DEGREE, Assignment, CoxeterSymbol, Perm,
                        is_transitive, kleinian_presentation, presentation_for,
                        verify_class)
 from tetgroups import enumerator
-from tetgroups.enumerator import _jordan_order, _search, _search_rows, order_masks, perm_tables
+from tetgroups.enumerator import (_contains_alternating, _search, _search_rows, order_masks,
+                                  perm_tables)
 from tetgroups.oracle import _order_divides, _recount_rows, _symmetric_tables, brute_force_classes
 
 from conftest import T10, random_presentations
@@ -499,7 +500,8 @@ def test_classify_image_names():
     # stops past 5! elements and parity names them
     for a, name in ((asg("gh", [(1, 4, 5, 2, 6, 3)], [(1, 5, 6, 3, 2)]), "G720"),
                     (asg("gh", [(1, 6), (2, 3, 4, 5)], [(1, 5, 2, 4, 3)]), "G360")):
-        assert _jordan_order([all_perms(6).index(p) for p in a.perms], 6) is None
+        combo = [all_perms(6).index(p) for p in a.perms]
+        assert _contains_alternating(combo, perm_tables(6)) is False
         assert classify_image(a) == name
     # S_5 on the points 2-6 has exactly 5! elements and is listed in full
     assert classify_image(asg("gh", [(2, 3, 4, 5, 6)], [(2, 3)])) == "G120"
@@ -537,19 +539,20 @@ def test_classify_image_names_the_listed_order(n_combo):
 @pytest.mark.parametrize("n, fired, classes", [(5, 62, 70), (6, 92, 931)])
 def test_jordan_names_the_image_the_closure_lists(n, fired, classes):
     # Every catalog class at the index; Jordan's theorem must settle the
-    # counted number of them (a path that never fires fails) and agree with
-    # the listed group wherever it does.
+    # counted number of them (a path that never fires fails), and wherever
+    # it does the listed group is A_n or S_n and named by its order.
     at = {p.images: i for i, p in enumerate(all_perms(n))}
+    tables = perm_tables(n)
     seen = settled = 0
     for entry in catalog():
         for group in ("full", "kleinian"):
             for c in enumerate_classes(presentation_for(entry.symbol, group), n):
                 seen += 1
                 combo = [at[p.images] for p in c.rep.assignment.perms]
-                order = _jordan_order(combo, n)
-                if order is not None:
+                if _contains_alternating(combo, tables):
                     settled += 1
-                    assert order == closure_order(combo, n), c
+                    order = closure_order(combo, n)
+                    assert order in (factorial(n), factorial(n) // 2), c
                     assert c.image_type == f"G{order}"
     assert (settled, seen) == (fired, classes)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tetgroups import (MAX_DEGREE, Assignment, Perm, TransitiveRep, Word, all_perms,
                        conjugate_assignment, enumerate_classes, evaluate_word,
                        is_transitive, word_order)
-from tetgroups.enumerator import THREE_CYCLE, TRANSPOSITION, order_masks, perm_tables
+from tetgroups.enumerator import order_masks, perm_tables
 
 perms4 = st.sampled_from(all_perms(4))
 words4 = st.lists(
@@ -264,9 +264,10 @@ def test_partition_joins_match_a_union_find(n):
 def test_jordan_table_matches_a_rebuild_from_itertools(n):
     # rebuilt from itertools.permutations with no code from enumerator.py: the
     # block systems are the uniform partitions into 2..n-1 blocks, an
-    # element keeps one when it maps every block onto a block, a power that
-    # moves exactly two points is a transposition and one that moves exactly
-    # three a 3-cycle, and the parity is that of the inversions
+    # element keeps one when it maps every block onto a block, the Jordan
+    # bit is set when some power moves exactly 2 or 3 points (a transposition
+    # or a 3-cycle), and the parity is that of the inversions, odd wherever a
+    # power is a transposition
     ps = list(itertools.permutations(range(n)))
     identity = tuple(range(n))
     table = perm_tables(n)
@@ -275,7 +276,7 @@ def test_jordan_table_matches_a_rebuild_from_itertools(n):
     assert len(set(systems)) == len(systems)
     assert set(systems) == {part for part in set_partitions(identity)
                             if 1 < len(part) < n and len({len(b) for b in part}) == 1}
-    assert len(ps) == len(table.blocks) == len(table.power) == len(table.odd)
+    assert len(ps) == len(table.blocks) == len(table.jordan) == len(table.odd)
     for i, p in enumerate(ps):
         assert table.blocks[i] == bitset(
             b for b, part in enumerate(systems)
@@ -284,10 +285,10 @@ def test_jordan_table_matches_a_rebuild_from_itertools(n):
         while q != identity:
             moved.add(sum(q[x] != x for x in range(n)))
             q = tuple(p[x] for x in q)
-        kind = TRANSPOSITION if 2 in moved else THREE_CYCLE if 3 in moved else 0
-        assert table.power[i] == kind
-        assert table.odd[i] == (sum(p[a] > p[b] for a, b in
-                                    itertools.combinations(range(n), 2)) % 2 == 1)
+        assert table.jordan[i] == bool(moved & {2, 3})
+        odd = sum(p[a] > p[b] for a, b in itertools.combinations(range(n), 2)) % 2 == 1
+        assert table.odd[i] == odd
+        assert odd or 2 not in moved
 
 
 def test_perm_tables_refuse_a_degree_past_the_limit():
@@ -296,10 +297,14 @@ def test_perm_tables_refuse_a_degree_past_the_limit():
 
 
 # sha256 of the repr of each named field of perm_tables(n) and then of
-# order_masks(n, e) for e = 1..6, chained over n = 1..6; recorded from the
-# separate per-degree builders that perm_tables took over, when conj was
-# stored by rows, so conj is hashed in that form
-TABLES_SHA256 = "b1fbf5cc6e518281f7f69a0531811ba61add52fef3fa67290dd7b79b1bd651fc"
+# order_masks(n, e) for e = 1..6, chained over n = 1..6; first recorded from
+# the separate per-degree builders that perm_tables took over, when conj was
+# stored by rows, so conj is hashed in that form.  Re-recorded when the
+# transposition/3-cycle rank (2, 1 or 0) gave way to the jordan bit, after
+# the new table, hashed with that rank rebuilt from cycle types in jordan's
+# place, gave the first digest, b1fbf5cc6e518281f7f69a0531811ba61add52fef3
+# fa67290dd7b79b1bd651fc: no other field moved
+TABLES_SHA256 = "7f2fbbabad97f9ad820bf50ca498032e1de04475e0d3a44293c217c7b2eb93dd"
 
 
 def test_tables_are_pinned():
@@ -307,7 +312,7 @@ def test_tables_are_pinned():
     for n in range(1, 7):
         table = perm_tables(n)
         for name in ("comp", "inv", "order", "conj", "below", "cent", "partitions",
-                     "cycles", "join", "connecting", "systems", "blocks", "power", "odd"):
+                     "cycles", "join", "connecting", "systems", "blocks", "jordan", "odd"):
             field = getattr(table, name)
             if name == "conj":
                 field = tuple(zip(*field))
