@@ -43,7 +43,7 @@ def build_tables(presentations) -> float:
         _symmetric_tables(n)
         for pres in presentations:
             _search_rows(pres, n)  # builds its order_masks rows too
-            _recount_rows(pres, n)  # and its _order_divides columns
+            _recount_rows(pres, n)  # and its order columns
     return time.perf_counter() - t0
 
 

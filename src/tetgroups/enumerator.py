@@ -31,9 +31,11 @@ from .words import Letter
 class PermTables(NamedTuple):
     """The enumerator's tables of S_n over the indices of all_perms(n).
 
-    Index 0 is the identity.  comp[a][b] is the index of a * b, inv[a] of
-    a's inverse, order[a] is a's order, and conj[i][s] is the index of
-    s * i * s^-1, so conj[i] lists i's conjugates.
+    Index 0 is the identity, and index[p.images] is the index of p (a
+    dict, which no caller writes to, shared like the tuples).  comp[a][b]
+    is the index of a * b, inv[a] of a's inverse, order[a] is a's order,
+    and conj[i][s] is the index of s * i * s^-1, so conj[i] lists i's
+    conjugates.
 
     The orderly search's bitsets, bit s standing for the relabeling
     all_perms(n)[s]: below[i] holds the s with s * i * s^-1 earlier than i,
@@ -59,6 +61,7 @@ class PermTables(NamedTuple):
     A_n from S_n.
     """
 
+    index: dict[tuple[int, ...], int]
     comp: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     order: tuple[int, ...]
@@ -73,12 +76,6 @@ class PermTables(NamedTuple):
     blocks: tuple[int, ...]
     jordan: tuple[bool, ...]
     odd: tuple[bool, ...]
-
-
-@cache
-def _perm_index(n: int) -> dict[tuple[int, ...], int]:
-    """Index in all_perms(n) of each one-line tuple."""
-    return {p.images: i for i, p in enumerate(all_perms(n))}
 
 
 @cache
@@ -100,7 +97,7 @@ def perm_tables(n: int) -> PermTables:
     x, block of its image) number the blocks, each block going to one.
     """
     perms = all_perms(n)  # refuses a degree outside 1..MAX_DEGREE
-    index = _perm_index(n)
+    index = {p.images: i for i, p in enumerate(perms)}
     zero_based = [tuple(j - 1 for j in p.images) for p in perms]
     cycle = (*range(2, n + 1), 1)
     swap = (2, 1, *range(3, n + 1)) if n > 1 else cycle
@@ -127,7 +124,7 @@ def perm_tables(n: int) -> PermTables:
     cent = tuple(sum(1 << s for s, c in enumerate(col) if c == i) for i, col in enumerate(conj))
 
     partitions = [tuple(range(n))]
-    index = {partitions[0]: 0}
+    numbered = {partitions[0]: 0}
     parent = [(0, 0)]  # (parent, merged pair); pair 0 is (0, 0), a no-op
     merge = []
     for at, p in enumerate(partitions):  # grows until every partition is reached
@@ -137,11 +134,11 @@ def perm_tables(n: int) -> PermTables:
             if lo == hi:
                 continue
             q = tuple(lo if x == hi else x - (x > hi) for x in p)
-            if q not in index:
-                index[q] = len(partitions)
+            if q not in numbered:
+                numbered[q] = len(partitions)
                 partitions.append(q)
                 parent.append((at, a * n + b))
-            row[a * n + b] = row[b * n + a] = index[q]
+            row[a * n + b] = row[b * n + a] = numbered[q]
         merge.append(row)
     join = []
     for p in range(len(partitions)):
@@ -175,7 +172,7 @@ def perm_tables(n: int) -> PermTables:
                           and all(length % k for length in lengths if length != k)
                           for k in (2, 3)))
         odd.append(sum(length - 1 for length in lengths) % 2 == 1)
-    return PermTables(comp, inv, tuple(order), conj, below, cent, tuple(partitions),
+    return PermTables(index, comp, inv, tuple(order), conj, below, cent, tuple(partitions),
                       tuple(cycles), tuple(join), connecting, systems, tuple(blocks),
                       tuple(jordan), tuple(odd))
 
@@ -499,7 +496,7 @@ def _image_type(combo: Sequence[int], n: int, transitive: bool) -> str:
 
 def _indices(assignment: Assignment, n: int) -> list[int]:
     """The indices in all_perms(n) of a degree-n assignment's images."""
-    index = _perm_index(n)
+    index = perm_tables(n).index
     return [index[p.images] for p in assignment.perms]
 
 

@@ -2,10 +2,10 @@
 
 brute_force_classes recounts subgroup classes from scratch with numpy.  It
 does not materialize the product space S_n^k: a relator holds when the
-order of its base divides its exponent, read from an order column that is
-computed once per (degree, exponent) and cached; each relator on a single
-generator (P^2, a^p) first cuts that generator's range, then the
-generators are joined one at a time and every other relator keeps only
+order of its base divides its exponent, read from an order column built
+once per presentation and degree with the rest of its plan; each relator
+on a single generator (P^2, a^p) first cuts that generator's range, then
+the generators are joined one at a time and every other relator keeps only
 the rows where it holds once its last generator is placed.  The first
 generator takes one element per conjugacy class of its range, each row
 standing for its class.  Transitivity is tested on the survivors, and the
@@ -88,16 +88,6 @@ def _symmetric_tables(n: int) -> _SymmetricTables:
 
 
 @lru_cache(maxsize=None)
-def _order_divides(n: int, exp: int) -> np.ndarray:
-    """The column over S_n (as _symmetric_tables(n) indexes it) that is True
-    where the element's order divides exp, read-only like the tables.
-    Exponent 0 allows every element, since every order divides 0."""
-    column = exp % _symmetric_tables(n).order == 0
-    column.flags.writeable = False
-    return column
-
-
-@lru_cache(maxsize=None)
 def _recount_rows(presentation: Presentation, n: int) -> tuple[tuple[np.ndarray, tuple], ...]:
     """brute_force_classes's relators read at degree n, one (choices,
     joint) per generator, built once per presentation and degree.
@@ -110,12 +100,21 @@ def _recount_rows(presentation: Presentation, n: int) -> tuple[tuple[np.ndarray,
     0).  choices are those elements as ascending indices into S_n, and for
     generator 0 only the least element of each conjugacy class among
     them: order is a class function, so they are a union of classes.
-    joint are (letters, _order_divides column) for each relator that uses
-    an earlier generator too.  The arrays are read-only like the tables.
-    Each column is that of gcd(exp, lcm(1..n)), which the same orders in
-    S_n divide: one column per divisor of lcm(1..n), lcm(1..n)'s for 0.
+    joint are (letters, column) for each relator that uses an earlier
+    generator too, the column over S_n True where the element's order
+    divides the exponent.  The arrays are read-only like the tables.  An
+    order in S_n divides exp exactly when it divides gcd(exp, lcm(1..n)),
+    so each exponent is reduced so before numpy sees it: a presentation
+    built by hand may carry an exponent past numpy's 64-bit integers.
     """
-    span = int(np.lcm.reduce(_symmetric_tables(n).order))  # lcm(1..n): every order divides it
+    t = _symmetric_tables(n)
+    span = int(np.lcm.reduce(t.order))  # lcm(1..n): every order divides it
+
+    def divides(exp: int) -> np.ndarray:
+        column = gcd(exp, span) % t.order == 0
+        column.flags.writeable = False
+        return column
+
     alone = [0] * len(presentation.generator_names)
     joint: list[list] = [[] for _ in alone]
     for base, exp in presentation.relator_powers:
@@ -123,11 +122,11 @@ def _recount_rows(presentation: Presentation, n: int) -> tuple[tuple[np.ndarray,
         if all(h == g for h, _ in base):
             alone[g] = gcd(alone[g], len(base) * exp)
         else:
-            joint[g].append((base.letters, _order_divides(n, gcd(exp, span))))
+            joint[g].append((base.letters, divides(exp)))
     steps = []
     for g, exp in enumerate(alone):
-        allowed = _order_divides(n, gcd(exp, span))
-        choices = np.flatnonzero(allowed & _symmetric_tables(n).class_rep if g == 0 else allowed)
+        allowed = divides(exp)
+        choices = np.flatnonzero(allowed & t.class_rep if g == 0 else allowed)
         choices.flags.writeable = False
         steps.append((choices, tuple(joint[g])))
     return tuple(steps)
@@ -142,20 +141,20 @@ def brute_force_classes(presentation: Presentation, n: int) -> BruteForceCounts:
     point-1 stabilizer of S_n, i.e. index-n subgroups counted plainly.
 
     Nothing of size (n!)^k is built.  A relator (base, exp) holds when the
-    base's order divides exp, which _order_divides(n, exp) holds as a
-    column over S_n, built on first use and then shared by every call.  A
-    relator in one generator only restricts that generator's range: its
-    base is g^m or g^-m, whose order divides exp exactly when g's order
-    divides m * exp (P^2 leaves P 26 of the 120 elements of S_5), and
-    several such relators restrict it to the gcd of those products.  The
-    generators are then placed in order, each joined to the rows that
-    survive so far, and a relator is tested as soon as its last generator
-    is placed, so it only sees rows that every earlier relator kept.  Its
-    fold starts from its first letter's images, and the join's mask is the
-    first such relator's result, the later ones ANDed into it in place.
-    Which relators are tested where, each generator's range and the
-    columns they read are worked out once per presentation and degree
-    (_recount_rows).
+    base's order divides exp, read from a column over S_n that is True
+    where the element's order divides exp.  A relator in one generator
+    only restricts that generator's range: its base is g^m or g^-m, whose
+    order divides exp exactly when g's order divides m * exp (P^2 leaves
+    P 26 of the 120 elements of S_5), and several such relators restrict
+    it to the gcd of those products.  The generators are then placed in
+    order, each joined to the rows that survive so far, and a relator is
+    tested as soon as its last generator is placed, so it only sees rows
+    that every earlier relator kept.  Its fold starts from its first
+    letter's images, and the join's mask is the first such relator's
+    result, the later ones ANDed into it in place.  Which relators are
+    tested where, each generator's range and the columns they read are
+    worked out once per presentation and degree (_recount_rows), each
+    exponent reduced to gcd(exp, lcm(1..n)) first.
 
     Generator 0 takes only the least element of each conjugacy class in its
     range.  Every relator placed there is a word in

@@ -5,7 +5,7 @@ import itertools
 import warnings
 from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import numpy as np
 import pytest
@@ -18,11 +18,11 @@ from tetgroups import (MAX_DEGREE, Assignment, CoxeterSymbol, Perm,
                        conjugate_assignment, count_distinct_subgroups,
                        enumerate_candidates, enumerate_classes, evaluate_word,
                        is_transitive, kleinian_presentation, presentation_for,
-                       verify_class)
+                       verify_class, word_order)
 from tetgroups import enumerator
 from tetgroups.enumerator import (_contains_alternating, _search, _search_rows, order_masks,
                                   perm_tables)
-from tetgroups.oracle import _order_divides, _recount_rows, _symmetric_tables, brute_force_classes
+from tetgroups.oracle import _recount_rows, _symmetric_tables, brute_force_classes
 
 from conftest import T10, random_presentations
 
@@ -203,8 +203,8 @@ def test_two_cuts_on_one_generator_match_the_product_space():
         assert _search_rows(pres, n)[0] == (order_two, (), (), ())
         assert _search_rows(pres, n)[1] == (everything, (), (), ())
         (a_choices, a_joint), (b_choices, b_joint), _ = _recount_rows(pres, n)
-        assert a_choices.tolist() == np.flatnonzero(
-            _order_divides(n, 2) & _symmetric_tables(n).class_rep).tolist()
+        t = _symmetric_tables(n)
+        assert a_choices.tolist() == np.flatnonzero((2 % t.order == 0) & t.class_rep).tolist()
         assert b_choices.tolist() == list(range(factorial(n)))
         assert a_joint == b_joint == ()
         expected = [x for x in product_space(pres, n) if satisfies_relators(pres, x)]
@@ -212,6 +212,37 @@ def test_two_cuts_on_one_generator_match_the_product_space():
         reps = [x for x in expected if is_transitive(x)]
         assert [x.key() for x in enumerate_candidates(pres, n)] == [x.key() for x in reps]
         assert tuple(brute_force_classes(pres, n)) == product_space_counts(reps, n)
+
+
+def test_exponents_past_the_degree_and_64_bits_count_as_their_reduction():
+    # A hand-built presentation takes any int exponent: here two of 2^64
+    # and more, which numpy cannot hold, and the prime 61, which makes
+    # [a, b] trivial at every degree here.  An order in S_n divides exp
+    # exactly when it divides gcd(exp, lcm(1..n)), so every count equals
+    # that of the copy with each exponent so reduced.  The reference tests
+    # a relator by its base's order and never writes it out k times.
+    a, b, c = (Word.gen(i) for i in range(3))
+    wide, wider = 2 ** 64 * 7, 2 ** 70 + 12
+    pres = Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b", "c"),
+                        ((a, wider), (b, wide), (a * b * ~a * ~b, 61), (c * a, wider),
+                         (b * c, 2 ** 64 * 3)))
+    for n in (3, 4, 5):
+        span = lcm(*range(1, n + 1))
+        reduced = dataclasses.replace(pres, relator_powers=tuple(
+            (base, gcd(k, span)) for base, k in pres.relator_powers))
+        triples = []
+        for p in (pres, reduced):
+            classes = enumerate_classes(p, n)
+            labeled = sum(cls.labeled_orbit_size for cls in classes)
+            triples.append((labeled, len(classes), labeled // factorial(n - 1)))
+            assert all(verify_class(cls.rep) is True for cls in classes)
+        counts = tuple(brute_force_classes(pres, n))
+        assert counts == tuple(brute_force_classes(reduced, n)) == triples[0] == triples[1]
+        if n <= 4:
+            reps = [x for x in product_space(pres, n)
+                    if all(k % word_order(base, x) == 0 for base, k in pres.relator_powers)
+                    and is_transitive(x)]
+            assert counts == product_space_counts(reps, n)
 
 
 def test_each_plan_is_built_once_per_presentation(t10_full):
@@ -243,7 +274,6 @@ def test_order_tables_are_keyed_by_the_reduced_exponent():
     # 60 = lcm(1..6), so exponents 7..100 share the tables of 60's twelve
     # divisors, and each method's rows are those of the reduced exponent.
     order_masks.cache_clear()
-    _order_divides.cache_clear()
     for exp in range(7, 101):
         pres = kleinian_presentation(CoxeterSymbol(exp, 3, 3, 2, 2, 2))
         (a, _), *rest = pres.relator_powers
@@ -256,7 +286,6 @@ def test_order_tables_are_keyed_by_the_reduced_exponent():
             assert [(letters, column.tolist()) for letters, column in joint] == [
                 (letters, column.tolist()) for letters, column in want_joint], exp
     assert order_masks.cache_info().currsize <= 12
-    assert _order_divides.cache_info().currsize <= 12
 
 
 def test_a_plan_that_drops_a_relator_is_caught(t10_full, monkeypatch):

@@ -85,12 +85,11 @@ def test_full_sweep_builds_the_search_tables_before_the_first_cell(monkeypatch, 
     # The one-time table builds, the enumerator's and the recount's, are
     # timed on their own, at the end of the summary line, and not in the
     # first index-6 enumerate_classes or brute_force_classes column: the
-    # tables of each degree, the columns of each exponent, and each
-    # method's rows for both presentations at every degree.  Each group's
-    # relators on one generator have an exponent that its other relators
-    # use too, so the recount's columns number the exponents.  Both methods
-    # look an exponent up as gcd(exp, lcm(1..n)), so at a low degree some
-    # exponents share a table.
+    # tables of each degree, the search's order rows of each exponent, and
+    # each method's rows for both presentations at every degree, the
+    # recount's order columns among them.  The search looks an exponent up
+    # as gcd(exp, lcm(1..n)), so at a low degree some exponents share a
+    # table.
     script = load_script("run_full_sweep")
     entry = script.catalog()[0]
     monkeypatch.setattr(script, "catalog", lambda: (entry,))
@@ -101,7 +100,7 @@ def test_full_sweep_builds_the_search_tables_before_the_first_cell(monkeypatch, 
                for n in range(1, degrees + 1))
     enumerator = tetgroups.enumerator
     caches = {enumerator.perm_tables: degrees, oracle._symmetric_tables: degrees,
-              enumerator.order_masks: keys, oracle._order_divides: keys,
+              enumerator.order_masks: keys,
               enumerator._search_rows: 2 * degrees, oracle._recount_rows: 2 * degrees}
     for cache in caches:
         cache.cache_clear()
