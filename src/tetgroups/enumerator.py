@@ -202,7 +202,7 @@ def orderly_mask(n: int, stab: int) -> int:
 
 class _ImageType:
     """SubgroupClass.image_type: a name given to the constructor, or one
-    computed from the rep on first read and kept.
+    computed from the rep by classify_image on first read and kept.
 
     A dataclass reads a descriptor field's default from __get__ on the class
     (None here: name on read) and sets the field through __set__, so the
@@ -214,9 +214,7 @@ class _ImageType:
             return None
         name = instance.__dict__["image_type"]
         if name is None:
-            n = instance.index
-            name = _image_type(_indices(instance.rep.assignment, n), n, transitive=True)
-            instance.__dict__["image_type"] = name
+            name = instance.__dict__["image_type"] = classify_image(instance.rep.assignment)
         return name
 
     def __set__(self, instance: SubgroupClass, name: str | None) -> None:
@@ -230,9 +228,9 @@ class SubgroupClass:
     rep is the canonical (lexicographically least) representative of the
     S_n-conjugation orbit; labeled_orbit_size is the orbit's size, i.e. the
     number of labeled transitive homomorphisms in the class.  image_type
-    names the rep's image in S_n (classify_image); enumerate_classes leaves
-    it to be computed on first read, so a caller that only counts names
-    nothing.
+    names the rep's image in S_n; enumerate_classes leaves it to be
+    computed on first read, by classify_image like any other assignment, so
+    a caller that only counts names nothing.
 
     enumerate_classes, which knows each index is its rep's degree, builds
     its classes through _unchecked, as reps are built through
@@ -455,20 +453,27 @@ def _contains_alternating(combo: Sequence[int], tables: PermTables) -> bool:
         jordan[x] for x in chain(combo, (comp[a][b] for a, b in combinations(combo, 2))))
 
 
-def _image_type(combo: Sequence[int], n: int, transitive: bool) -> str:
-    """classify_image on indices of all_perms(n), told whether the image is
-    transitive.
+def classify_image(assignment: Assignment) -> str:
+    """Name the subgroup of S_n generated by the images.
+
+    Degrees up to 4 get the usual names (1, S2, Z3, S3, V, Z4, D4, A4, S4);
+    past that the label just records the order.  Any assignment is named,
+    its images read as indices of all_perms(n) (perm_tables(n).index).
 
     An image that contains A_n is A_n or S_n, n!/2 or n! by the generators'
-    parity.  At degree 5 and up a transitive image is tested for that by
-    Jordan's theorem (_contains_alternating).  Otherwise the image is closed
-    breadth first from the generators, and at degrees up to 4 its elements
-    tell Z4 from V.  At degree 5 and up, A_n and S_n are the only subgroups
-    of index below n (Dixon-Mortimer, sec. 5.2), so the closure stops once
-    it has listed more than (n-1)! elements: the image contains A_n.
+    parity.  At degree 5 and up the image is tested for transitivity
+    (_is_transitive) and, when transitive, for containing A_n by Jordan's
+    theorem (_contains_alternating).  Otherwise the image is closed breadth first
+    from the generators, and at degrees up to 4 its elements tell Z4 from
+    V.  At degree 5 and up, A_n and S_n are the only subgroups of index
+    below n (Dixon-Mortimer, sec. 5.2), so the closure stops once it has
+    listed more than (n-1)! elements: the image contains A_n.
     """
-    tables = perm_tables(n)
-    alternating = n >= 5 and transitive and _contains_alternating(combo, tables)
+    n = assignment.degree
+    tables = perm_tables(n)  # refuses a degree outside 1..MAX_DEGREE
+    combo = [tables.index[p.images] for p in assignment.perms]
+    alternating = (n >= 5 and _is_transitive(combo, n)
+                   and _contains_alternating(combo, tables))
     if not alternating:
         rows = [tables.comp[x] for x in combo]
         most = factorial(n - 1) if n >= 5 else factorial(n)
@@ -494,26 +499,6 @@ def _image_type(combo: Sequence[int], n: int, transitive: bool) -> str:
     return f"G{size}"
 
 
-def _indices(assignment: Assignment, n: int) -> list[int]:
-    """The indices in all_perms(n) of a degree-n assignment's images."""
-    index = perm_tables(n).index
-    return [index[p.images] for p in assignment.perms]
-
-
-def classify_image(assignment: Assignment) -> str:
-    """Name the subgroup of S_n generated by the images.
-
-    Degrees up to 4 get the usual names (1, S2, Z3, S3, V, Z4, D4, A4, S4);
-    past that the label just records the order.  Any assignment is named:
-    Jordan's theorem, which names most transitive images of degree 5 and up
-    without listing them, is only tried on a transitive one, and every
-    other image is listed from its generators.
-    """
-    n = assignment.degree
-    combo = _indices(assignment, n)
-    return _image_type(combo, n, _is_transitive(combo, n))
-
-
 def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]:
     """Conjugacy classes of index-n subgroups, sorted by canonical rep.
 
@@ -523,10 +508,10 @@ def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]
     relator's base folds to an element whose order divides the exponent,
     and the generators' cycle partitions join to one block.  A combo that
     fails raises RuntimeError.  No image is named here: a class's
-    image_type is computed when it is first read, from the rep's indices
-    (_image_type, told the rep is transitive), by Jordan's theorem where it
-    applies.  Each rep and class is built through its _unchecked
-    constructor, since these checks are the ones its own would make.
+    image_type is computed when it is first read, by classify_image, which
+    at index 5 and up tests transitivity again itself.  Each rep and class
+    is built through its _unchecked constructor, since these checks are the
+    ones its own would make.
     """
     perms = all_perms(n)  # refuses an index outside 1..MAX_DEGREE
     tables = perm_tables(n)

@@ -45,10 +45,6 @@ class Perm:
                 or sorted(images) != list(range(1, n + 1))):
             raise ValueError(f"not a permutation of 1..{n} in ints: {images}")
 
-    @staticmethod
-    def identity(n: int) -> "Perm":
-        return Perm(tuple(range(1, n + 1)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -66,9 +62,6 @@ class Perm:
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
         return Perm(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(j == i + 1 for i, j in enumerate(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles of length >= 2, each starting at its least point."""

@@ -66,10 +66,6 @@ class Word:
     def gen(index: int, sign: int = 1) -> "Word":
         return Word(((index, sign),))
 
-    @staticmethod
-    def empty() -> "Word":
-        return Word._unchecked(())
-
     def __len__(self) -> int:
         return len(self.letters)
 

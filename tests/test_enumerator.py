@@ -49,7 +49,7 @@ def product_space(pres, n):
 
 
 def satisfies_relators(pres, a):
-    return all(evaluate_word(Word(base.letters * k), a).is_identity()
+    return all(not evaluate_word(Word(base.letters * k), a).cycles()
                for base, k in pres.relator_powers)
 
 
@@ -63,7 +63,7 @@ def test_transitive_rep_validation(t10_full):
         TransitiveRep(t10_full, asg("PQRS", [(1, 2)], [], [], [(1, 2)]))
     with pytest.raises(ValueError, match="transitive"):
         TransitiveRep(t10_full, Assignment(("P", "Q", "R", "S"),
-                                           (Perm.identity(2),) * 4))
+                                           (Perm(tuple(range(1, 3))),) * 4))
     # degree 0 has no point 1, so no orbit: refused, not an IndexError
     with pytest.raises(ValueError, match="transitive"):
         TransitiveRep(t10_full, Assignment(("P", "Q", "R", "S"), (Perm(()),) * 4))
@@ -74,7 +74,7 @@ def test_candidate_stages_nest(t10_full):
     filtered = [a for a in raw if satisfies_relators(t10_full, a)]
     transitive = enumerate_candidates(t10_full, 2)
     assert len(raw) == 16
-    assert sum(not all(p.is_identity() for p in a.perms) for a in raw) == 15
+    assert sum(any(p.cycles() for p in a.perms) for a in raw) == 15
     # the three sixfold relators force P = Q = R, leaving S free
     assert len(filtered) == 4
     assert len(transitive) == 3
@@ -543,6 +543,16 @@ def test_classify_image_tries_jordan_only_on_a_transitive_image():
     assert classify_image(asg("gh", [(1, 2)], [(3, 4, 5, 6)])) == "G8"
 
 
+def test_classify_image_refuses_a_degree_past_the_tables_at_once():
+    # perm_tables bounds the degree a name is read at, so a degree-7 image
+    # fails with all_perms' message before any table is built
+    built = perm_tables.cache_info().currsize
+    with pytest.raises(ValueError,
+                       match=r"between 1 and 6 \(the enumerator's index limit\), got 7"):
+        classify_image(asg("gh", [(1, 2, 3, 4, 5, 6, 7)], [(1, 2)]))
+    assert perm_tables.cache_info().currsize == built
+
+
 def closure_order(combo, n):
     """The order of the group the indices generate, listed breadth first."""
     comp = perm_tables(n).comp
@@ -629,9 +639,10 @@ def test_trusted_classes_match_checked_ones():
 
 
 def test_enumerate_classes_tests_transitivity_once_per_class(monkeypatch):
-    # enumerate_classes' own check tests each combo once; a name read later
-    # is computed with _image_type told the rep is transitive, so the Jordan
-    # path at index 5 does not test it again
+    # enumerate_classes' own check tests each combo once.  A name read later
+    # comes from classify_image, which names any assignment and so tests
+    # transitivity itself before it tries Jordan's theorem: once per name at
+    # index 5, and not at all at index 4, where Jordan is not tried
     calls = []
     is_transitive_ = enumerator._is_transitive
 
@@ -642,18 +653,25 @@ def test_enumerate_classes_tests_transitivity_once_per_class(monkeypatch):
     monkeypatch.setattr(enumerator, "_is_transitive", counting)
     classes = enumerate_classes(presentation_for(catalog_by_id("t31").symbol, "kleinian"), 5)
     assert len(classes) == 12
+    assert len(calls) == len(classes)
     assert {c.image_type for c in classes} == {"G20", "G120"}
+    assert len(calls) == 2 * len(classes)
+    calls.clear()
+    classes = enumerate_classes(presentation_for(T10, "full"), 4)
+    assert len(classes) == 2
+    assert len(calls) == len(classes)
+    assert [c.image_type for c in classes] == ["S4", "V"]
     assert len(calls) == len(classes)
 
 
 def test_image_types_are_named_when_read(monkeypatch):
-    def refuse(combo, n, transitive):
+    def refuse(assignment):
         raise AssertionError("an image was named")
 
     t31 = presentation_for(catalog_by_id("t31").symbol, "kleinian")
     t10 = presentation_for(T10, "full")
     with monkeypatch.context() as patch:
-        patch.setattr(enumerator, "_image_type", refuse)
+        patch.setattr(enumerator, "classify_image", refuse)
         cells = [enumerate_classes(t31, 5), enumerate_classes(t10, 4)]
         assert [len(classes) for classes in cells] == [12, 2]
         assert [sum(c.labeled_orbit_size for c in classes) for classes in cells] == [1440, 30]
@@ -665,7 +683,7 @@ def test_image_types_are_named_when_read(monkeypatch):
         ["S4", "V"]]
     named = cells[1][1]
     with monkeypatch.context() as patch:
-        patch.setattr(enumerator, "_image_type", refuse)
+        patch.setattr(enumerator, "classify_image", refuse)
         stored = SubgroupClass(rep=named.rep, index=4, labeled_orbit_size=24, image_type="X")
         assert stored.image_type == "X"
         moved = dataclasses.replace(named, labeled_orbit_size=7)

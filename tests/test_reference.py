@@ -35,7 +35,7 @@ def test_degree2_pair_columns_are_the_pair_products():
     # the printed pair columns follow from the assignment alone
     pres = presentation_for(CoxeterSymbol(2, 2, 2, 2, 2, 2), "full")
     for row in DEGREE2_ROWS:
-        perms = tuple(Perm((2, 1)) if name in row.moved else Perm.identity(2)
+        perms = tuple(Perm((2, 1)) if name in row.moved else Perm(tuple(range(1, 3)))
                       for name in NAMES)
         assignment = Assignment(NAMES, perms)
         derived = tuple(evaluate_word(base, assignment).cycle_string()

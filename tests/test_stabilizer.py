@@ -23,7 +23,7 @@ NAMES = ("P", "Q", "R", "S")
 
 
 def rep_with_moved(pres, moved):
-    perms = tuple(Perm((2, 1)) if name in moved else Perm.identity(2)
+    perms = tuple(Perm((2, 1)) if name in moved else Perm(tuple(range(1, 3)))
                   for name in NAMES)
     return TransitiveRep(pres, Assignment(NAMES, perms))
 
@@ -110,7 +110,7 @@ def test_transversal_words_are_shortest_then_lex_least(t10_kleinian):
     for cls in enumerate_classes(t10_kleinian, 4):
         table = build_coset_table(cls.rep)
         firsts = {}
-        queue = [(Word.empty(), 1)]
+        queue = [(Word(), 1)]
         while len(firsts) < 4:
             next_queue = []
             for prefix, point in queue:

@@ -1,6 +1,6 @@
 """The package's surface is what the CLI, the scripts and the benchmark
-use: every module-level function and constant in src/tetgroups has a
-reader there."""
+use: every module-level function and constant in src/tetgroups, and every
+method and property of its classes, has a reader there."""
 
 import ast
 from pathlib import Path
@@ -11,45 +11,60 @@ PACKAGE = ROOT / "src" / "tetgroups"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def members(top):
+    """(j, node) for each statement j of a class body and (None, node) for
+    the class's decorators and bases, or (None, top) for any other
+    top-level statement."""
+    if not isinstance(top, ast.ClassDef):
+        return [(None, top)]
+    return ([(None, node) for node in top.decorator_list + top.bases + top.keywords]
+            + list(enumerate(top.body)))
+
+
 def references(path, strings):
     """(owner, name) for each name, attribute and imported name in a file,
-    and each string constant when strings is set; owner is (path, i) for
-    the file's i-th top-level statement, the one the reference sits in."""
+    and each string constant when strings is set; owner is (path, i, j) for
+    the file's i-th top-level statement, the one the reference sits in, and
+    j the statement of its body it sits in when that is a class (else
+    None)."""
     refs = set()
     for at, top in enumerate(ast.parse(path.read_text()).body):
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                refs.add(((path, at), node.id))
-            elif isinstance(node, ast.Attribute):
-                refs.add(((path, at), node.attr))
-            elif isinstance(node, ast.ImportFrom):
-                refs |= {((path, at), alias.name) for alias in node.names}
-            elif (strings and isinstance(node, ast.Constant)
-                  and isinstance(node.value, str)):
-                refs.add(((path, at), node.value))
+        for j, member in members(top):
+            for node in ast.walk(member):
+                if isinstance(node, ast.Name):
+                    refs.add(((path, at, j), node.id))
+                elif isinstance(node, ast.Attribute):
+                    refs.add(((path, at, j), node.attr))
+                elif isinstance(node, ast.ImportFrom):
+                    refs |= {((path, at, j), alias.name) for alias in node.names}
+                elif (strings and isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    refs.add(((path, at, j), node.value))
     return refs
 
 
 def unreferenced(defines):
     """The names that defines(top) gives for some top-level statement of a
-    package module and that nothing outside that statement refers to in
-    src/tetgroups, scripts/ or perfbench/.  perfbench/tracing.py names the
-    functions it wraps as strings, so perfbench's strings count."""
+    package module, as (j, name) with j the class body statement that
+    defines name (None for the top-level statement itself), and that
+    nothing outside that statement refers to in src/tetgroups, scripts/ or
+    perfbench/.  perfbench/tracing.py names the functions it wraps as
+    strings, so perfbench's strings count."""
     refs = set()
     for path in MODULES + sorted((ROOT / "scripts").glob("*.py")):
         refs |= references(path, strings=False)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         refs |= references(path, strings=True)
-    defined = [((path, at), name) for path in MODULES
+    defined = [((path, at, j), name) for path in MODULES
                for at, top in enumerate(ast.parse(path.read_text()).body)
-               for name in defines(top)]
+               for j, name in defines(top)]
     return [name for where, name in defined
             if not any(ref == name and owner != where for owner, ref in refs)]
 
 
 def test_every_package_function_is_referenced_outside_the_tests():
     def functions(top):
-        return [top.name] if isinstance(top, ast.FunctionDef) else []
+        return [(None, top.name)] if isinstance(top, ast.FunctionDef) else []
 
     unread = unreferenced(functions)
     assert unread == [], f"only the tests call {unread}"
@@ -61,9 +76,22 @@ def test_every_package_constant_is_read_outside_the_tests():
         if not isinstance(top, (ast.Assign, ast.AnnAssign)):
             return []
         targets = top.targets if isinstance(top, ast.Assign) else [top.target]
-        return [node.id for target in targets for node in ast.walk(target)
+        return [(None, node.id) for target in targets for node in ast.walk(target)
                 if isinstance(node, ast.Name)
                 and not (node.id.startswith("__") and node.id.endswith("__"))]
 
     unread = unreferenced(constants)
     assert unread == [], f"only the tests read {unread}"
+
+
+def test_every_package_method_is_referenced_outside_its_definition():
+    def methods(top):
+        """Each non-dunder method and property a class body defines."""
+        if not isinstance(top, ast.ClassDef):
+            return []
+        return [(j, member.name) for j, member in enumerate(top.body)
+                if isinstance(member, ast.FunctionDef)
+                and not (member.name.startswith("__") and member.name.endswith("__"))]
+
+    unread = unreferenced(methods)
+    assert unread == [], f"only the tests call {unread}"

@@ -39,7 +39,7 @@ def reference_render(word: Word, names) -> str:
 
 
 def test_empty_word_basics():
-    w = Word.empty()
+    w = Word()
     assert len(w) == 0
     assert w.is_empty()
     assert w.render(NAMES) == ""
@@ -76,7 +76,7 @@ def test_bad_sign_rejected():
 
 
 def test_constructor_checks_and_reduces():
-    assert Word(((0, 1), (0, -1))) == Word.empty()
+    assert Word(((0, 1), (0, -1))) == Word()
     assert Word([(1, 1), (2, -1), (2, 1)]).letters == ((1, 1),)
     with pytest.raises(ValueError):
         Word(((-1, 1),))
@@ -130,7 +130,7 @@ def test_word_times_inverse_is_empty(w):
 
 
 @given(runs)
-@example(Word.empty())
+@example(Word())
 @example(Word(((0, 1), (0, 1), (0, -1), (1, -1), (1, -1), (1, -1), (1, 1))))
 def test_render_matches_the_reference(w):
     assert w.render(NAMES) == reference_render(w, NAMES)
