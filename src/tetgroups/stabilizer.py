@@ -9,9 +9,8 @@ generator attached to coset i and generator g is
 which fixes point 1 by construction, and the tree edges used to build the
 transversal give the trivial word.  These words generate L.
 
-todd_coxeter independently confirms that a claimed stabilizer really has
-the claimed index, by coset enumeration over the presentation; verify_class
-runs its enumeration on a class's raw Schreier words, as schreier_scans
+todd_coxeter confirms a claimed stabilizer's index by coset enumeration;
+verify_class runs it on a class's raw Schreier words, as schreier_scans
 writes them.  Each presentation is read once, by _coset_layout, and
 nothing here imports the enumerator or numpy.
 """
@@ -72,14 +71,10 @@ def _transversal(perms: Sequence[Perm], ahead: Sequence[T],
                  back: Sequence[T]) -> tuple[list[tuple[T, ...]], list[tuple[T, ...]]]:
     """The transversal words t_i, each spelled two ways, by point (t_i at
     i - 1): forward[j] is forward[i] then ahead[g], and backward[j] is
-    back[g] then backward[i], for the tree edge t_j = g t_i.  t_1 is
-    empty.
-
-    Breadth-first, new words by prepending a generator: t_j = g t_i gives
-    evaluate(t_j)(1) = g(t_i(1)) = g(i) = j.  Scanning generators in the
-    outer loop makes each level come out in word order, so the first word
-    reaching a point is its lexicographic minimum among shortest positive
-    words.
+    back[g] then backward[i], for the tree edge t_j = g t_i (so
+    t_j(1) = g(i) = j).  t_1 is empty.  Breadth-first, generators in the
+    outer loop, so each level comes out in word order and the first word
+    reaching a point is its least among shortest positive words.
     """
     forward: list[tuple[T, ...] | None] = [None] * len(perms[0].images)
     backward: list[tuple[T, ...]] = [()] * len(forward)
@@ -104,17 +99,22 @@ class CosetLayout(NamedTuple):
 
     of_letter maps each letter (g, +1 or -1) to its column: one
     self-inverse column per involution, a pair (g, g^-1) per other
-    generator.  inverse[x] is the column of x's inverse.  powers lists
-    each relator base^k but an involution's square, which holds in every
-    table, as (its base's columns, rightmost letter first, k), so the
-    layout does not grow with the exponents.  letter_of[x] is column x's
-    letter, (g, +1) for an involution's, and inverse_letter each letter's
-    inverse in that form.  braid_rules map xyx to y and yxy to x for each
-    relator (xy)^2 with x, y distinct involutions.
+    generator; inverse[x] is the column of x's inverse.  ahead[g] and
+    back[g] are g's and g^-1's columns, a transversal letter's two
+    spellings, and steps[g] is (back[g], ahead[g], whether they are one).
+    powers lists each relator base^k but an involution's square, which
+    holds in every table, as (its base's columns, rightmost letter first,
+    k), so the layout does not grow with the exponents.  letter_of[x] is
+    column x's letter, (g, +1) for an involution's, and inverse_letter each
+    letter's inverse in that form.  braid_rules map xyx to y and yxy to x
+    for each relator (xy)^2 with x, y distinct involutions.
     """
 
     of_letter: dict[Letter, int]
     inverse: tuple[int, ...]
+    ahead: tuple[int, ...]
+    back: tuple[int, ...]
+    steps: tuple[tuple[int, int, bool], ...]
     powers: tuple[tuple[tuple[int, ...], int], ...]
     letter_of: tuple[Letter, ...]
     inverse_letter: dict[Letter, Letter]
@@ -138,6 +138,9 @@ def _coset_layout(presentation: Presentation) -> CosetLayout:
             of_letter[(g, 1)], of_letter[(g, -1)] = col, col + 1
             inverse += [col + 1, col]
             letter_of += [(g, 1), (g, -1)]
+    ahead = tuple(of_letter[(g, 1)] for g in range(len(presentation.generator_names)))
+    back = tuple(map(inverse.__getitem__, ahead))
+    steps = tuple((x, y, x == y) for x, y in zip(back, ahead))
     powers, braid_rules = [], {}
     for base, k in presentation.relator_powers:
         if len(base) == 1 and k == 2:
@@ -149,8 +152,8 @@ def _coset_layout(presentation: Presentation) -> CosetLayout:
                 braid_rules[(x, y, x)] = y
                 braid_rules[(y, x, y)] = x
     inverse_letter = {letter: letter_of[inverse[x]] for letter, x in of_letter.items()}
-    return CosetLayout(of_letter, tuple(inverse), tuple(powers), tuple(letter_of),
-                       inverse_letter, braid_rules)
+    return CosetLayout(of_letter, tuple(inverse), ahead, back, steps, tuple(powers),
+                       tuple(letter_of), inverse_letter, braid_rules)
 
 
 def build_coset_table(rep: TransitiveRep) -> CosetTable:
@@ -162,12 +165,10 @@ def build_coset_table(rep: TransitiveRep) -> CosetTable:
 class StabilizerGens:
     """Schreier generators before and after rewriting.
 
-    words: the letter view of schreier_scans, one word per non-tree table
-    entry, involution-normalized, with later duplicates of an earlier word
-    or its inverse dropped.
-    simplified: the same list pushed through simplify_word and deduplicated
-    again; the words themselves when no braid rule fires on them.  Both
-    lists generate the stabilizer of point 1.
+    words: schreier_scans as letters, one word per non-tree table entry,
+    with later repeats of a word or its inverse dropped.  simplified: the
+    same through simplify_word and deduplicated again (the words themselves
+    when no braid rule fires).  Both generate the stabilizer of point 1.
     """
 
     words: tuple[Word, ...]
@@ -189,11 +190,9 @@ def raw_schreier_words(table: CosetTable) -> list[Word]:
 def _dedup(words: Iterable[tuple[Letter, ...]],
            inverse_letter: dict[Letter, Letter]) -> tuple[Word, ...]:
     """Drop the empty words and later repeats of a word or its inverse,
-    given as letter tuples reduced with the presentation's involutions.
-
-    A reduced word's inverse is reduced too, so it is written down
-    directly: letters reversed, each through inverse_letter, which flips
-    signs except on involutions, kept at +1 by reduction."""
+    given as letter tuples reduced with the presentation's involutions, so
+    each inverse is written down directly: letters reversed, each through
+    inverse_letter."""
     inverse = inverse_letter.__getitem__
     kept: list[Word] = []
     seen: set[tuple] = set()
@@ -208,40 +207,36 @@ def _dedup(words: Iterable[tuple[Letter, ...]],
 
 def schreier_scans(rep: TransitiveRep) -> list[tuple[int, ...]]:
     """The Schreier words t_i^-1 g^-1 t_{g(i)} as Todd-Coxeter scans: the
-    columns (CosetLayout.of_letter) of their letters, rightmost
-    first, in (i, g) order, without the empty ones and later repeats of a
-    scan or its inverse.  No column x sits next to inverse[x]: free
-    reduction that also cancels g g for an involution g, whose one column
-    is its own inverse.  Read back as letters they are
-    StabilizerGens.words.
+    columns (CosetLayout.of_letter) of their letters, rightmost first, in
+    (i, g) order, without the empty ones and later repeats of a scan or its
+    inverse.  No column x sits next to inverse[x].  Read back as letters
+    they are StabilizerGens.words.
 
-    The transversal is CosetTable.transversal's, written in columns by
-    _transversal: forward[i] holds t_i's columns in the order they act,
-    and backward[i] t_i^-1's.  A scan is forward[g(i)], x = g^-1's column
-    and backward[i], joined as they are.  forward[i] is reduced (positive
-    columns, and an involution's column twice in a row would make a point
-    its own grandparent), so a scan can only cancel at a join, and a join
-    cancels only when (i, g) is a tree edge, or the reverse of one through
-    a self-inverse column: then the whole scan cancels.  Any other scan
-    walks from coset 1 to g(i), across one edge outside the tree to i and
-    home, so two scans are equal or mutually inverse only when they cross
-    the same edge: an involution's (i, g) and (g(i), g), of which the one
-    with g(i) < i comes second.
+    _transversal writes the transversal in the layout's columns, ahead and
+    back: forward[i] is t_i's columns in the order they act, backward[i]
+    t_i^-1's.  A scan is forward[g(i)], x = g^-1's column (CosetLayout.steps)
+    and backward[i], joined as they are; backward[i]'s first column is read
+    once per i, and nothing per presentation is rebuilt.  forward[i] is
+    reduced (positive columns, and an involution's column twice in a row
+    would make a point its own grandparent), so a scan can cancel only at a
+    join, and only all of it, when (i, g) is a tree edge or the reverse of
+    one through a self-inverse column.  Any other scan crosses one edge
+    outside the tree, so two scans are equal or mutually inverse only when
+    they cross the same edge: an involution's (i, g) and (g(i), g), of
+    which the one with g(i) < i comes second.
     """
     layout = _coset_layout(rep.presentation)
-    of_letter, inverse = layout.of_letter, layout.inverse
     perms = rep.assignment.perms
-    columns = [of_letter[(g, 1)] for g in range(len(perms))]
-    forward, backward = _transversal(perms, columns, [inverse[x] for x in columns])
-    steps = [(of_letter[(g, -1)], perm.images) for g, perm in enumerate(perms)]
+    forward, backward = _transversal(perms, layout.ahead, layout.back)
+    steps = [step + (perm.images,) for step, perm in zip(layout.steps, perms)]
     scans: list[tuple[int, ...]] = []
     for i, t_i_inverse in enumerate(backward):
-        for x, images in steps:
-            t_gi = forward[images[i] - 1]
-            x_inverse = inverse[x]
-            if ((t_gi and t_gi[-1] == x_inverse)
-                    or (t_i_inverse and t_i_inverse[0] == x_inverse)
-                    or (x == x_inverse and images[i] - 1 < i)):
+        first = t_i_inverse[0] if t_i_inverse else -1
+        for x, x_inverse, involution, images in steps:
+            gi = images[i] - 1
+            t_gi = forward[gi]
+            if (first == x_inverse or (t_gi and t_gi[-1] == x_inverse)
+                    or (involution and gi < i)):
                 continue
             scans.append(t_gi + (x,) + t_i_inverse)
     return scans
@@ -249,12 +244,10 @@ def schreier_scans(rep: TransitiveRep) -> list[tuple[int, ...]]:
 
 def schreier_generators(table: CosetTable) -> StabilizerGens:
     """The Schreier words and their simplified forms.  The words are
-    schreier_scans read back left to right as letters, an involution's
-    with sign +1, so they are reduced with the involutions already and go
-    straight to simplify_word's braid rewriting.  When no braid rule fires
-    on any of them, the simplified words are the words themselves:
-    schreier_scans has already dropped the empty scans and later repeats
-    of a scan or its inverse, so _dedup would keep every word as it is."""
+    schreier_scans read back as letters, an involution's with sign +1, so
+    reduced already, and go straight to simplify_word's braid rewriting.
+    When no rule fires on any, the simplified words are the words: the
+    scans have no empty or repeated word, so _dedup would keep them all."""
     pres = table.rep.presentation
     layout = _coset_layout(pres)
     letter = layout.letter_of.__getitem__
@@ -269,10 +262,9 @@ def schreier_generators(table: CosetTable) -> StabilizerGens:
 def simplify_word(word: Word, presentation: Presentation) -> Word:
     """Shorten a word without changing the group element it names.
 
-    Rules, applied at the leftmost match until none fires: involution-aware
-    free reduction, and the braid rules (CosetLayout.braid_rules: xyx -> y
-    and yxy -> x for each relator (xy)^2 with x, y involutions).  Never
-    lengthens, and a second pass is a no-op.
+    Involution-aware free reduction, then the braid rules
+    (CosetLayout.braid_rules) at the leftmost match until none fires.
+    Never lengthens, and a second pass is a no-op.
     """
     involutions = presentation.involutions
     return Word._unchecked(_braid_rewrite(reduce_letters(word.letters, involutions),
@@ -284,11 +276,10 @@ def _braid_rewrite(letters: tuple[Letter, ...], rules: dict[tuple[int, int, int]
                    involutions: frozenset[int]) -> tuple[Letter, ...]:
     """simplify_word on letters already reduced with the involutions: the
     leftmost braid rule fires and the result is reduced again, until no
-    rule matches.  With no braid rules it returns at once."""
+    rule matches.  Reduction gives each involution letter the sign +1, so
+    a window of rule letters needs no sign check."""
     if not rules:
         return letters
-    # Reduction gives every involution letter the sign +1, so a window of
-    # rule letters never needs its signs checked.
     while True:
         for pos in range(len(letters) - 2):
             replacement = rules.get((letters[pos][0], letters[pos + 1][0],
@@ -309,8 +300,9 @@ class TCResult:
     `action` is the generators' assignment on them (coset 1 is the
     subgroup); wrap it in a TransitiveRep to check it.  status 'overflow'
     means the coset budget ran out first, which says nothing about the true
-    index.  Either way the counters tell how much work was done: cosets
-    defined, the most live at once, and cosets killed by coincidences.
+    index.  The counters tell the work done: cosets defined, the most live
+    at once, and cosets killed by coincidences.  _enumerate builds it through
+    _unchecked, with no action; todd_coxeter adds the action by replace.
     """
 
     status: str
@@ -319,6 +311,15 @@ class TCResult:
     defined: int = 0
     peak_live: int = 0
     coincidences: int = 0
+
+    @classmethod
+    def _unchecked(cls, status: str, index: int | None, defined: int, peak_live: int,
+                   coincidences: int) -> TCResult:
+        """A result with no action, its fields (frozen) filled directly."""
+        result = object.__new__(cls)
+        result.__dict__.update(status=status, index=index, action=None, defined=defined,
+                               peak_live=peak_live, coincidences=coincidences)
+        return result
 
 
 class _Overflow(Exception):
@@ -341,8 +342,7 @@ def todd_coxeter(presentation: Presentation, subgroup_words: list[Word] | tuple[
 
     Deterministic: cosets are numbered by first definition, and merging
     keeps the smaller number.  max_cosets bounds the live cosets.  Words
-    act on the left, so scans walk letters right to left.  The
-    enumeration itself is _enumerate, on the words' scans.
+    act on the left, so _enumerate's scans walk letters right to left.
     """
     k = len(presentation.generator_names)
     for w in subgroup_words:
@@ -357,25 +357,27 @@ def todd_coxeter(presentation: Presentation, subgroup_words: list[Word] | tuple[
     if result.status == "overflow":
         return result
     renumber = {root: i + 1 for i, root in enumerate(live)}
-    images = tuple(Perm(tuple(renumber[table[root][of_letter[(g, 1)]]] for root in live))
-                   for g in range(k))
+    images = tuple(Perm(tuple(renumber[table[root][x]] for root in live))
+                   for x in layout.ahead)
     return replace(result, action=Assignment(presentation.generator_names, images))
 
 
 def _enumerate(layout: CosetLayout, scans: list[tuple[int, ...]], max_cosets: int,
-               ) -> tuple[TCResult, list[list[int]], list[int]]:
+               ) -> tuple[TCResult, list[list[int]], Sequence[int]]:
     """todd_coxeter's enumeration, on the subgroup words' scans: their
-    columns (layout.of_letter), rightmost letter first.  Returns
-    the result without its action, the table and its live cosets.
+    columns (layout.of_letter), rightmost letter first.  Returns the result
+    without its action, the table and its live cosets.
 
-    When the subgroup scans leave a complete table with no coincidence,
-    and every relator closes on it by its base's cycles (_closes_by_cycles),
-    the relator loop is skipped: each of its scans would walk back to its
-    start and change nothing, so the result is the one it would return.
-    Only when the loop runs is each relator written out, base * k, for
-    scan_and_fill; a scan that walks back to its start changes nothing."""
+    One scan_and_fill and one define serve the subgroup scans at coset 1
+    and the relators at each live coset; a call stops when its coset dies.
+    The live count len(table) - coincidences rises only at a definition and
+    falls only at a merge, so peak_live is read before each coincidence
+    and at the end; only after a coincidence is parent searched for the
+    live cosets.  A complete table with no coincidence that every relator
+    closes by its base's cycles (_closes_by_cycles) skips the relator loop,
+    whose scans would change nothing; only that loop writes base * k."""
     if max_cosets < 1:
-        return TCResult("overflow"), [], []
+        return TCResult._unchecked("overflow", None, 0, 0, 0), [], []
     inverse, powers = layout.inverse, layout.powers
     width = len(inverse)
     # table[c][x]: coset c acted on by column x, or -1 while undefined.
@@ -386,16 +388,13 @@ def _enumerate(layout: CosetLayout, scans: list[tuple[int, ...]], max_cosets: in
     coincidences = 0  # each kills one coset, so len(table) - coincidences are live
 
     def define(c: int, x: int) -> None:
-        nonlocal peak_live
-        live = len(table) - coincidences
-        if live >= max_cosets:
-            raise _Overflow
         d = len(table)
+        if d - coincidences >= max_cosets:
+            raise _Overflow
         table.append([-1] * width)
         parent.append(d)
         table[c][x] = d
         table[d][inverse[x]] = c
-        peak_live = max(peak_live, live + 1)
 
     def find(c: int) -> int:
         root = c
@@ -418,6 +417,8 @@ def _enumerate(layout: CosetLayout, scans: list[tuple[int, ...]], max_cosets: in
     def coincidence(a: int, b: int) -> None:
         # Each dead coset's row is moved onto its root, and the entries
         # that pointed at it are cleared, so live rows name live cosets.
+        nonlocal peak_live
+        peak_live = max(peak_live, len(table) - coincidences)
         dead: list[int] = []
         merge(a, b, dead)
         for y in dead:  # grows as merges cascade
@@ -435,50 +436,52 @@ def _enumerate(layout: CosetLayout, scans: list[tuple[int, ...]], max_cosets: in
                     table[mu][x] = nu
                     table[nu][xi] = mu
 
-    def scan_and_fill(c: int, word: tuple[int, ...]) -> None:
-        f, i = c, 0
-        b, j = c, len(word) - 1
-        while True:
-            while i <= j and (d := table[f][word[i]]) >= 0:
-                f = d
-                i += 1
-            if i > j:
-                if f != b:
+    def scan_and_fill(c: int, words: list[tuple[int, ...]]) -> None:
+        for word in words:
+            if parent[c] != c:
+                return
+            f, i = c, 0
+            b, j = c, len(word) - 1
+            while True:
+                while i <= j and (d := table[f][word[i]]) >= 0:
+                    f = d
+                    i += 1
+                if i > j:
+                    if f != b:
+                        coincidence(f, b)
+                    break
+                while j >= i and (d := table[b][inverse[word[j]]]) >= 0:
+                    b = d
+                    j -= 1
+                if j < i:
                     coincidence(f, b)
-                return
-            while j >= i and (d := table[b][inverse[word[j]]]) >= 0:
-                b = d
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:  # a deduction
-                table[f][word[i]] = b
-                table[b][inverse[word[i]]] = f
-                return
-            define(f, word[i])
+                    break
+                if j == i:  # a deduction
+                    table[f][word[i]] = b
+                    table[b][inverse[word[i]]] = f
+                    break
+                define(f, word[i])
 
     try:
-        for scan in scans:
-            scan_and_fill(0, scan)
+        scan_and_fill(0, scans)
         # a table that every relator already closes skips the relator loop
         if coincidences or not _closes_by_cycles(table, powers):
             relators = [base * k for base, k in powers]
             c = 0
             while c < len(table):
-                for rel in relators:
-                    if parent[c] != c:
-                        break
-                    scan_and_fill(c, rel)
+                scan_and_fill(c, relators)
                 if parent[c] == c:
                     for x in range(width):
                         if table[c][x] < 0:
                             define(c, x)
                 c += 1
-    except _Overflow:
-        return TCResult("overflow", None, None, len(table), peak_live, coincidences), table, []
-    live = [c for c in range(len(table)) if parent[c] == c]
-    return TCResult("closed", len(live), None, len(table), peak_live, coincidences), table, live
+    except _Overflow:  # raised with max_cosets live, the most there can be
+        return TCResult._unchecked("overflow", None, len(table), max_cosets,
+                                   coincidences), table, []
+    n = len(table) - coincidences
+    live = [c for c in range(len(table)) if parent[c] == c] if coincidences else range(n)
+    return (TCResult._unchecked("closed", n, len(table), max(peak_live, n), coincidences),
+            table, live)
 
 
 def _closes_by_cycles(table: list[list[int]],
@@ -509,30 +512,26 @@ def _closes_by_cycles(table: list[list[int]],
 
 
 def default_coset_budget(index: int, presentation: Presentation) -> int:
+    """10 x index x generators cosets; every catalog class closes at exactly
+    its index (verify_class), well inside it."""
     return 10 * index * len(presentation.generator_names)
 
 
 def verify_class(rep: TransitiveRep, max_cosets: int | None = None) -> bool | None:
     """Confirm a class's stabilizer has the class's index, by coset count.
 
-    The subgroup is given by its Schreier words as scans (schreier_scans),
-    not the simplified words: both generate it, and each raw word walks
-    out along the transversal and back.  schreier_scans writes them from
-    the rep's one-line images, and they go straight to the enumeration,
-    with no coset table, Word or action built.  On every catalog class
-    at indices 1-6 it then defines exactly rep.degree cosets with no
-    coincidence, so a budget of rep.degree closes it.  The scans leave a
-    complete table, on which every relator of a rep that satisfies them
-    closes by its base's cycles, so no relator is written out exponent
-    times and the time does not grow with the exponents.
+    The subgroup is given by its raw Schreier words as scans
+    (schreier_scans), written from the rep's images with no coset table,
+    Word or action built.  On every catalog class at indices 1-6 they
+    define exactly rep.degree cosets with no coincidence, and the relators
+    close on the complete table by their bases' cycles, so a budget of
+    rep.degree closes it and the time does not grow with the exponents.
 
     Returns True when the enumeration closes at the rep's degree, False
     when it closes elsewhere, None when the coset budget overflowed (which
     is inconclusive, not a failure).
     """
-    pres = rep.presentation
-    budget = max_cosets if max_cosets is not None else default_coset_budget(rep.degree, pres)
+    pres, n = rep.presentation, rep.degree
+    budget = max_cosets if max_cosets is not None else default_coset_budget(n, pres)
     result = _enumerate(_coset_layout(pres), schreier_scans(rep), budget)[0]
-    if result.status == "overflow":
-        return None
-    return result.index == rep.degree
+    return None if result.status == "overflow" else result.index == n

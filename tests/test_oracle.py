@@ -3,7 +3,7 @@ import hashlib
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from math import factorial
 from pathlib import Path
 
@@ -353,13 +353,42 @@ def test_coset_enumeration_budget_below_one_overflows_at_once(t10_kleinian):
 ])
 def test_coset_enumeration_cascading_coincidences(names, relator_powers, subgroup,
                                                    index, defined):
+    # peak_live is read just before cosets merge, so it is pinned too
+    peak_live = {1: 9, 2: 6}[index]
     gens = [Word.gen(i) for i in range(len(names))]
     pres = Presentation("test", S1, names, relator_powers(*gens))
     res = todd_coxeter(pres, subgroup(*gens), 100)
     assert res.status == "closed" and res.index == index
-    assert (res.defined, res.coincidences) == (defined, 8)
+    assert (res.defined, res.peak_live, res.coincidences) == (defined, peak_live, 8)
     assert res.defined - res.coincidences == res.index
     assert TransitiveRep(pres, res.action).degree == index
+    # the budget edge: peak_live cosets close, one fewer overflows before
+    # any merge
+    assert todd_coxeter(pres, subgroup(*gens), peak_live).index == index
+    res = todd_coxeter(pres, subgroup(*gens), peak_live - 1)
+    assert res.status == "overflow"
+    assert (res.defined, res.peak_live, res.coincidences) == (peak_live - 1, peak_live - 1, 0)
+
+
+def test_trusted_tc_results_match_checked_ones(t10_kleinian):
+    # _enumerate builds its results through TCResult._unchecked; each
+    # equals, hashes and prints like the same result built through the
+    # dataclass, dataclasses.replace adds an action to it, and it is frozen
+    for fields in (("closed", 4, 4, 4, 0), ("overflow", None, 50, 50, 0),
+                   ("closed", 1, 2, 2, 1), ("overflow", None, 0, 0, 0)):
+        status, index, defined, peak_live, coincidences = fields
+        trusted = TCResult._unchecked(*fields)
+        checked = TCResult(status, index, None, defined, peak_live, coincidences)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked)
+        with pytest.raises(FrozenInstanceError):
+            trusted.peak_live = 0
+    res = todd_coxeter(t10_kleinian, [], 50)
+    assert res == TCResult("overflow", None, None, res.defined, 50, res.coincidences)
+    action = enumerate_classes(t10_kleinian, 4)[0].rep.assignment
+    added = replace(trusted, action=action)
+    assert added.action == action and added.status == trusted.status
+    assert added == TCResult("overflow", None, action, 0, 0, 0)
 
 
 def test_coset_enumeration_rejects_foreign_generators(t10_kleinian):
