@@ -67,9 +67,6 @@ class Perm:
         """Disjoint cycles of length >= 2, each starting at its least point."""
         return _cycles(self.images)
 
-    def order(self) -> int:
-        return lcm(1, *(len(c) for c in self.cycles()))
-
     def cycle_string(self) -> str:
         """Cycle notation; identity prints as (1).
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .words import Word, reduce_letters
 
@@ -76,16 +76,17 @@ class Presentation:
     bases, involution-aware reduction and rendering.  Each method reads the
     relators in a cache of its own, keyed by the presentation: the search
     in enumerator._search_rows, the recount in oracle._recount_rows and the
-    coset check in stabilizer._coset_layout.
+    coset check in stabilizer._coset_layout.  presentation_for gives one
+    object per symbol and group, so a lookup finds it by identity.
 
     Each relator is stored as (base word, exponent): (PQ)^3 is (PQ, 3).
     Satisfying it is exactly requiring the order of the base's image to
-    divide the exponent.  A base must be non-empty and use only the named
+    divide the exponent.  A base must be a non-empty Word on the named
     generators, and an exponent is an int >= 1.  There is at least one
-    generator name, and no name is repeated.  Names and relators given as
-    any other sequence are stored as tuples, each relator a pair, so equal
-    presentations are equal and hash alike however they were built; the
-    hash is computed once, since every method's cache is keyed by it.
+    generator name, each a str, and no name is repeated.  Names and
+    relators given as any other sequence are stored as tuples, each relator
+    a pair, so equal presentations are equal and hash alike however they
+    were built; the hash is computed once, since every cache is keyed by it.
     """
 
     kind: str  # "full" or "kleinian"
@@ -102,15 +103,18 @@ class Presentation:
         names = self.generator_names
         if not names:
             raise ValueError("a presentation needs at least one generator name")
+        if not all(isinstance(name, str) for name in names):
+            raise ValueError(f"generator names must be str, got {names!r}")
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             raise ValueError(f"generator names must be distinct, repeated: "
                              f"{', '.join(map(repr, repeated))}")
         k = len(names)
         for base, exp in self.relator_powers:
-            if (base.is_empty() or any(g >= k for g, _ in base)
+            if (not isinstance(base, Word) or base.is_empty() or any(g >= k for g, _ in base)
                     or type(exp) is not int or exp < 1):
-                raise ValueError(f"relator ({base.letters}, {exp!r}) needs a non-empty "
+                shown = base.letters if isinstance(base, Word) else base
+                raise ValueError(f"relator ({shown!r}, {exp!r}) needs a non-empty Word "
                                  f"base on generators 0..{k - 1} and an int exponent >= 1")
 
     def __hash__(self) -> int:
@@ -142,8 +146,9 @@ class Presentation:
         return word.render(self.generator_names)
 
 
+@cache
 def full_presentation(symbol: CoxeterSymbol) -> Presentation:
-    """Reflection group on P, Q, R, S."""
+    """Reflection group on P, Q, R, S; one object per symbol."""
     P, Q, R, S = (Word.gen(i) for i in range(4))
     p, q, r, s, t, u = symbol.as_tuple()
     relator_powers = (
@@ -154,8 +159,9 @@ def full_presentation(symbol: CoxeterSymbol) -> Presentation:
     return Presentation("full", symbol, ("P", "Q", "R", "S"), relator_powers)
 
 
+@cache
 def kleinian_presentation(symbol: CoxeterSymbol) -> Presentation:
-    """Rotation subgroup on a = PQ, b = QR, c = RS."""
+    """Rotation subgroup on a = PQ, b = QR, c = RS; one object per symbol."""
     a, b, c = (Word.gen(i) for i in range(3))
     p, q, r, s, t, u = symbol.as_tuple()
     relator_powers = (

@@ -17,7 +17,7 @@ nothing here imports the enumerator or numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, NamedTuple, Sequence, TypeVar
 
@@ -292,8 +292,7 @@ def _braid_rewrite(letters: tuple[Letter, ...], rules: dict[tuple[int, int, int]
                                  involutions)
 
 
-@dataclass(frozen=True)
-class TCResult:
+class TCResult(NamedTuple):
     """Outcome of a coset enumeration.
 
     status 'closed' means the table completed with `index` live cosets and
@@ -301,8 +300,8 @@ class TCResult:
     subgroup); wrap it in a TransitiveRep to check it.  status 'overflow'
     means the coset budget ran out first, which says nothing about the true
     index.  The counters tell the work done: cosets defined, the most live
-    at once, and cosets killed by coincidences.  _enumerate builds it through
-    _unchecked, with no action; todd_coxeter adds the action by replace.
+    at once, and cosets killed by coincidences.  _enumerate builds it with
+    no action; todd_coxeter adds the action by _replace.
     """
 
     status: str
@@ -311,15 +310,6 @@ class TCResult:
     defined: int = 0
     peak_live: int = 0
     coincidences: int = 0
-
-    @classmethod
-    def _unchecked(cls, status: str, index: int | None, defined: int, peak_live: int,
-                   coincidences: int) -> TCResult:
-        """A result with no action, its fields (frozen) filled directly."""
-        result = object.__new__(cls)
-        result.__dict__.update(status=status, index=index, action=None, defined=defined,
-                               peak_live=peak_live, coincidences=coincidences)
-        return result
 
 
 class _Overflow(Exception):
@@ -359,14 +349,14 @@ def todd_coxeter(presentation: Presentation, subgroup_words: list[Word] | tuple[
     renumber = {root: i + 1 for i, root in enumerate(live)}
     images = tuple(Perm(tuple(renumber[table[root][x]] for root in live))
                    for x in layout.ahead)
-    return replace(result, action=Assignment(presentation.generator_names, images))
+    return result._replace(action=Assignment(presentation.generator_names, images))
 
 
 def _enumerate(layout: CosetLayout, scans: list[tuple[int, ...]], max_cosets: int,
                ) -> tuple[TCResult, list[list[int]], Sequence[int]]:
     """todd_coxeter's enumeration, on the subgroup words' scans: their
-    columns (layout.of_letter), rightmost letter first.  Returns the result
-    without its action, the table and its live cosets.
+    columns (layout.of_letter), rightmost letter first.  Returns the result,
+    built by the constructor with no action, the table and its live cosets.
 
     One scan_and_fill and one define serve the subgroup scans at coset 1
     and the relators at each live coset; a call stops when its coset dies.
@@ -377,7 +367,7 @@ def _enumerate(layout: CosetLayout, scans: list[tuple[int, ...]], max_cosets: in
     closes by its base's cycles (_closes_by_cycles) skips the relator loop,
     whose scans would change nothing; only that loop writes base * k."""
     if max_cosets < 1:
-        return TCResult._unchecked("overflow", None, 0, 0, 0), [], []
+        return TCResult("overflow"), [], []
     inverse, powers = layout.inverse, layout.powers
     width = len(inverse)
     # table[c][x]: coset c acted on by column x, or -1 while undefined.
@@ -476,11 +466,10 @@ def _enumerate(layout: CosetLayout, scans: list[tuple[int, ...]], max_cosets: in
                             define(c, x)
                 c += 1
     except _Overflow:  # raised with max_cosets live, the most there can be
-        return TCResult._unchecked("overflow", None, len(table), max_cosets,
-                                   coincidences), table, []
+        return TCResult("overflow", None, None, len(table), max_cosets, coincidences), table, []
     n = len(table) - coincidences
     live = [c for c in range(len(table)) if parent[c] == c] if coincidences else range(n)
-    return (TCResult._unchecked("closed", n, len(table), max(peak_live, n), coincidences),
+    return (TCResult("closed", n, None, len(table), max(peak_live, n), coincidences),
             table, live)
 
 

@@ -28,6 +28,16 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return Perm(tuple(images))
 
 
+def perm_order(perm: Perm) -> int:
+    """The least k >= 1 with perm^k the identity, found by composing perm
+    with itself; nothing is read off its cycles."""
+    identity = tuple(range(1, perm.degree + 1))
+    power, k = perm, 1
+    while power.images != identity:
+        power, k = power * perm, k + 1
+    return k
+
+
 def parse_word(text: str, names) -> Word:
     """A word on one-character generator names, each with an optional
     exponent ^k or ^-k, as in SRS or a^-1b^2."""

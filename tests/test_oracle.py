@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
 from math import factorial
 from pathlib import Path
 
@@ -370,25 +369,23 @@ def test_coset_enumeration_cascading_coincidences(names, relator_powers, subgrou
     assert (res.defined, res.peak_live, res.coincidences) == (peak_live - 1, peak_live - 1, 0)
 
 
-def test_trusted_tc_results_match_checked_ones(t10_kleinian):
-    # _enumerate builds its results through TCResult._unchecked; each
-    # equals, hashes and prints like the same result built through the
-    # dataclass, dataclasses.replace adds an action to it, and it is frozen
-    for fields in (("closed", 4, 4, 4, 0), ("overflow", None, 50, 50, 0),
-                   ("closed", 1, 2, 2, 1), ("overflow", None, 0, 0, 0)):
-        status, index, defined, peak_live, coincidences = fields
-        trusted = TCResult._unchecked(*fields)
-        checked = TCResult(status, index, None, defined, peak_live, coincidences)
-        assert trusted == checked and hash(trusted) == hash(checked)
-        assert repr(trusted) == repr(checked)
-        with pytest.raises(FrozenInstanceError):
-            trusted.peak_live = 0
+def test_tc_results_are_immutable_and_gain_an_action_by_replace(t10_kleinian):
+    # A result prints its six fields by name, _enumerate's carry no action,
+    # _replace adds one as todd_coxeter does, and a field cannot be set
+    assert repr(TCResult("closed", 4, None, 4, 4, 0)) == (
+        "TCResult(status='closed', index=4, action=None, defined=4, peak_live=4, "
+        "coincidences=0)")
     res = todd_coxeter(t10_kleinian, [], 50)
     assert res == TCResult("overflow", None, None, res.defined, 50, res.coincidences)
+    bare = _enumerate(_coset_layout(t10_kleinian), [], 0)[0]
+    assert bare == TCResult("overflow", None, None, 0, 0, 0)
     action = enumerate_classes(t10_kleinian, 4)[0].rep.assignment
-    added = replace(trusted, action=action)
-    assert added.action == action and added.status == trusted.status
+    added = bare._replace(action=action)
+    assert added.action == action and added.status == bare.status
     assert added == TCResult("overflow", None, action, 0, 0, 0)
+    for result in (res, bare, added):
+        with pytest.raises(AttributeError):
+            result.peak_live = 0
 
 
 def test_coset_enumeration_rejects_foreign_generators(t10_kleinian):
@@ -498,7 +495,7 @@ def test_schreier_scans_are_the_words_in_columns(catalog_table):
                              for w in words], where
             core = _enumerate(layout, scans, budget)[0]
             res = todd_coxeter(pres, words, budget)
-            assert core == replace(res, action=None), where
+            assert core == res._replace(action=None), where
 
 
 def assert_exactly_the_index_cosets(pres, cls, where):

@@ -2,8 +2,11 @@ import pytest
 
 from tetgroups import (CATALOG, CoxeterSymbol, Presentation, Word, catalog,
                        catalog_by_id, enumerate_classes, full_presentation,
-                       kleinian_presentation, parse_symbol, presentation_for)
+                       kleinian_presentation, parse_symbol, presentation_for,
+                       verify_class)
+from tetgroups.enumerator import _search_rows
 from tetgroups.presentations import MAX_ENTRY
+from tetgroups.stabilizer import _coset_layout
 
 from conftest import parse_word
 
@@ -92,10 +95,41 @@ def test_list_built_presentations_equal_tuple_built_ones():
     assert enumerate_classes(listed, 4) == enumerate_classes(pres, 4)
 
 
+def test_presentation_for_gives_one_object_per_symbol_and_group(monkeypatch):
+    # A second presentation_for call returns the first one's object, so the
+    # search's and the coset check's caches find it by identity and never
+    # run the dataclass __eq__, which costs far more than the identity test.
+    def no_eq(self, other):
+        raise AssertionError("Presentation.__eq__ ran on a cache lookup")
+
+    for per_presentation in (_search_rows, _coset_layout):
+        per_presentation.cache_clear()
+    monkeypatch.setattr(Presentation, "__eq__", no_eq)
+    symbol = catalog_by_id("t19").symbol
+    for group in ("full", "kleinian"):
+        for _ in range(2):
+            classes = enumerate_classes(presentation_for(symbol, group), 4)
+            assert classes and all(verify_class(cls.rep) for cls in classes)
+        assert presentation_for(symbol, group) is presentation_for(symbol, group)
+
+
 def test_presentation_without_generators_rejected():
     # with no generator both counters raised IndexError at index 1
     with pytest.raises(ValueError, match="at least one generator name"):
         Presentation("x", parse_symbol("3,3,3,3,3,3"), (), ())
+
+
+@pytest.mark.parametrize("names, relator, message", [
+    # a base of bare letters made the check raise AttributeError
+    (("a",), (((0, 1),), 2), r"relator \(\(\(0, 1\),\), 2\) needs a non-empty Word"),
+    (("a",), ("a", 2), r"relator \('a', 2\) needs a non-empty Word"),
+    # names that are not str were accepted, and render then raised TypeError
+    ((1, 2), (Word.gen(0), 2), r"generator names must be str, got \(1, 2\)"),
+    (("a", None), (Word.gen(0), 2), "generator names must be str"),
+], ids=["letters-base", "str-base", "int-names", "none-name"])
+def test_presentation_parts_of_the_wrong_type_rejected(names, relator, message):
+    with pytest.raises(ValueError, match=message):
+        Presentation("x", T10, names, (relator,))
 
 
 def test_repeated_generator_names_rejected():

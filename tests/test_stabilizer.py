@@ -78,7 +78,8 @@ def test_the_layout_is_read_once_per_presentation(t10_full):
     # per presentation, and an equal presentation built afresh looks up
     # the same layout.
     _coset_layout.cache_clear()
-    fresh = full_presentation(T10)
+    fresh = Presentation(t10_full.kind, t10_full.symbol, t10_full.generator_names,
+                         t10_full.relator_powers)
     assert fresh == t10_full and fresh is not t10_full
     for pres in (t10_full, fresh):
         for cls in enumerate_classes(pres, 2) + enumerate_classes(pres, 4):
