@@ -41,8 +41,8 @@ def main() -> int:
         gens = schreier_generators(table)
         transversal = [pres.render(w) or "e" for w in table.transversal]
         raw = raw_schreier_words(table)
-        freely_trivial = sum(w.is_empty() for w in raw)
-        reduced_trivial = sum(pres.reduce(w).is_empty() for w in raw)
+        freely_trivial = sum(not w for w in raw)
+        reduced_trivial = sum(not pres.reduce(w) for w in raw)
         print(f"  class {i}: {cls.rep.assignment.as_dict()}")
         print(f"    transversal {transversal}; of {len(raw)} Schreier words "
               f"{freely_trivial} cancel freely (the tree edges) and "

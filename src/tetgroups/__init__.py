@@ -19,7 +19,6 @@ from .perms import (MAX_DEGREE, Assignment, Perm, TransitiveRep, all_perms,
                     word_order)
 from .presentations import (CATALOG, CatalogEntry, CoxeterSymbol,
                             Presentation, catalog, catalog_by_id,
-                            full_presentation, kleinian_presentation,
                             parse_symbol, presentation_for)
 from .stabilizer import (CosetTable, StabilizerGens, TCResult,
                          build_coset_table, default_coset_budget,
@@ -36,8 +35,7 @@ __all__ = [
     "canonical_form", "catalog", "catalog_by_id", "classify_image",
     "coloring_of", "conjugate_assignment", "count_distinct_subgroups",
     "default_coset_budget", "enumerate_candidates", "enumerate_classes",
-    "evaluate_word", "full_presentation", "is_transitive",
-    "kleinian_presentation", "parse_symbol", "presentation_for",
+    "evaluate_word", "is_transitive", "parse_symbol", "presentation_for",
     "raw_schreier_words", "schreier_generators", "simplify_word",
     "todd_coxeter", "verify_class", "word_order",
 ]

@@ -524,8 +524,7 @@ def enumerate_classes(presentation: Presentation, n: int) -> list[SubgroupClass]
                 or any(exp % order[_fold(base.letters, combo, comp, inv)]
                        for base, exp in presentation.relator_powers)):
             raise RuntimeError(f"the search yielded {combo}, not a transitive rep of "
-                               f"the {presentation.kind} group {presentation.symbol} "
-                               f"at index {n}")
+                               f"the group on {', '.join(names)} at index {n}")
         rep = TransitiveRep._unchecked(
             presentation, Assignment._unchecked(names, tuple(map(perms.__getitem__, combo))))
         classes.append(SubgroupClass._unchecked(rep, n, relabelings // stab))

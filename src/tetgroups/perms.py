@@ -136,6 +136,10 @@ class Assignment:
             raise ValueError("one permutation per generator name required")
         if not self.perms:
             raise ValueError("assignment needs at least one generator")
+        if not all(isinstance(name, str) for name in self.names):
+            raise ValueError(f"generator names must be str, got {self.names!r}")
+        if not all(isinstance(p, Perm) for p in self.perms):
+            raise ValueError(f"images must be Perms, got {self.perms!r}")
         if len({p.degree for p in self.perms}) != 1:
             raise ValueError("all images must have the same degree")
 
@@ -245,6 +249,10 @@ class TransitiveRep:
     assignment: Assignment
 
     def __post_init__(self) -> None:
+        if not isinstance(self.presentation, Presentation):
+            raise ValueError(f"presentation must be a Presentation, got {self.presentation!r}")
+        if not isinstance(self.assignment, Assignment):
+            raise ValueError(f"assignment must be an Assignment, got {self.assignment!r}")
         if self.assignment.names != self.presentation.generator_names:
             raise ValueError("assignment names do not match the presentation")
         bad = [base for base, k in self.presentation.relator_powers

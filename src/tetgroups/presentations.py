@@ -11,6 +11,7 @@ is generated by a = PQ, b = QR, c = RS with
     K = < a,b,c | a^p, b^q, c^r, (ab)^s, (abc)^t, (bc)^u >
 
 since ab = PR, abc = PS and bc = QS once the reflections square away.
+presentation_for builds either, as its generator names and relators alone.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class CoxeterSymbol:
     def __post_init__(self) -> None:
         for value in self.as_tuple():
             if not isinstance(value, int) or not 2 <= value <= MAX_ENTRY:
-                raise ValueError(f"symbol entries must be integers 2 to {MAX_ENTRY}, got {value}")
+                raise ValueError(f"symbol entries must be integers 2 to {MAX_ENTRY}, got {value!r}")
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.p, self.q, self.r, self.s, self.t, self.u)
@@ -72,12 +73,12 @@ def parse_symbol(text: str) -> CoxeterSymbol:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generator names plus relators, with the involutions, the pair
-    bases, involution-aware reduction and rendering.  Each method reads the
-    relators in a cache of its own, keyed by the presentation: the search
-    in enumerator._search_rows, the recount in oracle._recount_rows and the
-    coset check in stabilizer._coset_layout.  presentation_for gives one
-    object per symbol and group, so a lookup finds it by identity.
+    """Generator names plus relators, and no more: the exponents carry the
+    symbol.  Each method reads the relators in a cache of its own, keyed by
+    the presentation: the search in enumerator._search_rows, the recount in
+    oracle._recount_rows and the coset check in stabilizer._coset_layout.
+    presentation_for gives one object per symbol and group, so a lookup
+    finds it by identity.
 
     Each relator is stored as (base word, exponent): (PQ)^3 is (PQ, 3).
     Satisfying it is exactly requiring the order of the base's image to
@@ -89,8 +90,6 @@ class Presentation:
     were built; the hash is computed once, since every cache is keyed by it.
     """
 
-    kind: str  # "full" or "kleinian"
-    symbol: CoxeterSymbol
     generator_names: tuple[str, ...]
     relator_powers: tuple[tuple[Word, int], ...]
 
@@ -111,7 +110,7 @@ class Presentation:
                              f"{', '.join(map(repr, repeated))}")
         k = len(names)
         for base, exp in self.relator_powers:
-            if (not isinstance(base, Word) or base.is_empty() or any(g >= k for g, _ in base)
+            if (not isinstance(base, Word) or not base or any(g >= k for g, _ in base)
                     or type(exp) is not int or exp < 1):
                 shown = base.letters if isinstance(base, Word) else base
                 raise ValueError(f"relator ({shown!r}, {exp!r}) needs a non-empty Word "
@@ -122,7 +121,7 @@ class Presentation:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.kind, self.symbol, self.generator_names, self.relator_powers))
+        return hash((self.generator_names, self.relator_powers))
 
     @cached_property
     def involutions(self) -> frozenset[int]:
@@ -147,35 +146,21 @@ class Presentation:
 
 
 @cache
-def full_presentation(symbol: CoxeterSymbol) -> Presentation:
-    """Reflection group on P, Q, R, S; one object per symbol."""
-    P, Q, R, S = (Word.gen(i) for i in range(4))
-    p, q, r, s, t, u = symbol.as_tuple()
-    relator_powers = (
-        (P, 2), (Q, 2), (R, 2), (S, 2),
-        (P * Q, p), (Q * R, q), (R * S, r),
-        (P * R, s), (P * S, t), (Q * S, u),
-    )
-    return Presentation("full", symbol, ("P", "Q", "R", "S"), relator_powers)
-
-
-@cache
-def kleinian_presentation(symbol: CoxeterSymbol) -> Presentation:
-    """Rotation subgroup on a = PQ, b = QR, c = RS; one object per symbol."""
-    a, b, c = (Word.gen(i) for i in range(3))
-    p, q, r, s, t, u = symbol.as_tuple()
-    relator_powers = (
-        (a, p), (b, q), (c, r),
-        (a * b, s), (a * b * c, t), (b * c, u),
-    )
-    return Presentation("kleinian", symbol, ("a", "b", "c"), relator_powers)
-
-
 def presentation_for(symbol: CoxeterSymbol, group: str) -> Presentation:
+    """The reflection group ("full") on P, Q, R, S, or its rotation subgroup
+    ("kleinian") on a = PQ, b = QR, c = RS; one object per symbol and group."""
+    p, q, r, s, t, u = symbol.as_tuple()
     if group == "full":
-        return full_presentation(symbol)
+        P, Q, R, S = (Word.gen(i) for i in range(4))
+        return Presentation(("P", "Q", "R", "S"), (
+            (P, 2), (Q, 2), (R, 2), (S, 2),
+            (P * Q, p), (Q * R, q), (R * S, r),
+            (P * R, s), (P * S, t), (Q * S, u)))
     if group == "kleinian":
-        return kleinian_presentation(symbol)
+        a, b, c = (Word.gen(i) for i in range(3))
+        return Presentation(("a", "b", "c"), (
+            (a, p), (b, q), (c, r),
+            (a * b, s), (a * b * c, t), (b * c, u)))
     raise ValueError(f"group must be 'full' or 'kleinian', got {group!r}")
 
 

@@ -63,17 +63,14 @@ class Word:
         return word
 
     @staticmethod
-    def gen(index: int, sign: int = 1) -> "Word":
-        return Word(((index, sign),))
+    def gen(index: int) -> "Word":
+        return Word(((index, 1),))
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
-
-    def is_empty(self) -> bool:
-        return not self.letters
 
     def __mul__(self, other: "Word") -> "Word":
         return Word._unchecked(reduce_letters(self.letters + other.letters))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tetgroups import (Assignment, CoxeterSymbol, Perm, Presentation,
                        SubgroupClass, TransitiveRep, Word, catalog,
                        enumerate_candidates, enumerate_classes,
-                       full_presentation, kleinian_presentation,
                        presentation_for)
 from tetgroups.stabilizer import _transversal
 
@@ -66,12 +65,12 @@ class CatalogTable(NamedTuple):
 
 @pytest.fixture
 def t10_full():
-    return full_presentation(T10)
+    return presentation_for(T10, "full")
 
 
 @pytest.fixture
 def t10_kleinian():
-    return kleinian_presentation(T10)
+    return presentation_for(T10, "kleinian")
 
 
 @pytest.fixture(scope="session")
@@ -96,12 +95,10 @@ def random_presentations(draw):
     (freely reduced, not empty) with an exponent of 1-5."""
     k = draw(st.sampled_from([1, 2, 3]))
     letter = st.tuples(st.integers(min_value=0, max_value=k - 1), st.sampled_from([1, -1]))
-    base = st.lists(letter, min_size=1, max_size=4).map(Word).filter(
-        lambda w: not w.is_empty())
+    base = st.lists(letter, min_size=1, max_size=4).map(Word).filter(bool)
     relators = draw(st.lists(st.tuples(base, st.integers(min_value=1, max_value=5)),
                              min_size=1, max_size=4))
-    return Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b", "c")[:k],
-                        tuple(relators))
+    return Presentation(("a", "b", "c")[:k], tuple(relators))
 
 
 def same_subgroup(rep1: TransitiveRep, rep2: TransitiveRep) -> bool:

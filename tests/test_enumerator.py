@@ -17,7 +17,7 @@ from tetgroups import (MAX_DEGREE, Assignment, CoxeterSymbol, Perm,
                        canonical_form, catalog, catalog_by_id, classify_image,
                        conjugate_assignment, count_distinct_subgroups,
                        enumerate_candidates, enumerate_classes, evaluate_word,
-                       is_transitive, kleinian_presentation, presentation_for,
+                       is_transitive, presentation_for,
                        verify_class, word_order)
 from tetgroups import enumerator
 from tetgroups.enumerator import (_contains_alternating, _search, _search_rows, order_masks,
@@ -105,9 +105,8 @@ def general_presentation():
     inside the base (acb), twice (cacb^-1) and alone (b^-3), and leave c
     without a relator of its own."""
     a, b, c = (Word.gen(i) for i in range(3))
-    return Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b", "c"),
-                        ((a, 4), (~b, 3), (a * b * ~c, 2), (a * c * b, 4),
-                         (c * a * c * ~b, 2)))
+    return Presentation(("a", "b", "c"),
+                        ((a, 4), (~b, 3), (a * b * ~c, 2), (a * c * b, 4), (c * a * c * ~b, 2)))
 
 
 def test_search_matches_the_product_space_on_a_general_presentation():
@@ -188,8 +187,7 @@ def two_cut_presentation():
     the elements whose order divides 2; c, the deepest generator of bc^-1a,
     is inverted there; b has no relator of its own (none is placed at b)."""
     a, b, c = (Word.gen(i) for i in range(3))
-    return Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b", "c"),
-                        ((a, 4), (~a, 6), (b * ~c * a, 3), (c * a * c * b, 2)))
+    return Presentation(("a", "b", "c"), ((a, 4), (~a, 6), (b * ~c * a, 3), (c * a * c * b, 2)))
 
 
 def test_two_cuts_on_one_generator_match_the_product_space():
@@ -223,7 +221,7 @@ def test_exponents_past_the_degree_and_64_bits_count_as_their_reduction():
     # a relator by its base's order and never writes it out k times.
     a, b, c = (Word.gen(i) for i in range(3))
     wide, wider = 2 ** 64 * 7, 2 ** 70 + 12
-    pres = Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b", "c"),
+    pres = Presentation(("a", "b", "c"),
                         ((a, wider), (b, wide), (a * b * ~a * ~b, 61), (c * a, wider),
                          (b * c, 2 ** 64 * 3)))
     for n in (3, 4, 5):
@@ -258,8 +256,7 @@ def test_each_plan_is_built_once_per_presentation(t10_full):
             with pytest.raises(ValueError):
                 run(t10_full, n)
     assert all(cache.cache_info().currsize == 0 for cache in caches)
-    fresh = Presentation(t10_full.kind, t10_full.symbol, t10_full.generator_names,
-                         t10_full.relator_powers)
+    fresh = Presentation(t10_full.generator_names, t10_full.relator_powers)
     assert fresh == t10_full and fresh is not t10_full
     for n in range(1, MAX_DEGREE + 1):
         for pres in (t10_full, fresh):
@@ -276,10 +273,9 @@ def test_order_tables_are_keyed_by_the_reduced_exponent():
     # divisors, and each method's rows are those of the reduced exponent.
     order_masks.cache_clear()
     for exp in range(7, 101):
-        pres = kleinian_presentation(CoxeterSymbol(exp, 3, 3, 2, 2, 2))
+        pres = presentation_for(CoxeterSymbol(exp, 3, 3, 2, 2, 2), "kleinian")
         (a, _), *rest = pres.relator_powers
-        reduced = Presentation("test", pres.symbol, pres.generator_names,
-                               ((a, gcd(exp, 60)), *rest))
+        reduced = Presentation(pres.generator_names, ((a, gcd(exp, 60)), *rest))
         assert _search_rows(pres, 6) == _search_rows(reduced, 6), exp
         for (choices, joint), (want, want_joint) in zip(_recount_rows(pres, 6),
                                                         _recount_rows(reduced, 6)):
@@ -444,8 +440,7 @@ def test_counts_match_the_oracle_on_random_symbols(entries, group, n):
 
 
 @given(random_presentations(), st.sampled_from([1, 2, 3, 4]))
-@example(Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a",),
-                      ((Word(((0, -1), (0, -1))), 2),)), 4)
+@example(Presentation(("a",), ((Word(((0, -1), (0, -1))), 2),)), 4)
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_counts_match_the_oracle_on_random_presentations(pres, n):
     # Past the catalog's shape (four generators, each once per base and
@@ -501,7 +496,7 @@ def test_degree_bounds(t10_full):
 
 def test_index_6_has_a_cross_check_and_no_warning():
     # the oracle reaches MAX_DEGREE, so no index is enumerator-only
-    pres = kleinian_presentation(CoxeterSymbol(2, 2, 2, 2, 2, 2))
+    pres = presentation_for(CoxeterSymbol(2, 2, 2, 2, 2, 2), "kleinian")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         classes = enumerate_classes(pres, 6)
@@ -602,7 +597,7 @@ def test_enumerate_classes_checks_what_the_search_yields(t10_full, monkeypatch, 
     # P = S = (12) with Q = 1 gives PQ the order 2, which (PQ)^3 forbids;
     # all four trivial satisfy every relator but leave two orbits
     monkeypatch.setattr(enumerator, "_search", lambda pres, n: iter([(combo, 1)]))
-    with pytest.raises(RuntimeError, match=r"full group \[3,3,6,2,2,2\] at index 2"):
+    with pytest.raises(RuntimeError, match=r"the group on P, Q, R, S at index 2"):
         enumerate_classes(t10_full, 2)
 
 
@@ -696,7 +691,7 @@ def test_image_types_are_named_when_read(monkeypatch):
 def test_stress_cell_image_types():
     # Kleinian [6,6,6,6,6,6] at index 6: the histogram was recorded by
     # listing every image; Jordan's theorem now names most of the S_6 ones
-    classes = enumerate_classes(kleinian_presentation(CoxeterSymbol(6, 6, 6, 6, 6, 6)), 6)
+    classes = enumerate_classes(presentation_for(CoxeterSymbol(6, 6, 6, 6, 6, 6), "kleinian"), 6)
     assert len(classes) == 14274
     assert sum(c.labeled_orbit_size for c in classes) == 9737400
     assert Counter(c.image_type for c in classes) == {

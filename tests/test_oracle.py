@@ -88,7 +88,7 @@ def test_cached_tables_are_read_only(n):
     arrays = [*t]
     for exp in range(1, 7):
         divides = [exp % o == 0 for o in t.order.tolist()]
-        pres = Presentation("test", S1, ("a", "b", "c"), ((a, exp), (~b, exp), (b * c, exp)))
+        pres = Presentation(("a", "b", "c"), ((a, exp), (~b, exp), (b * c, exp)))
         (a_choices, a_joint), (b_choices, b_joint), (c_choices, c_joint) = _recount_rows(pres, n)
         assert a_choices.tolist() == [x for x, d in enumerate(divides) if d and t.class_rep[x]]
         assert b_choices.tolist() == [x for x, d in enumerate(divides) if d]
@@ -264,8 +264,7 @@ def test_coset_enumeration_finds_finite_group_orders(entries, full_order,
 
 
 def two_generator_presentation(*relator_powers):
-    return Presentation("test", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("x", "y"),
-                        relator_powers)
+    return Presentation(("x", "y"), relator_powers)
 
 
 X, Y = Word.gen(0), Word.gen(1)
@@ -355,7 +354,7 @@ def test_coset_enumeration_cascading_coincidences(names, relator_powers, subgrou
     # peak_live is read just before cosets merge, so it is pinned too
     peak_live = {1: 9, 2: 6}[index]
     gens = [Word.gen(i) for i in range(len(names))]
-    pres = Presentation("test", S1, names, relator_powers(*gens))
+    pres = Presentation(names, relator_powers(*gens))
     res = todd_coxeter(pres, subgroup(*gens), 100)
     assert res.status == "closed" and res.index == index
     assert (res.defined, res.peak_live, res.coincidences) == (defined, peak_live, 8)
@@ -581,7 +580,7 @@ def random_enumeration(rng):
         base = letters(1, 4)
         if base:
             relators.append((Word(base), rng.randint(1, 5)))
-    pres = Presentation("test", S1, ("a", "b", "c")[:k], tuple(relators))
+    pres = Presentation(("a", "b", "c")[:k], tuple(relators))
     words = [Word(letters(0, 6)) for _ in range(rng.randint(0, 3))]
     return pres, words, rng.randint(1, 40)
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tetgroups import (MAX_DEGREE, Assignment, Perm, TransitiveRep, Word, all_perms,
-                       conjugate_assignment, enumerate_classes, evaluate_word,
-                       is_transitive, word_order)
+from tetgroups import (MAX_DEGREE, Assignment, CoxeterSymbol, Perm, TransitiveRep, Word,
+                       all_perms, conjugate_assignment, enumerate_classes, evaluate_word,
+                       is_transitive, presentation_for, word_order)
 from tetgroups.enumerator import order_masks, perm_tables
 
-from conftest import perm_order
+from conftest import T10, perm_order
 
 perms4 = st.sampled_from(all_perms(4))
 words4 = st.lists(
@@ -351,6 +351,25 @@ def test_assignment_validation():
     a = Assignment(("P", "Q"), (Perm((2, 1)), Perm((1, 2))))
     assert a.degree == 2
     assert a.as_dict() == {"P": "(12)", "Q": "(1)"}
+
+
+@pytest.mark.parametrize("build, message", [
+    # an image that is not a Perm raised AttributeError on .degree
+    (lambda: Assignment(("a",), ((2, 1),)), r"images must be Perms, got \(\(2, 1\),\)"),
+    # a name that is not a str was accepted, as Presentation refuses it
+    (lambda: Assignment((1,), (Perm((2, 1)),)), r"generator names must be str, got \(1,\)"),
+    # a bare tuple of images raised AttributeError on .names
+    (lambda: TransitiveRep(presentation_for(T10, "kleinian"), ((1, 2), (1, 2), (1, 2))),
+     "assignment must be an Assignment"),
+    # so did a presentation that is not one, on .generator_names
+    (lambda: TransitiveRep(("a",), Assignment(("a",), (Perm((1,)),))),
+     "presentation must be a Presentation"),
+    # the message showed the str entry as 3, which reads as a valid one
+    (lambda: CoxeterSymbol("3", 3, 3, 2, 2, 2), "got '3'$"),
+], ids=["tuple-image", "int-name", "tuple-assignment", "tuple-presentation", "str-entry"])
+def test_parts_of_the_wrong_type_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_list_built_assignments_equal_tuple_built_ones(t10_full):

@@ -1,8 +1,8 @@
 import pytest
 
 from tetgroups import (CATALOG, CoxeterSymbol, Presentation, Word, catalog,
-                       catalog_by_id, enumerate_classes, full_presentation,
-                       kleinian_presentation, parse_symbol, presentation_for,
+                       catalog_by_id, enumerate_classes, parse_symbol,
+                       presentation_for,
                        verify_class)
 from tetgroups.enumerator import _search_rows
 from tetgroups.presentations import MAX_ENTRY
@@ -40,7 +40,6 @@ def test_parse_symbol_forms():
 
 
 def test_full_presentation_shape(t10_full):
-    assert t10_full.kind == "full"
     assert t10_full.generator_names == ("P", "Q", "R", "S")
     assert len(t10_full.relator_powers) == 10
     assert not hasattr(t10_full, "relators")  # one stored form, the pairs
@@ -61,7 +60,6 @@ def test_full_relator_powers_factor_back(t10_full):
 
 
 def test_kleinian_presentation_shape(t10_kleinian):
-    assert t10_kleinian.kind == "kleinian"
     assert t10_kleinian.generator_names == ("a", "b", "c")
     powers = [(t10_kleinian.render(base), k)
               for base, k in t10_kleinian.relator_powers]
@@ -79,7 +77,7 @@ def test_malformed_relators_rejected():
     a = Word.gen(0)
     for relator in ((Word.gen(2), 2), (Word(), 2), (a, -3), (a, 0), (a, 3.0)):
         with pytest.raises(ValueError, match=r"relator \(.*\) needs"):
-            Presentation("t", CoxeterSymbol(2, 2, 2, 2, 2, 2), ("a", "b"), (relator,))
+            Presentation(("a", "b"), (relator,))
 
 
 def test_list_built_presentations_equal_tuple_built_ones():
@@ -87,8 +85,7 @@ def test_list_built_presentations_equal_tuple_built_ones():
     # a pair, so the presentation equals its tuple-built twin, hashes like
     # it, and finds the same classes in the search's cache keyed by it
     pres = presentation_for(T10, "full")
-    listed = Presentation(pres.kind, pres.symbol, list(pres.generator_names),
-                          [list(pair) for pair in pres.relator_powers])
+    listed = Presentation(list(pres.generator_names), [list(pair) for pair in pres.relator_powers])
     assert listed == pres and hash(listed) == hash(pres)
     assert type(listed.generator_names) is type(listed.relator_powers) is tuple
     assert all(type(pair) is tuple for pair in listed.relator_powers)
@@ -113,10 +110,22 @@ def test_presentation_for_gives_one_object_per_symbol_and_group(monkeypatch):
         assert presentation_for(symbol, group) is presentation_for(symbol, group)
 
 
+def test_a_presentation_is_its_names_and_relators():
+    # the exponents carry the symbol and the names the group, so the 80
+    # catalog presentations are 80 distinct ones, and a copy built from a
+    # presentation's two fields is equal to it
+    built = [presentation_for(entry.symbol, group)
+             for entry in catalog() for group in ("full", "kleinian")]
+    assert len(set(built)) == 80
+    for pres in built:
+        copy = Presentation(pres.generator_names, pres.relator_powers)
+        assert copy == pres and hash(copy) == hash(pres) and copy is not pres
+
+
 def test_presentation_without_generators_rejected():
     # with no generator both counters raised IndexError at index 1
     with pytest.raises(ValueError, match="at least one generator name"):
-        Presentation("x", parse_symbol("3,3,3,3,3,3"), (), ())
+        Presentation((), ())
 
 
 @pytest.mark.parametrize("names, relator, message", [
@@ -129,24 +138,24 @@ def test_presentation_without_generators_rejected():
 ], ids=["letters-base", "str-base", "int-names", "none-name"])
 def test_presentation_parts_of_the_wrong_type_rejected(names, relator, message):
     with pytest.raises(ValueError, match=message):
-        Presentation("x", T10, names, (relator,))
+        Presentation(names, (relator,))
 
 
 def test_repeated_generator_names_rejected():
     # with ("a", "a") Assignment.as_dict() kept only the second image
     a, b = Word.gen(0), Word.gen(1)
     with pytest.raises(ValueError, match="distinct, repeated: 'a'"):
-        Presentation("x", T10, ("a", "a"), ((a, 2), (b, 3)))
+        Presentation(("a", "a"), ((a, 2), (b, 3)))
 
 
 def test_kleinian_involutions_from_order_two_entries():
     # with r = 2 the generator c itself squares to the identity
-    pres = kleinian_presentation(CoxeterSymbol(3, 5, 2, 3, 2, 2))
+    pres = presentation_for(CoxeterSymbol(3, 5, 2, 3, 2, 2), "kleinian")
     assert pres.involutions == frozenset({2})
 
 
 def test_reduce_uses_involutions(t10_full, t10_kleinian):
-    w = Word.gen(2, -1) * Word.gen(1)
+    w = ~Word.gen(2) * Word.gen(1)
     assert t10_full.render(t10_full.reduce(w)) == "RQ"
     assert t10_kleinian.render(t10_kleinian.reduce(w)) == "c^-1b"
     # P S S Q^-1: the reflection S cancels against itself, Q^-1 becomes Q
@@ -166,8 +175,8 @@ def test_relator_powers_give_the_forced_orders(t10_full):
 
 
 def test_presentation_for_dispatch():
-    assert presentation_for(T10, "full").kind == "full"
-    assert presentation_for(T10, "kleinian").kind == "kleinian"
+    assert presentation_for(T10, "full").generator_names == ("P", "Q", "R", "S")
+    assert presentation_for(T10, "kleinian").generator_names == ("a", "b", "c")
     with pytest.raises(ValueError):
         presentation_for(T10, "rotation")
 

@@ -5,8 +5,7 @@ import pytest
 
 from tetgroups import (Assignment, CoxeterSymbol, Perm, TransitiveRep,
                        canonical_form, catalog, enumerate_classes,
-                       evaluate_word, kleinian_presentation,
-                       presentation_for)
+                       evaluate_word, presentation_for)
 from tetgroups.reference import REFERENCE_COUNTS
 
 from conftest import parse_cycles, perm_order
@@ -49,7 +48,7 @@ def kleinian_assignment(images, n):
 
 
 def test_t10_kleinian_rows_2_and_3_match_computed_classes():
-    pres = kleinian_presentation(T10)
+    pres = presentation_for(T10, "kleinian")
     for row in T10_KLEINIAN_ROWS[:2]:
         rep = TransitiveRep(pres, kleinian_assignment(row.images, row.index))
         derived = tuple(evaluate_word(base, rep.assignment).cycle_string()
@@ -64,7 +63,7 @@ def test_t10_kleinian_rows_2_and_3_match_computed_classes():
 def test_t10_kleinian_row_4_as_printed_is_impossible():
     # its ab column has order 3, but ab must square to the identity, so the
     # printed images cannot satisfy the relators
-    pres = kleinian_presentation(T10)
+    pres = presentation_for(T10, "kleinian")
     row = T10_KLEINIAN_ROWS[2]
     assignment = kleinian_assignment(row.images, 4)
     ab = pres.pair_bases[0]
@@ -74,7 +73,7 @@ def test_t10_kleinian_row_4_as_printed_is_impossible():
 
 
 def test_t10_kleinian_row_4_repaired_matches_the_computed_class():
-    pres = kleinian_presentation(T10)
+    pres = presentation_for(T10, "kleinian")
     rep = TransitiveRep(pres, kleinian_assignment(T10_KLEINIAN_ROW4_REPAIRED, 4))
     classes = enumerate_classes(pres, 4)
     assert len(classes) == 1

@@ -69,14 +69,14 @@ def test_full_sweep_searches_once_per_cell(monkeypatch, capsys):
     calls = []
 
     def counting_search(presentation, n):
-        calls.append((presentation.kind, n))
+        calls.append((presentation.generator_names, n))
         return search(presentation, n)
 
     monkeypatch.setattr(tetgroups.enumerator, "_search", counting_search)
     assert script.main() == 0
     # 2 groups x indices 1..6, each searched once
     assert len(calls) == 12
-    assert set(calls) == {(group, n) for group in ("full", "kleinian")
+    assert set(calls) == {(names, n) for names in (("P", "Q", "R", "S"), ("a", "b", "c"))
                           for n in range(1, script.MAX_DEGREE + 1)}
     assert "0 disagreements, 0 unverified" in capsys.readouterr().out
 
@@ -109,7 +109,7 @@ def test_full_sweep_builds_the_search_tables_before_the_first_cell(monkeypatch, 
     enumerate_classes = script.enumerate_classes
 
     def building(presentations):
-        calls.append(("tables", tuple(pres.kind for pres in presentations)))
+        calls.append(("tables", tuple(pres.generator_names for pres in presentations)))
         return build_tables(presentations)
 
     def enumerating(pres, n):
@@ -122,7 +122,7 @@ def test_full_sweep_builds_the_search_tables_before_the_first_cell(monkeypatch, 
     monkeypatch.setattr(script, "build_tables", building)
     monkeypatch.setattr(script, "enumerate_classes", enumerating)
     assert script.main() == 0
-    assert calls[0] == ("tables", ("full", "kleinian"))
+    assert calls[0] == ("tables", (("P", "Q", "R", "S"), ("a", "b", "c")))
     assert [call for call, _ in calls].count("tables") == 1
     # and no cell built one of these again
     assert all(cache.cache_info().misses == size for cache, size in caches.items())

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from tetgroups import (Assignment, CoxeterSymbol, Perm, Presentation, TransitiveRep, Word,
                        all_perms, build_coset_table, catalog, catalog_by_id,
                        conjugate_assignment, enumerate_classes, evaluate_word,
-                       full_presentation, kleinian_presentation,
                        presentation_for, raw_schreier_words,
                        schreier_generators, simplify_word, todd_coxeter, verify_class)
 from tetgroups.presentations import MAX_ENTRY
@@ -16,8 +15,8 @@ from conftest import (T10, parse_cycles, parse_word, random_presentations,
                       same_subgroup)
 from published_rows import DEGREE2_ROWS
 
-ALL_TWOS = full_presentation(CoxeterSymbol(2, 2, 2, 2, 2, 2))
-T10_FULL = full_presentation(CoxeterSymbol(3, 3, 6, 2, 2, 2))
+ALL_TWOS = presentation_for(CoxeterSymbol(2, 2, 2, 2, 2, 2), "full")
+T10_FULL = presentation_for(T10, "full")
 T10_ACTIONS = tuple(cls.rep.assignment for cls in enumerate_classes(T10_FULL, 4))
 NAMES = ("P", "Q", "R", "S")
 
@@ -51,21 +50,21 @@ def test_coset_columns(t10_full, t10_kleinian):
     assert klein.powers[4] == ((4, 2, 0), 2)
     assert len(klein.powers) == 6
     # a = PQ with p = 2 is an involution: one column, and a^2 is dropped
-    mixed = _coset_layout(kleinian_presentation(CoxeterSymbol(2, 3, 3, 2, 2, 2)))
+    mixed = _coset_layout(presentation_for(CoxeterSymbol(2, 3, 3, 2, 2, 2), "kleinian"))
     assert mixed.inverse == (0, 2, 1, 4, 3)
     # letter_of reads a column back, an involution's with sign +1
     assert mixed.letter_of == ((0, 1), (1, 1), (1, -1), (2, 1), (2, -1))
     assert all(mixed.of_letter[letter] == x for x, letter in enumerate(mixed.letter_of))
     assert len(mixed.powers) == 5
-    inverted = Presentation("test", T10, ("x", "y"), ((Word.gen(0) * Word.gen(1, -1), 3),))
+    inverted = Presentation(("x", "y"), ((Word.gen(0) * ~Word.gen(1), 3),))
     assert _coset_layout(inverted).powers == (((3, 0), 3),)
 
 
 def test_coset_columns_do_not_grow_with_the_entries():
     # The layout stores no relator written out, so the Kleinian layouts at
     # [6]*6 and at [MAX_ENTRY]*6 differ only in their exponents.
-    small = _coset_layout(kleinian_presentation(CoxeterSymbol(*[6] * 6)))
-    large = _coset_layout(kleinian_presentation(CoxeterSymbol(*[MAX_ENTRY] * 6)))
+    small = _coset_layout(presentation_for(CoxeterSymbol(*[6] * 6), "kleinian"))
+    large = _coset_layout(presentation_for(CoxeterSymbol(*[MAX_ENTRY] * 6), "kleinian"))
     for field in small._fields:
         if field != "powers":
             assert getattr(small, field) == getattr(large, field), field
@@ -78,8 +77,7 @@ def test_the_layout_is_read_once_per_presentation(t10_full):
     # per presentation, and an equal presentation built afresh looks up
     # the same layout.
     _coset_layout.cache_clear()
-    fresh = Presentation(t10_full.kind, t10_full.symbol, t10_full.generator_names,
-                         t10_full.relator_powers)
+    fresh = Presentation(t10_full.generator_names, t10_full.relator_powers)
     assert fresh == t10_full and fresh is not t10_full
     for pres in (t10_full, fresh):
         for cls in enumerate_classes(pres, 2) + enumerate_classes(pres, 4):
@@ -129,7 +127,7 @@ def test_raw_schreier_word_counts():
         table = build_coset_table(rep_with_moved(ALL_TWOS, moved))
         raw = raw_schreier_words(table)
         assert len(raw) == 2 * 4
-        assert sum(w.is_empty() for w in raw) == 1
+        assert sum(not w for w in raw) == 1
 
 
 def test_schreier_scans_cancel_a_column_against_its_inverse():
@@ -141,7 +139,7 @@ def test_schreier_scans_cancel_a_column_against_its_inverse():
     assert schreier_scans(table.rep) == [(0,), (1,), (2,), (3, 0, 3), (3, 1, 3), (3, 2, 3)]
     # t10's rotations have columns c = 4 and c^-1 = 5: the tree edge
     # c^-1 c cancels, and c^-1 c^-1 stays as (5, 5).
-    pres = kleinian_presentation(CoxeterSymbol(3, 3, 6, 2, 2, 2))
+    pres = presentation_for(CoxeterSymbol(3, 3, 6, 2, 2, 2), "kleinian")
     moved_c = Assignment(("a", "b", "c"), (Perm((1, 2)), Perm((1, 2)), Perm((2, 1))))
     table = build_coset_table(TransitiveRep(pres, moved_c))
     assert schreier_scans(table.rep) == [(1,), (3,), (4, 1, 5), (4, 3, 5), (5, 5)]
@@ -177,7 +175,7 @@ def reference_dedup(words, pres):
     inverse reduced by the presentation."""
     kept, seen = [], set()
     for w in words:
-        if not w.is_empty() and w not in seen:
+        if w and w not in seen:
             kept.append(w)
             seen.update((w, pres.reduce(~w)))
     return tuple(kept)
@@ -220,8 +218,7 @@ def with_commuting_involutions(pres: Presentation) -> Presentation:
     """pres with a^2, b^2 and (ab)^2 added, which gives it the braid rules
     aba -> b and bab -> a."""
     a, b = Word.gen(0), Word.gen(1)
-    return Presentation(pres.kind, pres.symbol, pres.generator_names,
-                        pres.relator_powers + ((a, 2), (b, 2), (a * b, 2)))
+    return Presentation(pres.generator_names, pres.relator_powers + ((a, 2), (b, 2), (a * b, 2)))
 
 
 @given(random_presentations(), st.booleans(), st.sampled_from([1, 2, 3, 4]))
@@ -251,7 +248,7 @@ def test_simplify_word_golden_rewrites(t10_full):
         assert got == expected, text
     # b and c are involutions with (bc)^2 here; written with negative signs
     # they must still rewrite, since reduce flattens involution signs first
-    klein = kleinian_presentation(CoxeterSymbol(3, 2, 2, 2, 2, 2))
+    klein = presentation_for(CoxeterSymbol(3, 2, 2, 2, 2, 2), "kleinian")
     cases = {"b^-1c^-1b^-1": "c", "a^-1b^-1c^-1b^-1a": "a^-1ca",
              "c^-1bc^-1": "b", "ab^-1a^-1": "aba^-1"}
     for text, expected in cases.items():
@@ -306,7 +303,7 @@ def test_same_subgroup_degree_and_names_must_match(t10_full, t10_kleinian):
     assert not same_subgroup(rep2, krep)
     # the same action on the same names, but t10's group and t11's differ
     every = ("P", "Q", "R", "S")
-    t11_full = full_presentation(catalog_by_id("t11").symbol)
+    t11_full = presentation_for(catalog_by_id("t11").symbol, "full")
     assert same_subgroup(rep_with_moved(t10_full, every), rep_with_moved(t10_full, every))
     assert not same_subgroup(rep_with_moved(t10_full, every), rep_with_moved(t11_full, every))
 
